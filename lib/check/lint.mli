@@ -1,28 +1,29 @@
 (** Static analysis of declarative policy specs.
 
-    [Policy_lang.parse] is fail-fast: it rejects the first syntax
-    error and accepts anything well-formed, including configurations
-    that can only produce garbage experiments (a retransmission-timer
-    floor above its initial value, a DRR quantum smaller than the MTU,
-    a dead interval shorter than the hello interval...).  The linter
-    runs the full rule set over the whole spec and reports *every*
-    finding as a structured {!Diag.t}, never raising and never
-    stopping at the first problem — suitable for editors and CI.
+    [Policy_lang.parse] is fail-fast: it rejects the first line that
+    breaks the key table (syntax, unknown or repeated key, a value out
+    of its key's type or bounds) and accepts everything else, including
+    configurations that can only produce garbage experiments (a
+    retransmission-timer floor above its initial value, a DRR quantum
+    smaller than the MTU, a dead interval shorter than the hello
+    interval...).  The linter runs the full rule set over the whole
+    spec and reports *every* finding as a structured {!Diag.t}, never
+    raising and never stopping at the first problem — suitable for
+    editors and CI.
 
     Rule codes are stable (documented in [docs/linting.md]):
-    - [L001]–[L005]: structure — unknown sections and keys, duplicate
-      keys, malformed lines, out-of-range or mistyped values.
-    - [L101]–[L113]: cross-field consistency on the resolved policy
-      (spec applied over [base]), e.g. [min_rto <= init_rto],
+    - [L001]–[L005]: {!Rina_core.Policy_lang.scan}'s findings —
+      unknown sections and keys, duplicate keys, malformed lines, and
+      values outside their key's type or bounds.
+    - [L101]–[L123] (L117 retired): cross-key consistency on the policy
+      [scan] resolves over [base], e.g. [min_rto <= init_rto],
       [quantum] only under [kind = drr], [secret] iff password auth,
       [dead_interval > 2 x hello_interval],
-      [keepalive_interval < dead_peer_timeout], zero-retry enrollment.
-    - [L121]: shard-spec sanity — partly standalone (mailbox bound),
-      partly topology-aware (shards requested without a positive
-      verify lookahead).
-    - [L201]–[L202]: topology-aware checks, only when [?topo] is
-      given — TTL vs network diameter, window vs the
-      bandwidth-delay product. *)
+      [keepalive_interval < dead_peer_timeout], zero-retry enrollment,
+      congestion, telemetry and multipath knobs that cannot work.
+    - [L121], [L201]–[L202]: topology-aware checks, only when [?topo]
+      is given — shards without a positive verify lookahead, TTL vs
+      network diameter, window vs the bandwidth-delay product. *)
 
 (** Summary of the network a spec is destined for. *)
 type topo = {

@@ -154,20 +154,3 @@ let default =
 
 let efcp_for_qos t (qos : Qos.t) =
   if qos.Qos.reliable then t.efcp else { t.efcp with rtx_strategy = No_rtx }
-
-let pp_scheduler fmt = function
-  | Fifo -> Format.pp_print_string fmt "fifo"
-  | Priority_queueing -> Format.pp_print_string fmt "priority"
-  | Drr quantum -> Format.fprintf fmt "drr(%d)" quantum
-
-let pp_rtx fmt = function
-  | Selective_repeat -> Format.pp_print_string fmt "selective"
-  | Go_back_n -> Format.pp_print_string fmt "gbn"
-  | No_rtx -> Format.pp_print_string fmt "none"
-
-let pp fmt t =
-  Format.fprintf fmt
-    "efcp{w=%d mtu=%d rto0=%g rtx=%a ackd=%g} sched=%a hello=%g auth=%s"
-    t.efcp.window t.efcp.mtu t.efcp.init_rto pp_rtx t.efcp.rtx_strategy
-    t.efcp.ack_delay pp_scheduler t.scheduler t.routing.hello_interval
-    (match t.auth with Auth_none -> "none" | Auth_password _ -> "password")

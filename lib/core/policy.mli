@@ -91,7 +91,7 @@ type acl =
 type telemetry = {
   trace_sample_rate : float;
       (** deterministic head-sampling keep probability for spans, in
-          (0, 1]; 1.0 traces everything (lint L117 rejects other
+          (0, 1]; 1.0 traces everything ([Policy_lang] rejects
           values outside the interval) *)
   snapshot_interval : float;
       (** seconds between live telemetry snapshots; rides the engine
@@ -111,7 +111,7 @@ type congestion = {
           disables marking (and [R_congestion] accounting) entirely *)
   mark_probability : float;
       (** probability a Dtp PDU is marked once its queue is at or over
-          [mark_threshold], in \[0, 1\] (lint L119 rejects other
+          [mark_threshold], in \[0, 1\] ([Policy_lang] rejects other
           values); drawn from a deterministic per-RMT stream so runs
           replay byte-identically *)
   pushback : bool;
@@ -139,9 +139,9 @@ type shard = {
       (** requested engine-shard count; 0 or 1 = sequential (the
           default) *)
   mailbox_capacity : int;
-      (** bound (entries) on each directed cross-shard mailbox ring;
-          must cover one lookahead window's worth of cross-shard
-          frames or producers stall *)
+      (** bound (entries) on each directed cross-shard mailbox ring,
+          at least 2; must cover one lookahead window's worth of
+          cross-shard frames or producers stall *)
 }
 
 (** How one traffic label is spread over a flow's path set. *)
@@ -223,5 +223,3 @@ val default : t
 val efcp_for_qos : t -> Qos.t -> efcp
 (** Derive the per-flow EFCP config: unreliable cubes get [No_rtx]. *)
 
-val pp_scheduler : Format.formatter -> scheduler -> unit
-val pp : Format.formatter -> t -> unit

@@ -1,516 +1,372 @@
-type section =
-  | S_none
-  | S_efcp
-  | S_scheduler
-  | S_routing
-  | S_enrollment
-  | S_auth
-  | S_dif
-  | S_telemetry
-  | S_congestion
-  | S_shard
-  | S_multipath
+(* The whole grammar is [table] below: one row per key with its
+   section, value kind, a getter for printing and a setter.  [scan],
+   [parse], [to_string] and the linter are all folds over it. *)
 
-(* Mutable build state folded over the lines of the spec. *)
-type state = {
-  mutable policy : Policy.t;
-  mutable section : section;
-  mutable sched_kind : string;
-  mutable sched_quantum : int;
-  mutable auth_kind : string;
-  mutable auth_secret : string;
+open Policy
+
+(* The scheduler and auth variants carry a payload ([quantum],
+   [secret]) set by a sibling key that may come before or after
+   [kind]; the draft holds it until [resolve] joins the two. *)
+type draft = { p : t; quantum : int; secret : string }
+
+let draft_of p =
+  {
+    p;
+    quantum = (match p.scheduler with Drr q -> q | Fifo | Priority_queueing -> 1500);
+    secret = (match p.auth with Auth_password s -> s | Auth_none -> "");
+  }
+
+let resolve d =
+  {
+    d.p with
+    scheduler = (match d.p.scheduler with Drr _ -> Drr d.quantum | s -> s);
+    auth = (match d.p.auth with Auth_password _ -> Auth_password d.secret | a -> a);
+  }
+
+type kind =
+  | Int of int
+  | Float of { lo : float; open_lo : bool; hi : float }
+  | Enum of string list
+  | Str
+
+let expected = function
+  | Int 0 -> "a non-negative integer"
+  | Int 1 -> "a positive integer"
+  | Int n -> Printf.sprintf "an integer of at least %d" n
+  | Float { lo = 0.; open_lo = false; hi } when hi = Float.infinity ->
+    "a non-negative number"
+  | Float { lo; open_lo; hi } ->
+    Printf.sprintf "a number in %s%g, %g]" (if open_lo then "(" else "[") lo hi
+  | Enum choices -> String.concat "|" choices
+  | Str -> "a string"
+
+type row = {
+  section : string;
+  key : string;
+  kind : kind;
+  show : draft -> string option;  (* None: the line is omitted *)
+  set : draft -> string -> draft option;  (* None: bad value *)
 }
 
-let err line msg = Error (Printf.sprintf "line %d: %s" line msg)
+(* The shortest of %.15g/%.16g/%.17g that reads back as the same float. *)
+let show_float f =
+  let g prec = Printf.sprintf "%.*g" prec f in
+  match List.find_opt (fun s -> float_of_string s = f) [ g 15; g 16 ] with
+  | Some s -> s
+  | None -> g 17
 
-let parse_int line key v k =
-  match int_of_string_opt v with
-  | Some n when n > 0 -> k n
-  | Some _ | None -> err line (Printf.sprintf "%s expects a positive integer, got %S" key v)
+let within ok x = if ok x then Some x else None
 
-let parse_nat line key v k =
-  match int_of_string_opt v with
-  | Some n when n >= 0 -> k n
-  | Some _ | None ->
-    err line (Printf.sprintf "%s expects a non-negative integer, got %S" key v)
+(* A row maker awaits its section's name and the section's view of the
+   draft ([sget], [sset]); [get]/[set] then address one field of it. *)
+let row kind read show ?(printed = fun _ -> true) key get set section (sget, sset) =
+  {
+    section;
+    key;
+    kind;
+    show = (fun d -> if printed d then Some (show (get (sget d))) else None);
+    set = (fun d v -> Option.map (fun x -> sset d (set (sget d) x)) (read v));
+  }
 
-let parse_float line key v k =
-  match float_of_string_opt v with
-  | Some f when f >= 0. -> k f
-  | Some _ | None ->
-    err line (Printf.sprintf "%s expects a non-negative number, got %S" key v)
+let int ?(min = 1) ?printed key get set =
+  let read v = Option.bind (int_of_string_opt v) (within (fun n -> n >= min)) in
+  row (Int min) read string_of_int ?printed key get set
 
-let apply_kv st line key v =
-  let p = st.policy in
-  match (st.section, key) with
-  | S_none, _ -> err line "key outside any [section]"
-  | S_efcp, "window" ->
-    parse_int line key v (fun n ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.window = n } })
-  | S_efcp, "mtu" ->
-    parse_int line key v (fun n ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.mtu = n } })
-  | S_efcp, "init_rto" ->
-    parse_float line key v (fun f ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.init_rto = f } })
-  | S_efcp, "min_rto" ->
-    parse_float line key v (fun f ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.min_rto = f } })
-  | S_efcp, "max_rtx" ->
-    parse_int line key v (fun n ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.max_rtx = n } })
-  | S_efcp, "ack_delay" ->
-    parse_float line key v (fun f ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.ack_delay = f } })
-  | S_efcp, "rtx" -> (
-    match v with
-    | "selective" ->
-      Ok
-        {
-          p with
-          Policy.efcp = { p.Policy.efcp with Policy.rtx_strategy = Policy.Selective_repeat };
-        }
-    | "gbn" ->
-      Ok
-        {
-          p with
-          Policy.efcp = { p.Policy.efcp with Policy.rtx_strategy = Policy.Go_back_n };
-        }
-    | "none" ->
-      Ok
-        { p with Policy.efcp = { p.Policy.efcp with Policy.rtx_strategy = Policy.No_rtx } }
-    | other -> err line (Printf.sprintf "rtx must be selective|gbn|none, got %S" other))
-  | S_efcp, "cc" -> (
-    match v with
-    | "on" ->
-      Ok { p with Policy.efcp = { p.Policy.efcp with Policy.congestion_control = true } }
-    | "off" ->
-      Ok
-        { p with Policy.efcp = { p.Policy.efcp with Policy.congestion_control = false } }
-    | other -> err line (Printf.sprintf "cc must be on|off, got %S" other))
-  | S_efcp, "sack_blocks" ->
-    parse_nat line key v (fun n ->
-        Ok { p with Policy.efcp = { p.Policy.efcp with Policy.sack_blocks = n } })
-  | S_efcp, "reorder_window" ->
-    parse_int line key v (fun n ->
-        Ok
-          { p with Policy.efcp = { p.Policy.efcp with Policy.reorder_window = n } })
-  | S_efcp, "max_dup_cache" ->
-    parse_nat line key v (fun n ->
-        Ok
-          { p with Policy.efcp = { p.Policy.efcp with Policy.max_dup_cache = n } })
-  | S_scheduler, "kind" ->
-    st.sched_kind <- v;
-    Ok p
-  | S_scheduler, "quantum" ->
-    parse_int line key v (fun n ->
-        st.sched_quantum <- n;
-        Ok p)
-  | S_routing, "hello_interval" ->
-    parse_float line key v (fun f ->
-        Ok { p with Policy.routing = { p.Policy.routing with Policy.hello_interval = f } })
-  | S_routing, "dead_interval" ->
-    parse_float line key v (fun f ->
-        Ok { p with Policy.routing = { p.Policy.routing with Policy.dead_interval = f } })
-  | S_routing, "refresh_ticks" ->
-    parse_int line key v (fun n ->
-        Ok
-          { p with Policy.routing = { p.Policy.routing with Policy.refresh_ticks = n } })
-  | S_routing, "lsa_min_interval" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.routing = { p.Policy.routing with Policy.lsa_min_interval = f };
-          })
-  | S_routing, "keepalive_interval" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.routing = { p.Policy.routing with Policy.keepalive_interval = f };
-          })
-  | S_routing, "dead_peer_timeout" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.routing = { p.Policy.routing with Policy.dead_peer_timeout = f };
-          })
-  | S_routing, "lsa_max_age" ->
-    parse_float line key v (fun f ->
-        Ok { p with Policy.routing = { p.Policy.routing with Policy.lsa_max_age = f } })
-  | S_routing, "anti_entropy_interval" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.routing = { p.Policy.routing with Policy.anti_entropy_interval = f };
-          })
-  | S_enrollment, "enroll_timeout" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.enrollment = { p.Policy.enrollment with Policy.enroll_timeout = f };
-          })
-  | S_enrollment, "enroll_retries" ->
-    parse_nat line key v (fun n ->
-        Ok
-          {
-            p with
-            Policy.enrollment = { p.Policy.enrollment with Policy.enroll_retries = n };
-          })
-  | S_enrollment, "retry_backoff" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.enrollment = { p.Policy.enrollment with Policy.retry_backoff = f };
-          })
-  | S_auth, "kind" ->
-    st.auth_kind <- v;
-    Ok p
-  | S_auth, "secret" ->
-    st.auth_secret <- v;
-    Ok p
-  | S_dif, "max_ttl" -> parse_int line key v (fun n -> Ok { p with Policy.max_ttl = n })
-  | S_telemetry, "trace_sample_rate" -> (
-    match float_of_string_opt v with
-    | Some f when f > 0. && f <= 1. ->
-      Ok
-        {
-          p with
-          Policy.telemetry = { p.Policy.telemetry with Policy.trace_sample_rate = f };
-        }
-    | Some _ | None ->
-      err line
-        (Printf.sprintf "trace_sample_rate expects a number in (0, 1], got %S" v))
-  | S_telemetry, "snapshot_interval" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.telemetry = { p.Policy.telemetry with Policy.snapshot_interval = f };
-          })
-  | S_telemetry, "flight_ring_capacity" ->
-    parse_nat line key v (fun n ->
-        Ok
-          {
-            p with
-            Policy.telemetry =
-              { p.Policy.telemetry with Policy.flight_ring_capacity = n };
-          })
-  | S_congestion, "mark_threshold" ->
-    parse_nat line key v (fun n ->
-        Ok
-          {
-            p with
-            Policy.congestion = { p.Policy.congestion with Policy.mark_threshold = n };
-          })
-  | S_congestion, "mark_probability" -> (
-    match float_of_string_opt v with
-    | Some f when f >= 0. && f <= 1. ->
-      Ok
-        {
-          p with
-          Policy.congestion = { p.Policy.congestion with Policy.mark_probability = f };
-        }
-    | Some _ | None ->
-      err line (Printf.sprintf "mark_probability expects a number in [0, 1], got %S" v))
-  | S_congestion, "pushback" -> (
-    match v with
-    | "on" ->
-      Ok { p with Policy.congestion = { p.Policy.congestion with Policy.pushback = true } }
-    | "off" ->
-      Ok
-        { p with Policy.congestion = { p.Policy.congestion with Policy.pushback = false } }
-    | other -> err line (Printf.sprintf "pushback must be on|off, got %S" other))
-  | S_congestion, "admission_max_pending" ->
-    parse_nat line key v (fun n ->
-        Ok
-          {
-            p with
-            Policy.congestion =
-              { p.Policy.congestion with Policy.admission_max_pending = n };
-          })
-  | S_congestion, "admission_backoff" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.congestion = { p.Policy.congestion with Policy.admission_backoff = f };
-          })
-  | S_shard, "shards" ->
-    parse_nat line key v (fun n ->
-        Ok { p with Policy.shard = { p.Policy.shard with Policy.shards = n } })
-  | S_shard, "mailbox_capacity" ->
-    parse_int line key v (fun n ->
-        if n < 2 then err line "mailbox_capacity must be at least 2"
-        else
-          Ok
-            {
-              p with
-              Policy.shard = { p.Policy.shard with Policy.mailbox_capacity = n };
-            })
-  | S_multipath, "probe_interval" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.multipath = { p.Policy.multipath with Policy.probe_interval = f };
-          })
-  | S_multipath, "suspect_misses" ->
-    parse_int line key v (fun n ->
-        Ok
-          {
-            p with
-            Policy.multipath = { p.Policy.multipath with Policy.suspect_misses = n };
-          })
-  | S_multipath, "down_misses" ->
-    parse_int line key v (fun n ->
-        Ok
-          {
-            p with
-            Policy.multipath = { p.Policy.multipath with Policy.down_misses = n };
-          })
-  | S_multipath, "reprobe_backoff" ->
-    parse_float line key v (fun f ->
-        Ok
-          {
-            p with
-            Policy.multipath = { p.Policy.multipath with Policy.reprobe_backoff = f };
-          })
-  | S_multipath, (("latency" | "throughput" | "background") as label) -> (
-    let set mode =
-      let m = p.Policy.multipath in
-      let m =
-        match label with
-        | "latency" -> { m with Policy.latency = mode }
-        | "throughput" -> { m with Policy.throughput = mode }
-        | _ -> { m with Policy.background = mode }
-      in
-      Ok { p with Policy.multipath = m }
-    in
-    match v with
-    | "primary" -> set Policy.Primary_backup
-    | "wrr" -> set Policy.Weighted_rr
-    | other -> err line (Printf.sprintf "%s must be primary|wrr, got %S" label other))
-  | ( ( S_efcp | S_scheduler | S_routing | S_enrollment | S_auth | S_dif | S_telemetry
-      | S_congestion | S_shard | S_multipath ),
-      other ) ->
-    err line (Printf.sprintf "unknown key %S in this section" other)
+let float ?(open_lo = false) ?(hi = Float.infinity) key get set =
+  let lo = 0. in
+  let ok f = (if open_lo then f > lo else f >= lo) && f <= hi in
+  let read v = Option.bind (float_of_string_opt v) (within ok) in
+  row (Float { lo; open_lo; hi }) read show_float key get set
 
-let finish st line =
-  let sched =
-    match st.sched_kind with
-    | "" | "fifo" -> Ok Policy.Fifo
-    | "priority" -> Ok Policy.Priority_queueing
-    | "drr" -> Ok (Policy.Drr st.sched_quantum)
-    | other -> err line (Printf.sprintf "scheduler kind must be fifo|priority|drr, got %S" other)
-  in
-  let auth =
-    match st.auth_kind with
-    | "" | "none" -> Ok Policy.Auth_none
-    | "password" ->
-      if String.equal st.auth_secret "" then
-        err line "auth kind=password requires a secret"
-      else Ok (Policy.Auth_password st.auth_secret)
-    | other -> err line (Printf.sprintf "auth kind must be none|password, got %S" other)
-  in
-  match (sched, auth) with
-  | Ok scheduler, Ok auth ->
-    Ok { st.policy with Policy.scheduler; Policy.auth }
-  | (Error _ as e), _ -> e
-  | _, (Error _ as e) -> e
+let enum choices key get set =
+  let show x = fst (List.find (fun (_, y) -> y = x) choices) in
+  row (Enum (List.map fst choices)) (fun v -> List.assoc_opt v choices) show key get set
 
-let section_name = function
-  | S_none -> "none"
-  | S_efcp -> "efcp"
-  | S_scheduler -> "scheduler"
-  | S_routing -> "routing"
-  | S_enrollment -> "enrollment"
-  | S_auth -> "auth"
-  | S_dif -> "dif"
-  | S_telemetry -> "telemetry"
-  | S_congestion -> "congestion"
-  | S_shard -> "shard"
-  | S_multipath -> "multipath"
+let str ?printed key get set = row Str Option.some Fun.id ?printed key get set
+
+let on_off = [ ("on", true); ("off", false) ]
+let stripe = [ ("primary", Primary_backup); ("wrr", Weighted_rr) ]
+
+let section name sget sset rows = List.map (fun mk -> mk name (sget, sset)) rows
+
+let table =
+  List.concat
+    [
+      section "efcp"
+        (fun d -> d.p.efcp)
+        (fun d efcp -> { d with p = { d.p with efcp } })
+        [
+          int "window" (fun e -> e.window) (fun e window -> { e with window });
+          int "mtu" (fun e -> e.mtu) (fun e mtu -> { e with mtu });
+          float "init_rto" (fun e -> e.init_rto) (fun e init_rto -> { e with init_rto });
+          float "min_rto" (fun e -> e.min_rto) (fun e min_rto -> { e with min_rto });
+          int "max_rtx" (fun e -> e.max_rtx) (fun e max_rtx -> { e with max_rtx });
+          float "ack_delay"
+            (fun e -> e.ack_delay)
+            (fun e ack_delay -> { e with ack_delay });
+          enum
+            [ ("selective", Selective_repeat); ("gbn", Go_back_n); ("none", No_rtx) ]
+            "rtx"
+            (fun e -> e.rtx_strategy)
+            (fun e rtx_strategy -> { e with rtx_strategy });
+          enum on_off "cc"
+            (fun e -> e.congestion_control)
+            (fun e congestion_control -> { e with congestion_control });
+          int ~min:0 "sack_blocks"
+            (fun e -> e.sack_blocks)
+            (fun e sack_blocks -> { e with sack_blocks });
+          int "reorder_window"
+            (fun e -> e.reorder_window)
+            (fun e reorder_window -> { e with reorder_window });
+          int ~min:0 "max_dup_cache"
+            (fun e -> e.max_dup_cache)
+            (fun e max_dup_cache -> { e with max_dup_cache });
+        ];
+      section "scheduler" Fun.id
+        (fun _ d -> d)
+        [
+          enum
+            [ ("fifo", Fifo); ("priority", Priority_queueing); ("drr", Drr 0) ]
+            "kind"
+            (fun d -> match d.p.scheduler with Drr _ -> Drr 0 | s -> s)
+            (fun d scheduler -> { d with p = { d.p with scheduler } });
+          int "quantum"
+            ~printed:(fun d -> match d.p.scheduler with Drr _ -> true | _ -> false)
+            (fun d -> d.quantum)
+            (fun d quantum -> { d with quantum });
+        ];
+      section "routing"
+        (fun d -> d.p.routing)
+        (fun d routing -> { d with p = { d.p with routing } })
+        [
+          float "hello_interval"
+            (fun r -> r.hello_interval)
+            (fun r hello_interval -> { r with hello_interval });
+          float "dead_interval"
+            (fun r -> r.dead_interval)
+            (fun r dead_interval -> { r with dead_interval });
+          float "lsa_min_interval"
+            (fun r -> r.lsa_min_interval)
+            (fun r lsa_min_interval -> { r with lsa_min_interval });
+          int "refresh_ticks"
+            (fun r -> r.refresh_ticks)
+            (fun r refresh_ticks -> { r with refresh_ticks });
+          float "keepalive_interval"
+            (fun r -> r.keepalive_interval)
+            (fun r keepalive_interval -> { r with keepalive_interval });
+          float "dead_peer_timeout"
+            (fun r -> r.dead_peer_timeout)
+            (fun r dead_peer_timeout -> { r with dead_peer_timeout });
+          float "lsa_max_age"
+            (fun r -> r.lsa_max_age)
+            (fun r lsa_max_age -> { r with lsa_max_age });
+          float "anti_entropy_interval"
+            (fun r -> r.anti_entropy_interval)
+            (fun r anti_entropy_interval -> { r with anti_entropy_interval });
+        ];
+      section "enrollment"
+        (fun d -> d.p.enrollment)
+        (fun d enrollment -> { d with p = { d.p with enrollment } })
+        [
+          float "enroll_timeout"
+            (fun e -> e.enroll_timeout)
+            (fun e enroll_timeout -> { e with enroll_timeout });
+          int ~min:0 "enroll_retries"
+            (fun e -> e.enroll_retries)
+            (fun e enroll_retries -> { e with enroll_retries });
+          float "retry_backoff"
+            (fun e -> e.retry_backoff)
+            (fun e retry_backoff -> { e with retry_backoff });
+        ];
+      section "auth" Fun.id
+        (fun _ d -> d)
+        [
+          enum
+            [ ("none", Auth_none); ("password", Auth_password "") ]
+            "kind"
+            (fun d -> match d.p.auth with Auth_password _ -> Auth_password "" | a -> a)
+            (fun d auth -> { d with p = { d.p with auth } });
+          str "secret"
+            ~printed:(fun d -> d.p.auth <> Auth_none)
+            (fun d -> d.secret)
+            (fun d secret -> { d with secret });
+        ];
+      section "dif"
+        (fun d -> d.p)
+        (fun d p -> { d with p })
+        [ int "max_ttl" (fun p -> p.max_ttl) (fun p max_ttl -> { p with max_ttl }) ];
+      section "telemetry"
+        (fun d -> d.p.telemetry)
+        (fun d telemetry -> { d with p = { d.p with telemetry } })
+        [
+          float ~open_lo:true ~hi:1. "trace_sample_rate"
+            (fun t -> t.trace_sample_rate)
+            (fun t trace_sample_rate -> { t with trace_sample_rate });
+          float "snapshot_interval"
+            (fun t -> t.snapshot_interval)
+            (fun t snapshot_interval -> { t with snapshot_interval });
+          int ~min:0 "flight_ring_capacity"
+            (fun t -> t.flight_ring_capacity)
+            (fun t flight_ring_capacity -> { t with flight_ring_capacity });
+        ];
+      section "congestion"
+        (fun d -> d.p.congestion)
+        (fun d congestion -> { d with p = { d.p with congestion } })
+        [
+          int ~min:0 "mark_threshold"
+            (fun c -> c.mark_threshold)
+            (fun c mark_threshold -> { c with mark_threshold });
+          float ~hi:1. "mark_probability"
+            (fun c -> c.mark_probability)
+            (fun c mark_probability -> { c with mark_probability });
+          enum on_off "pushback"
+            (fun c -> c.pushback)
+            (fun c pushback -> { c with pushback });
+          int ~min:0 "admission_max_pending"
+            (fun c -> c.admission_max_pending)
+            (fun c admission_max_pending -> { c with admission_max_pending });
+          float "admission_backoff"
+            (fun c -> c.admission_backoff)
+            (fun c admission_backoff -> { c with admission_backoff });
+        ];
+      section "shard"
+        (fun d -> d.p.shard)
+        (fun d shard -> { d with p = { d.p with shard } })
+        [
+          int ~min:0 "shards" (fun s -> s.shards) (fun s shards -> { s with shards });
+          int ~min:2 "mailbox_capacity"
+            (fun s -> s.mailbox_capacity)
+            (fun s mailbox_capacity -> { s with mailbox_capacity });
+        ];
+      section "multipath"
+        (fun d -> d.p.multipath)
+        (fun d multipath -> { d with p = { d.p with multipath } })
+        [
+          float "probe_interval"
+            (fun m -> m.probe_interval)
+            (fun m probe_interval -> { m with probe_interval });
+          int "suspect_misses"
+            (fun m -> m.suspect_misses)
+            (fun m suspect_misses -> { m with suspect_misses });
+          int "down_misses"
+            (fun m -> m.down_misses)
+            (fun m down_misses -> { m with down_misses });
+          float "reprobe_backoff"
+            (fun m -> m.reprobe_backoff)
+            (fun m reprobe_backoff -> { m with reprobe_backoff });
+          enum stripe "latency" (fun m -> m.latency) (fun m latency -> { m with latency });
+          enum stripe "throughput"
+            (fun m -> m.throughput)
+            (fun m throughput -> { m with throughput });
+          enum stripe "background"
+            (fun m -> m.background)
+            (fun m background -> { m with background });
+        ];
+    ]
+
+let keys = List.map (fun r -> (r.section, r.key, r.kind)) table
+
+let sections =
+  List.fold_left
+    (fun acc r -> if List.mem r.section acc then acc else acc @ [ r.section ])
+    [] table
+
+let find section key = List.find_opt (fun r -> r.section = section && r.key = key) table
+
+(* ---------- scanning ---------- *)
+
+type finding =
+  | Unknown_section of string
+  | Unknown_key of { section : string; key : string }
+  | Outside_section of string
+  | Malformed of string
+  | Duplicate of { section : string; key : string; first : int }
+  | Bad_value of { key : string; value : string; expected : string }
+
+let message = function
+  | Unknown_section s -> Printf.sprintf "unknown section [%s]" s
+  | Unknown_key { section; key } -> Printf.sprintf "unknown key %S in [%s]" key section
+  | Outside_section key -> Printf.sprintf "key %S outside any [section]" key
+  | Malformed s -> Printf.sprintf "expected key = value, got %S" s
+  | Duplicate { section; key; first } ->
+    Printf.sprintf "duplicate key %S in [%s] (first set at line %d)" key section first
+  | Bad_value { key; value; expected } ->
+    Printf.sprintf "%s expects %s, got %S" key expected value
+
+type scan = {
+  policy : Policy.t;
+  set_at : string -> string -> int;
+  findings : (int * finding) list;
+}
 
 let strip_comment line =
-  match String.index_opt line '#' with
-  | None -> line
-  | Some i -> String.sub line 0 i
+  match String.index_opt line '#' with None -> line | Some i -> String.sub line 0 i
 
-let parse ?(base = Policy.default) text =
-  let st =
-    {
-      policy = base;
-      section = S_none;
-      sched_kind = "";
-      sched_quantum = 1500;
-      auth_kind = "";
-      auth_secret = "";
-    }
+let scan ?(base = Policy.default) text =
+  let draft = ref (draft_of base) and current = ref `None and findings = ref [] in
+  (* first appearance of each (section, key), and the line of its last
+     valid value *)
+  let first = Hashtbl.create 32 and set_at = Hashtbl.create 32 in
+  let flag line f = findings := (line, f) :: !findings in
+  let assign line section key v =
+    match find section key with
+    | None -> flag line (Unknown_key { section; key })
+    | Some r -> (
+      (match Hashtbl.find_opt first (section, key) with
+       | Some first -> flag line (Duplicate { section; key; first })
+       | None -> Hashtbl.replace first (section, key) line);
+      match r.set !draft v with
+      | Some d ->
+        draft := d;
+        Hashtbl.replace set_at (section, key) line
+      | None -> flag line (Bad_value { key; value = v; expected = expected r.kind }))
   in
-  (match base.Policy.scheduler with
-   | Policy.Fifo -> st.sched_kind <- "fifo"
-   | Policy.Priority_queueing -> st.sched_kind <- "priority"
-   | Policy.Drr q ->
-     st.sched_kind <- "drr";
-     st.sched_quantum <- q);
-  (match base.Policy.auth with
-   | Policy.Auth_none -> st.auth_kind <- "none"
-   | Policy.Auth_password s ->
-     st.auth_kind <- "password";
-     st.auth_secret <- s);
-  (* (section, key) -> line of the first occurrence; a second write to
-     the same key is a spec bug (it used to silently last-write-win). *)
-  let seen : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
-  let lines = String.split_on_char '\n' text in
-  let rec loop n = function
-    | [] -> finish st n
-    | raw :: rest -> (
-      let line = String.trim (strip_comment raw) in
-      if String.equal line "" then loop (n + 1) rest
-      else if String.length line >= 2 && line.[0] = '[' && line.[String.length line - 1] = ']'
-      then begin
-        let name = String.sub line 1 (String.length line - 2) in
-        match name with
-        | "efcp" ->
-          st.section <- S_efcp;
-          loop (n + 1) rest
-        | "scheduler" ->
-          st.section <- S_scheduler;
-          loop (n + 1) rest
-        | "routing" ->
-          st.section <- S_routing;
-          loop (n + 1) rest
-        | "enrollment" ->
-          st.section <- S_enrollment;
-          loop (n + 1) rest
-        | "auth" ->
-          st.section <- S_auth;
-          loop (n + 1) rest
-        | "dif" ->
-          st.section <- S_dif;
-          loop (n + 1) rest
-        | "telemetry" ->
-          st.section <- S_telemetry;
-          loop (n + 1) rest
-        | "congestion" ->
-          st.section <- S_congestion;
-          loop (n + 1) rest
-        | "shard" ->
-          st.section <- S_shard;
-          loop (n + 1) rest
-        | "multipath" ->
-          st.section <- S_multipath;
-          loop (n + 1) rest
-        | other -> err n (Printf.sprintf "unknown section [%s]" other)
+  List.iteri
+    (fun i raw ->
+      let line = i + 1 in
+      let s = String.trim (strip_comment raw) in
+      let n = String.length s in
+      if n = 0 then ()
+      else if n >= 2 && s.[0] = '[' && s.[n - 1] = ']' then begin
+        let name = String.sub s 1 (n - 2) in
+        if List.mem name sections then current := `Known name
+        else begin
+          current := `Unknown;
+          flag line (Unknown_section name)
+        end
       end
       else
-        match String.index_opt line '=' with
-        | None -> err n (Printf.sprintf "expected key = value, got %S" line)
-        | Some i -> (
-          let key = String.trim (String.sub line 0 i) in
-          let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-          let id = (section_name st.section, key) in
-          match Hashtbl.find_opt seen id with
-          | Some first ->
-            err n
-              (Printf.sprintf "duplicate key %S in [%s] (first set at line %d)" key
-                 (fst id) first)
-          | None ->
-            Hashtbl.replace seen id n;
-          match apply_kv st n key v with
-          | Ok p ->
-            st.policy <- p;
-            loop (n + 1) rest
-          | Error _ as e -> e))
-  in
-  loop 1 lines
+        let key eq = String.trim (String.sub s 0 eq) in
+        match (String.index_opt s '=', !current) with
+        | None, _ -> flag line (Malformed s)
+        | Some _, `Unknown -> ()
+        | Some eq, `None -> flag line (Outside_section (key eq))
+        | Some eq, `Known section ->
+          assign line section (key eq) (String.trim (String.sub s (eq + 1) (n - eq - 1))))
+    (String.split_on_char '\n' text);
+  {
+    policy = resolve !draft;
+    set_at = (fun s k -> Option.value ~default:0 (Hashtbl.find_opt set_at (s, k)));
+    findings = List.rev !findings;
+  }
 
-let stripe_name = function
-  | Policy.Primary_backup -> "primary"
-  | Policy.Weighted_rr -> "wrr"
+let parse ?base text =
+  let s = scan ?base text in
+  let at line msg = Error (Printf.sprintf "line %d: %s" line msg) in
+  match (s.findings, s.policy.auth) with
+  | (line, f) :: _, _ -> at line (message f)
+  | [], Auth_password "" ->
+    at (s.set_at "auth" "kind") "auth kind=password requires a secret"
+  | [], _ -> Ok s.policy
 
-let to_string (p : Policy.t) =
-  let e = p.Policy.efcp and r = p.Policy.routing and en = p.Policy.enrollment in
-  let rtx =
-    match e.Policy.rtx_strategy with
-    | Policy.Selective_repeat -> "selective"
-    | Policy.Go_back_n -> "gbn"
-    | Policy.No_rtx -> "none"
+(* ---------- printing ---------- *)
+
+let value p section key = Option.bind (find section key) (fun r -> r.show (draft_of p))
+
+let to_string p =
+  let d = draft_of p in
+  let add (prev, lines) r =
+    let lines = if r.section = prev then lines else ("[" ^ r.section ^ "]") :: lines in
+    (r.section, match r.show d with Some v -> (r.key ^ " = " ^ v) :: lines | None -> lines)
   in
-  let sched_lines =
-    match p.Policy.scheduler with
-    | Policy.Fifo -> "kind = fifo"
-    | Policy.Priority_queueing -> "kind = priority"
-    | Policy.Drr q -> Printf.sprintf "kind = drr\nquantum = %d" q
-  in
-  let auth_lines =
-    match p.Policy.auth with
-    | Policy.Auth_none -> "kind = none"
-    | Policy.Auth_password s -> Printf.sprintf "kind = password\nsecret = %s" s
-  in
-  String.concat "\n"
-    [
-      "[efcp]";
-      Printf.sprintf "window = %d" e.Policy.window;
-      Printf.sprintf "mtu = %d" e.Policy.mtu;
-      Printf.sprintf "init_rto = %g" e.Policy.init_rto;
-      Printf.sprintf "min_rto = %g" e.Policy.min_rto;
-      Printf.sprintf "max_rtx = %d" e.Policy.max_rtx;
-      Printf.sprintf "ack_delay = %g" e.Policy.ack_delay;
-      Printf.sprintf "rtx = %s" rtx;
-      Printf.sprintf "cc = %s" (if e.Policy.congestion_control then "on" else "off");
-      Printf.sprintf "sack_blocks = %d" e.Policy.sack_blocks;
-      Printf.sprintf "reorder_window = %d" e.Policy.reorder_window;
-      Printf.sprintf "max_dup_cache = %d" e.Policy.max_dup_cache;
-      "[scheduler]";
-      sched_lines;
-      "[routing]";
-      Printf.sprintf "hello_interval = %g" r.Policy.hello_interval;
-      Printf.sprintf "dead_interval = %g" r.Policy.dead_interval;
-      Printf.sprintf "lsa_min_interval = %g" r.Policy.lsa_min_interval;
-      Printf.sprintf "refresh_ticks = %d" r.Policy.refresh_ticks;
-      Printf.sprintf "keepalive_interval = %g" r.Policy.keepalive_interval;
-      Printf.sprintf "dead_peer_timeout = %g" r.Policy.dead_peer_timeout;
-      Printf.sprintf "lsa_max_age = %g" r.Policy.lsa_max_age;
-      Printf.sprintf "anti_entropy_interval = %g" r.Policy.anti_entropy_interval;
-      "[enrollment]";
-      Printf.sprintf "enroll_timeout = %g" en.Policy.enroll_timeout;
-      Printf.sprintf "enroll_retries = %d" en.Policy.enroll_retries;
-      Printf.sprintf "retry_backoff = %g" en.Policy.retry_backoff;
-      "[auth]";
-      auth_lines;
-      "[dif]";
-      Printf.sprintf "max_ttl = %d" p.Policy.max_ttl;
-      "[telemetry]";
-      Printf.sprintf "trace_sample_rate = %g" p.Policy.telemetry.Policy.trace_sample_rate;
-      Printf.sprintf "snapshot_interval = %g" p.Policy.telemetry.Policy.snapshot_interval;
-      Printf.sprintf "flight_ring_capacity = %d"
-        p.Policy.telemetry.Policy.flight_ring_capacity;
-      "[congestion]";
-      Printf.sprintf "mark_threshold = %d" p.Policy.congestion.Policy.mark_threshold;
-      Printf.sprintf "mark_probability = %g" p.Policy.congestion.Policy.mark_probability;
-      Printf.sprintf "pushback = %s"
-        (if p.Policy.congestion.Policy.pushback then "on" else "off");
-      Printf.sprintf "admission_max_pending = %d"
-        p.Policy.congestion.Policy.admission_max_pending;
-      Printf.sprintf "admission_backoff = %g"
-        p.Policy.congestion.Policy.admission_backoff;
-      "[shard]";
-      Printf.sprintf "shards = %d" p.Policy.shard.Policy.shards;
-      Printf.sprintf "mailbox_capacity = %d" p.Policy.shard.Policy.mailbox_capacity;
-      "[multipath]";
-      Printf.sprintf "probe_interval = %g" p.Policy.multipath.Policy.probe_interval;
-      Printf.sprintf "suspect_misses = %d" p.Policy.multipath.Policy.suspect_misses;
-      Printf.sprintf "down_misses = %d" p.Policy.multipath.Policy.down_misses;
-      Printf.sprintf "reprobe_backoff = %g" p.Policy.multipath.Policy.reprobe_backoff;
-      Printf.sprintf "latency = %s" (stripe_name p.Policy.multipath.Policy.latency);
-      Printf.sprintf "throughput = %s" (stripe_name p.Policy.multipath.Policy.throughput);
-      Printf.sprintf "background = %s" (stripe_name p.Policy.multipath.Policy.background);
-      "";
-    ]
+  String.concat "\n" (List.rev ("" :: snd (List.fold_left add ("", []) table)))

@@ -7,37 +7,67 @@
     behaviour — stop-and-wait, go-back-N, selective repeat, delayed
     acks, schedulers — without touching any mechanism code.
 
-    Grammar (line oriented; [#] starts a comment):
-    {v
-    [efcp]
-    window = 64          # positive int
-    mtu = 1400
-    init_rto = 0.5       # seconds
-    min_rto = 0.02
-    max_rtx = 8
-    ack_delay = 0.0
-    rtx = selective      # selective | gbn | none
-    [scheduler]
-    kind = drr           # fifo | priority | drr
-    quantum = 1500       # drr only
-    [routing]
-    hello_interval = 1.0
-    dead_interval = 3.5
-    lsa_min_interval = 0.05
-    [auth]
-    kind = password      # none | password
-    secret = hunter2
-    [dif]
-    max_ttl = 32
-    v} *)
+    The grammar is line oriented: [\[section\]] headers, [key = value]
+    lines, and [#] comments.  Every key, with its section, value kind
+    and bounds, lives in one table; [rina_demo policy --inline ''] prints
+    every key with its default value. *)
+
+(** What a key's value must look like. *)
+type kind =
+  | Int of int  (** an integer at least this *)
+  | Float of { lo : float; open_lo : bool; hi : float }
+      (** a number in [lo, hi], or (lo, hi] when [open_lo] *)
+  | Enum of string list  (** one of these words *)
+  | Str  (** any text *)
+
+val keys : (string * string * kind) list
+(** Every key of the grammar as [(section, key, kind)], in the order
+    {!to_string} prints them. *)
+
+val sections : string list
+(** The section names, in printing order. *)
+
+(** A structural problem with one line of a spec. *)
+type finding =
+  | Unknown_section of string
+  | Unknown_key of { section : string; key : string }
+  | Outside_section of string  (** a [key = value] line before any header *)
+  | Malformed of string  (** neither a header nor [key = value] *)
+  | Duplicate of { section : string; key : string; first : int }
+      (** the key was already set at line [first] *)
+  | Bad_value of { key : string; value : string; expected : string }
+      (** the value is not of the key's kind or out of its bounds *)
+
+val message : finding -> string
+
+type scan = {
+  policy : Policy.t;
+      (** the spec applied over the base, skipping bad lines; a
+          repeated key keeps its last valid value *)
+  set_at : string -> string -> int;
+      (** [set_at section key] is the line that set the key's resolved
+          value, [0] when it is inherited from the base *)
+  findings : (int * finding) list;  (** with their lines, in line order *)
+}
+
+val scan : ?base:Policy.t -> string -> scan
+(** Read a whole spec without stopping at the first problem.  Lines
+    under an unknown section are skipped silently: the section's own
+    finding covers them. *)
 
 val parse : ?base:Policy.t -> string -> (Policy.t, string) result
-(** Apply a spec on top of [base] (default {!Policy.default}).  Errors
-    carry the offending line number and token.  Setting the same key
-    twice in a section is an error (it used to silently
-    last-write-win); the message names both lines.  For structured,
-    non-fail-fast diagnostics over a spec, see [Rina_check.Lint]. *)
+(** Apply a spec on top of [base] (default {!Policy.default}).  The
+    error is the first finding of {!scan}, as ["line N: message"]; a
+    duplicate key names both lines.  [\[auth\] kind = password] without
+    a secret is rejected at its [kind] line.  For every finding at once,
+    with severities and cross-key rules, see [Rina_check.Lint]. *)
+
+val value : Policy.t -> string -> string -> string option
+(** [value p section key] is the key's value as {!to_string} prints
+    it, or [None] when the line is omitted (a [quantum] outside DRR, a
+    [secret] without password authentication) or the key is unknown. *)
 
 val to_string : Policy.t -> string
-(** Render a policy back into parsable spec text (round-trips through
-    {!parse}). *)
+(** Render a policy back into spec text.  Floats are printed with the
+    fewest digits that read back exactly, so [parse (to_string p)]
+    gives back [p] for any [p] the grammar can express. *)

@@ -36,7 +36,12 @@
    slot then [Atomic.set]s head (release); the consumer [Atomic.get]s
    head (acquire) before reading slots, and publishes tail the same
    way for slot reuse.  Every operation carries a {!Rina_util.Race}
-   annotation so the domain-race sanitizer can check the protocol. *)
+   annotation so the domain-race sanitizer can check the protocol: a
+   [Race.acquire] follows the [Atomic.get] it pairs with and a
+   [Race.release] precedes the [Atomic.set] that publishes, so the
+   detector never sees a value before the clock that came with it.
+   Each ring slot is its own race cell — producer and consumer
+   legitimately touch different slots at the same time. *)
 
 module Flight = Rina_util.Flight
 module Metrics = Rina_util.Metrics
@@ -60,7 +65,7 @@ type mailbox = {
   mutable mb_lookahead : float;  (* min delay over channels riding this box *)
   r_head : Race.sync;
   r_tail : Race.sync;
-  r_slots : Race.cell;
+  r_slots : Race.cell array;  (* one per slot; empty unless the detector is armed *)
 }
 
 (* A drained entry staged for delivery, ordered (time, src, seq). *)
@@ -225,7 +230,11 @@ let get_box t ~src ~dst =
         mb_lookahead = infinity;
         r_head = Race.sync (Printf.sprintf "sharded.mb[%d->%d].head" src dst);
         r_tail = Race.sync (Printf.sprintf "sharded.mb[%d->%d].tail" src dst);
-        r_slots = Race.cell (Printf.sprintf "sharded.mb[%d->%d].slots" src dst);
+        r_slots =
+          (if Race.armed () then
+             Array.init t.mailbox_capacity (fun i ->
+                 Race.cell (Printf.sprintf "sharded.mb[%d->%d].slots[%d]" src dst i))
+           else [||]);
       }
     in
     Hashtbl.add t.boxes (src, dst) mb;
@@ -233,20 +242,24 @@ let get_box t ~src ~dst =
     dsh.inboxes <- dsh.inboxes @ [ mb ];
     mb
 
+let slot_access access mb i =
+  if Array.length mb.r_slots > 0 then access mb.r_slots.(i)
+
 (* Consumer side: move everything published so far into the staging
    heap.  Runs only on the destination shard's worker (or inline from
    the producer in single-domain mode, where producer = consumer). *)
 let drain sh mb =
-  Race.acquire mb.r_head;
   let hd = Atomic.get mb.head in
+  Race.acquire mb.r_head;
   let tl = Atomic.get mb.tail in
   if hd > tl then begin
     for i = tl to hd - 1 do
-      Race.read mb.r_slots;
-      (match mb.slots.(i mod mb.cap) with
+      let slot = i mod mb.cap in
+      slot_access Race.read mb slot;
+      (match mb.slots.(slot) with
       | Some e ->
-        Race.write mb.r_slots;
-        mb.slots.(i mod mb.cap) <- None;
+        slot_access Race.write mb slot;
+        mb.slots.(slot) <- None;
         stage sh
           {
             s_time = e.e_time;
@@ -257,8 +270,8 @@ let drain sh mb =
           }
       | None -> assert false)
     done;
-    Atomic.set mb.tail hd;
-    Race.release mb.r_tail
+    Race.release mb.r_tail;
+    Atomic.set mb.tail hd
   end
 
 (* Producer side.  A full ring blocks rather than drops: dropping
@@ -268,8 +281,8 @@ let drain sh mb =
    grants stay within one lookahead window) keeps the wait finite as
    long as the capacity covers one window's traffic. *)
 let rec enqueue t mb e =
-  Race.acquire mb.r_tail;
   let tl = Atomic.get mb.tail in
+  Race.acquire mb.r_tail;
   let hd = Atomic.get mb.head in
   if hd - tl >= mb.cap then begin
     if t.parallel then Domain.cpu_relax ()
@@ -277,10 +290,10 @@ let rec enqueue t mb e =
     enqueue t mb e
   end
   else begin
-    Race.write mb.r_slots;
+    slot_access Race.write mb (hd mod mb.cap);
     mb.slots.(hd mod mb.cap) <- Some e;
-    Atomic.set mb.head (hd + 1);
-    Race.release mb.r_head
+    Race.release mb.r_head;
+    Atomic.set mb.head (hd + 1)
   end
 
 (* ---------- cross-shard channels ---------- *)
@@ -445,8 +458,9 @@ let visit t sh ~until =
       List.fold_left
         (fun acc mb ->
           let src = t.shards.(mb.mb_src) in
+          let granted = Atomic.get src.grant in
           Race.acquire src.r_grant;
-          Float.min acc (Atomic.get src.grant +. mb.mb_lookahead))
+          Float.min acc (granted +. mb.mb_lookahead))
         until sh.inboxes
     in
     if horizon <= already then false
@@ -456,8 +470,8 @@ let visit t sh ~until =
       run_epoch sh ~horizon;
       t.uninstall sh.id;
       sh.epochs <- sh.epochs + 1;
-      Atomic.set sh.grant horizon;
       Race.release sh.r_grant;
+      Atomic.set sh.grant horizon;
       true
     end
   end

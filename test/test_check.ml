@@ -43,8 +43,8 @@ let silent ?topo code spec =
     false
     (List.mem code (codes ?topo spec))
 
-let severity_of code spec =
-  match List.find_opt (fun d -> d.Diag.code = code) (Lint.lint spec) with
+let severity_of ?topo code spec =
+  match List.find_opt (fun d -> d.Diag.code = code) (Lint.lint ?topo spec) with
   | Some d -> d.Diag.severity
   | None -> Alcotest.fail (code ^ " did not fire")
 
@@ -82,6 +82,30 @@ let test_l005_bad_value () =
   fires "L005" "[efcp]\nrtx = sometimes\n";
   fires "L005" "[efcp]\ninit_rto = -1\n";
   silent "L005" "[efcp]\nwindow = 4\nrtx = gbn\ninit_rto = 1.5\n"
+
+(* The bounds the key table declares beyond a bare type are L005s too:
+   trace_sample_rate in (0, 1], mark_probability in [0, 1],
+   mailbox_capacity at least 2. *)
+let test_l005_table_bounds () =
+  List.iter (fires "L005")
+    [
+      "[telemetry]\ntrace_sample_rate = 0\n";
+      "[telemetry]\ntrace_sample_rate = 1.5\n";
+      "[telemetry]\ntrace_sample_rate = -0.1\n";
+      "[congestion]\nmark_probability = 1.5\n";
+      "[congestion]\nmark_probability = -0.5\n";
+      "[shard]\nmailbox_capacity = 1\n";
+    ];
+  List.iter (silent "L005")
+    [
+      "[telemetry]\ntrace_sample_rate = 0.01\n";
+      "[telemetry]\ntrace_sample_rate = 1.0\n";
+      "[congestion]\nmark_probability = 0\n";
+      "[congestion]\nmark_probability = 1\n";
+      "[shard]\nmailbox_capacity = 2\n";
+    ];
+  (* L117 is retired: its whole check is this bound *)
+  silent "L117" "[telemetry]\ntrace_sample_rate = 0\n"
 
 (* Structural findings do not abort the scan: one bad line still lets
    every other rule run. *)
@@ -203,17 +227,6 @@ let test_l116_anti_entropy_vs_hello () =
        "[routing]\nanti_entropy_interval = 0.5\nhello_interval = 1.0\n"
      = Diag.Warning)
 
-let test_l117_sample_rate_range () =
-  fires "L117" "[telemetry]\ntrace_sample_rate = 0\n";
-  fires "L117" "[telemetry]\ntrace_sample_rate = 1.5\n";
-  (* negatives never reach L117: the key is typed non-negative (L005) *)
-  fires "L005" "[telemetry]\ntrace_sample_rate = -0.1\n";
-  silent "L117" "[telemetry]\ntrace_sample_rate = 0.01\n";
-  silent "L117" "[telemetry]\ntrace_sample_rate = 1.0\n";
-  silent "L117" "";
-  Alcotest.(check bool) "L117 is an error" true
-    (severity_of "L117" "[telemetry]\ntrace_sample_rate = 0\n" = Diag.Error)
-
 let test_l118_snapshot_vs_wheel () =
   (* below the 0.05 s wheel slot: ticks collapse into the same slot *)
   fires "L118" "[telemetry]\nsnapshot_interval = 0.01\n";
@@ -226,10 +239,9 @@ let test_l118_snapshot_vs_wheel () =
      = Diag.Warning)
 
 let test_l119_congestion_config () =
-  (* not a probability *)
-  fires "L119" "[congestion]\nmark_probability = 1.5\n";
-  (* negatives are a type error, not a consistency error *)
-  fires "L005" "[congestion]\nmark_probability = -0.5\n";
+  (* not a probability: a bound of the key itself, so L005 *)
+  fires "L005" "[congestion]\nmark_probability = 1.5\n";
+  silent "L119" "[congestion]\nmark_probability = 1.5\n";
   (* threshold at/above the per-class queue capacity: tail drop wins *)
   fires "L119" "[congestion]\nmark_threshold = 256\n";
   fires "L119" "[congestion]\nmark_threshold = 1000\n";
@@ -241,7 +253,7 @@ let test_l119_congestion_config () =
   silent "L119" "[congestion]\nmark_threshold = 32\nmark_probability = 0.2\n";
   silent "L119" "";
   Alcotest.(check bool) "L119 is an error" true
-    (severity_of "L119" "[congestion]\nmark_probability = 2\n" = Diag.Error)
+    (severity_of "L119" "[congestion]\nmark_threshold = 256\n" = Diag.Error)
 
 let test_l120_congestion_signal_unwired () =
   (* pushback relays a congestion signal that marking must generate *)
@@ -257,10 +269,10 @@ let test_l120_congestion_signal_unwired () =
     (severity_of "L120" "[congestion]\npushback = on\n" = Diag.Warning)
 
 let test_l121_shard_spec_unusable () =
-  (* standalone half: mailbox bound below the ring minimum *)
-  fires "L121" "[shard]\nshards = 4\nmailbox_capacity = 1\n";
-  silent "L121" "[shard]\nshards = 4\nmailbox_capacity = 64\n";
-  (* topology half: shards requested but the partition buys no time *)
+  (* a mailbox bound below the ring minimum is a bound of the key: L005 *)
+  fires "L005" "[shard]\nshards = 4\nmailbox_capacity = 1\n";
+  silent "L121" "[shard]\nshards = 4\nmailbox_capacity = 1\n";
+  (* shards requested but the partition buys no time *)
   let no_la = { Lint.diameter = 2; bottleneck_bit_rate = 1e7; rtt = 0.01; lookahead = None } in
   let zero_la = { no_la with Lint.lookahead = Some 0. } in
   let good_la = { no_la with Lint.lookahead = Some 0.002 } in
@@ -273,7 +285,7 @@ let test_l121_shard_spec_unusable () =
   (* without a topology the lookahead half cannot run *)
   silent "L121" "[shard]\nshards = 4\n";
   Alcotest.(check bool) "L121 is an error" true
-    (severity_of "L121" "[shard]\nmailbox_capacity = 1\n" = Diag.Error)
+    (severity_of ~topo:no_la "L121" "[shard]\nshards = 4\n" = Diag.Error)
 
 let test_l122_multipath_monitor () =
   (* Down fires while the path is still Up: Suspect unreachable *)
@@ -682,6 +694,7 @@ let () =
           Alcotest.test_case "L003 duplicate key" `Quick test_l003_duplicate_key;
           Alcotest.test_case "L004 malformed line" `Quick test_l004_malformed_line;
           Alcotest.test_case "L005 bad value" `Quick test_l005_bad_value;
+          Alcotest.test_case "L005 key-table bounds" `Quick test_l005_table_bounds;
           Alcotest.test_case "lint keeps going" `Quick test_lint_keeps_going;
         ] );
       ( "lint-consistency",
@@ -704,8 +717,6 @@ let () =
             test_l115_reorder_window_vs_sack;
           Alcotest.test_case "L116 anti-entropy vs hello" `Quick
             test_l116_anti_entropy_vs_hello;
-          Alcotest.test_case "L117 sample-rate range" `Quick
-            test_l117_sample_rate_range;
           Alcotest.test_case "L118 snapshot vs wheel slot" `Quick
             test_l118_snapshot_vs_wheel;
           Alcotest.test_case "L119 congestion config" `Quick

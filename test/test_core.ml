@@ -271,6 +271,37 @@ let test_policy_lang_errors () =
   expect_error "[auth]\nkind = password";  (* missing secret *)
   expect_error "[efcp]\njust some words"
 
+(* Resolution errors name the [kind] line, not the line after the end
+   of the spec. *)
+let test_policy_lang_error_lines () =
+  List.iter
+    (fun (spec, line) ->
+      match Policy_lang.parse spec with
+      | Ok _ -> Alcotest.fail ("accepted bad spec: " ^ spec)
+      | Error e ->
+        Alcotest.(check bool) (e ^ " names " ^ line) true
+          (String.starts_with ~prefix:(line ^ ":") e))
+    [
+      ("[auth]\nkind = password\n", "line 2");
+      ("[scheduler]\nkind = lottery\n\n\n", "line 2");
+      ("[auth]\nkind = password\n[efcp]\nwindow = 4\n", "line 2");
+    ]
+
+(* The scheduler payload may precede its kind. *)
+let test_policy_lang_order_independent () =
+  match Policy_lang.parse "[scheduler]\nquantum = 900\nkind = drr\n" with
+  | Ok p -> Alcotest.(check bool) "drr 900" true (p.Policy.scheduler = Policy.Drr 900)
+  | Error e -> Alcotest.fail e
+
+(* %g printed init_rto as 0.123457; the float must come back exactly. *)
+let test_policy_lang_float_lossless () =
+  match Policy_lang.parse "[efcp]\ninit_rto = 0.1234567891\n" with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+    check Alcotest.bool "init_rto printed in full" true
+      (List.mem "init_rto = 0.1234567891"
+         (String.split_on_char '\n' (Policy_lang.to_string p)))
+
 let test_policy_lang_roundtrip () =
   List.iter
     (fun spec ->
@@ -481,79 +512,36 @@ let prop_spf_paths_loop_free =
       !ok)
 
 let prop_policy_lang_roundtrip_random =
-  (* to_string/parse round-trips any policy assembled from the
-     language's value space. *)
+  (* Every key of the grammar, each with a value drawn within the bounds
+     its table row declares; the parsed policy must survive
+     to_string/parse exactly (floats included). *)
+  let value = function
+    | Policy_lang.Int min ->
+      QCheck.Gen.(map (fun n -> string_of_int (min + n)) (int_bound 100_000))
+    | Policy_lang.Float { lo; open_lo; hi } ->
+      let hi = if hi = Float.infinity then lo +. 1e4 else hi in
+      QCheck.Gen.map
+        (fun f -> Printf.sprintf "%.17g" (if open_lo && f <= lo then hi else f))
+        (QCheck.Gen.float_range lo hi)
+    | Policy_lang.Enum choices -> QCheck.Gen.oneofl choices
+    | Policy_lang.Str ->
+      QCheck.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 1 12))
+  in
   let gen =
     QCheck.Gen.(
-      map
-        (fun ((w, mtu, rtx_i, cc), (rto, ack), (sched_i, q), (hello, refresh, ttl, auth)) ->
-          let rtx =
-            match rtx_i with
-            | 0 -> Policy.Selective_repeat
-            | 1 -> Policy.Go_back_n
-            | _ -> Policy.No_rtx
-          in
-          let scheduler =
-            match sched_i with
-            | 0 -> Policy.Fifo
-            | 1 -> Policy.Priority_queueing
-            | _ -> Policy.Drr q
-          in
-          {
-            Policy.efcp =
-              {
-                Policy.default_efcp with
-                Policy.window = w;
-                mtu;
-                init_rto = rto;
-                ack_delay = ack;
-                rtx_strategy = rtx;
-                congestion_control = cc;
-              };
-            scheduler;
-            routing =
-              {
-                Policy.default_routing with
-                Policy.hello_interval = hello;
-                refresh_ticks = refresh;
-              };
-            enrollment = Policy.default_enrollment;
-            auth = (if auth then Policy.Auth_password "pw" else Policy.Auth_none);
-            acl = Policy.Allow_all;
-            max_ttl = ttl;
-            telemetry = Policy.default_telemetry;
-            congestion = Policy.default_congestion;
-            shard = Policy.default_shard;
-            multipath = Policy.default_multipath;
-          })
-        (tup4
-           (tup4 (int_range 1 512) (int_range 16 9000) (int_range 0 2) bool)
-           (tup2 (float_range 0.01 4.) (float_range 0. 1.))
-           (tup2 (int_range 0 2) (int_range 64 4096))
-           (tup4 (float_range 0.1 10.) (int_range 1 50) (int_range 1 255) bool)))
+      map (String.concat "")
+        (flatten_l
+           (List.map
+              (fun (section, key, kind) ->
+                map (Printf.sprintf "[%s]\n%s = %s\n" section key) (value kind))
+              Policy_lang.keys)))
   in
   QCheck.Test.make ~name:"policy_lang to_string/parse roundtrip (random)" ~count:150
-    (QCheck.make gen)
-    (fun p ->
-      match Policy_lang.parse (Policy_lang.to_string p) with
-      | Ok p' ->
-        (* Float formatting via %g is lossy only beyond 6 significant
-           digits; compare fields accordingly. *)
-        let close a b = Float.abs (a -. b) <= 1e-5 *. Float.max 1. (Float.abs a) in
-        p'.Policy.efcp.Policy.window = p.Policy.efcp.Policy.window
-        && p'.Policy.efcp.Policy.mtu = p.Policy.efcp.Policy.mtu
-        && p'.Policy.efcp.Policy.rtx_strategy = p.Policy.efcp.Policy.rtx_strategy
-        && p'.Policy.efcp.Policy.congestion_control
-           = p.Policy.efcp.Policy.congestion_control
-        && close p'.Policy.efcp.Policy.init_rto p.Policy.efcp.Policy.init_rto
-        && close p'.Policy.efcp.Policy.ack_delay p.Policy.efcp.Policy.ack_delay
-        && p'.Policy.scheduler = p.Policy.scheduler
-        && close p'.Policy.routing.Policy.hello_interval
-             p.Policy.routing.Policy.hello_interval
-        && p'.Policy.routing.Policy.refresh_ticks = p.Policy.routing.Policy.refresh_ticks
-        && p'.Policy.auth = p.Policy.auth
-        && p'.Policy.max_ttl = p.Policy.max_ttl
-      | Error _ -> false)
+    (QCheck.make ~print:Fun.id gen)
+    (fun text ->
+      match Policy_lang.parse text with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok p -> Policy_lang.parse (Policy_lang.to_string p) = Ok p)
 
 (* ---------- Shim ---------- *)
 
@@ -609,6 +597,10 @@ let () =
           Alcotest.test_case "empty spec is default" `Quick test_policy_lang_empty_is_default;
           Alcotest.test_case "keys apply" `Quick test_policy_lang_keys_apply;
           Alcotest.test_case "errors" `Quick test_policy_lang_errors;
+          Alcotest.test_case "error names the kind line" `Quick test_policy_lang_error_lines;
+          Alcotest.test_case "scheduler keys in any order" `Quick
+            test_policy_lang_order_independent;
+          Alcotest.test_case "floats print losslessly" `Quick test_policy_lang_float_lossless;
           Alcotest.test_case "to_string roundtrip" `Quick test_policy_lang_roundtrip;
           Alcotest.test_case "comments and blanks" `Quick test_policy_lang_comments_and_blanks;
           Alcotest.test_case "efcp_for_qos" `Quick test_efcp_for_qos;
