@@ -1,20 +1,53 @@
-(* The table is computed eagerly: concurrent [Lazy.force] from two
-   domains can raise [Lazy.Undefined], and parallel trial runners hit
-   this module from every worker. *)
-let table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-        else c := !c lsr 1
+(* Slicing-by-8 tables, row [k] at [k * 256]: entry [n] of row [k] is
+   the CRC register after byte [n] followed by [k] zero bytes, so row 0
+   is the classic bytewise table.  Computed eagerly: concurrent
+   [Lazy.force] from two domains can raise [Lazy.Undefined], and
+   parallel trial runners hit this module from every worker. *)
+let tables =
+  let row0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+  in
+  Array.init (8 * 256) (fun i ->
+      let c = ref row0.(i land 0xFF) in
+      for _ = 1 to i lsr 8 do
+        c := row0.(!c land 0xFF) lxor (!c lsr 8)
       done;
       !c)
 
+(* Each 8-byte word is read as one little-endian [int64] that is only
+   split into [int] halves, so ocamlopt keeps it unboxed and a call
+   allocates nothing.  Keep it that way: reading the bytes through a
+   local closure instead allocates on every call. *)
 let crc32_sub data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then
+    invalid_arg "Sdu_protection.crc32_sub";
   let crc = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    let byte = Char.code (Bytes.unsafe_get data i) in
-    crc := Array.unsafe_get table ((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
+  let i = ref pos in
+  let words_end = pos + (len land lnot 7) in
+  while !i < words_end do
+    let w = Bytes.get_int64_le data !i in
+    let lo = !crc lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    crc :=
+      Array.unsafe_get tables ((7 * 256) + (lo land 0xFF))
+      lxor Array.unsafe_get tables ((6 * 256) + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get tables ((5 * 256) + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get tables ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get tables ((3 * 256) + (hi land 0xFF))
+      lxor Array.unsafe_get tables ((2 * 256) + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get tables (256 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get tables (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = words_end to pos + len - 1 do
+    let byte = Char.code (Bytes.unsafe_get data j) in
+    crc := Array.unsafe_get tables ((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
 

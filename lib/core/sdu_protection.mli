@@ -1,7 +1,8 @@
 (** SDU protection: integrity check appended to every frame a DIF hands
     to the layer below.
 
-    Implements CRC-32 (IEEE 802.3 polynomial, table-driven).  A member
+    Implements CRC-32 (IEEE 802.3 polynomial, slicing-by-8: eight
+    table lookups per 8-byte word, bytewise for the tail).  A member
     receiving a frame that fails the check drops it — this is also the
     first line of defence against the injection attack in experiment
     C2, since an attacker that is not a member does not even share the
@@ -11,7 +12,9 @@ val crc32 : bytes -> int
 (** CRC-32 of the whole byte string (masked to 32 bits). *)
 
 val crc32_sub : bytes -> pos:int -> len:int -> int
-(** CRC-32 of a sub-range, without copying it out. *)
+(** CRC-32 of a sub-range, without copying it out.
+    @raise Invalid_argument if [pos] and [len] do not designate a valid
+    range of the byte string. *)
 
 val protect : bytes -> bytes
 (** Append the 4-byte big-endian CRC. *)

@@ -92,6 +92,82 @@ let test_crc32_known_vector () =
   check Alcotest.int "crc32(123456789)" 0xCBF43926
     (Sdu.crc32 (Bytes.of_string "123456789"))
 
+(* Reference: the plain byte-at-a-time CRC-32 the slicing-by-8 kernel
+   must reproduce exactly. *)
+let crc32_bytewise =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  fun data ~pos ~len ->
+    let crc = ref 0xFFFFFFFF in
+    for i = pos to pos + len - 1 do
+      crc := table.((!crc lxor Char.code (Bytes.get data i)) land 0xFF) lxor (!crc lsr 8)
+    done;
+    !crc lxor 0xFFFFFFFF
+
+let random_bytes rs n = Bytes.init n (fun _ -> Char.chr (Random.State.int rs 256))
+
+(* Every tail length (0-16 bytes, so 0-2 whole words plus 0-7 left
+   over) at every word misalignment. *)
+let test_crc32_short_lengths () =
+  let rs = Random.State.make [| 13 |] in
+  for len = 0 to 16 do
+    for pos = 0 to 8 do
+      let b = random_bytes rs (pos + len + 3) in
+      check Alcotest.int
+        (Printf.sprintf "len %d pos %d" len pos)
+        (crc32_bytewise b ~pos ~len) (Sdu.crc32_sub b ~pos ~len)
+    done
+  done
+
+let prop_crc32_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (s, pre, post) ->
+          let b = Bytes.of_string s in
+          let n = Bytes.length b in
+          let pos = min pre n in
+          (b, pos, max 0 (n - pos - post)))
+        (triple (string_size (int_range 0 3000)) (int_range 0 15) (int_range 0 15)))
+  in
+  QCheck.Test.make ~name:"crc32_sub = bytewise reference" ~count:400
+    (QCheck.make
+       ~print:(fun (b, pos, len) ->
+         Printf.sprintf "length %d pos %d len %d" (Bytes.length b) pos len)
+       gen)
+    (fun (b, pos, len) -> Sdu.crc32_sub b ~pos ~len = crc32_bytewise b ~pos ~len)
+
+let test_crc32_sub_bounds () =
+  let rejects name b ~pos ~len =
+    match Sdu.crc32_sub b ~pos ~len with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "len past end" (Bytes.create 4) ~pos:0 ~len:100;
+  rejects "negative len" (Bytes.create 4) ~pos:0 ~len:(-1);
+  rejects "negative pos" (Bytes.create 4) ~pos:(-1) ~len:2;
+  rejects "pos past end" (Bytes.create 4) ~pos:5 ~len:0;
+  rejects "range past end" (Bytes.create 16) ~pos:9 ~len:8;
+  check Alcotest.int "empty range at end" 0 (Sdu.crc32_sub (Bytes.create 4) ~pos:4 ~len:0)
+
+let prop_seal_verify_roundtrip =
+  QCheck.Test.make ~name:"seal -> verify_len roundtrip, bit flip caught" ~count:200
+    QCheck.(pair (string_of_size (Gen.int_range 0 3000)) (int_bound 100_000))
+    (fun (s, flip) ->
+      let frame = Bytes.extend (Bytes.of_string s) 0 Sdu.overhead in
+      Sdu.seal frame;
+      let ok = Sdu.verify_len frame = Some (String.length s) in
+      let bit = flip mod (8 * Bytes.length frame) in
+      let i = bit / 8 in
+      Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor (1 lsl (bit mod 8))));
+      ok && Sdu.verify_len frame = None)
+
 let test_sdu_roundtrip_and_corruption () =
   let body = Bytes.of_string "some frame body" in
   let f = Sdu.protect body in
@@ -577,6 +653,10 @@ let () =
       ( "sdu_protection",
         [
           Alcotest.test_case "crc32 vector" `Quick test_crc32_known_vector;
+          Alcotest.test_case "crc32 short lengths" `Quick test_crc32_short_lengths;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bytewise;
+          Alcotest.test_case "crc32_sub bounds" `Quick test_crc32_sub_bounds;
+          QCheck_alcotest.to_alcotest prop_seal_verify_roundtrip;
           Alcotest.test_case "roundtrip + corruption" `Quick test_sdu_roundtrip_and_corruption;
         ] );
       ( "rib",
