@@ -238,7 +238,7 @@ let run_incast_rina () =
     ic_marked = Metrics.get rm "ecn_marked";
     ic_cong_dropped = Metrics.get rm "congestion_dropped";
     ic_queue_dropped = Metrics.get rm "queue_dropped";
-    ic_queue_hwm = int_of_float (Metrics.gauge rm "queue_hwm");
+    ic_queue_hwm = Metrics.get rm "queue_hwm";
   }
 
 let run_incast_tcp () =

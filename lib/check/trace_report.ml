@@ -75,10 +75,9 @@ let drop_breakdown events =
 
 (* ---------- delivery gap ---------- *)
 
-(* Same contract as {!Rina_sim.Trace.largest_gap}: sort occurrence
-   times, widest interval wins, strict comparison keeps the earliest
-   interval on ties — so duplicate timestamps give a deterministic
-   answer and the two implementations agree on shared input. *)
+(* Sort occurrence times, widest interval wins, strict comparison
+   keeps the earliest interval on ties — so duplicate timestamps and
+   out-of-order input give a deterministic answer. *)
 let gap_of_times times =
   let arr = Array.of_list times in
   Array.sort compare arr;

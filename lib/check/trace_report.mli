@@ -25,8 +25,9 @@ val delivery_gap :
 (** Widest interval between consecutive [Pdu_recvd] events as
     [(gap, start_time)], optionally restricted to components starting
     with [component] — the handoff interruption window.  [None] with
-    fewer than two deliveries.  Same tie-breaking contract as
-    {!Rina_sim.Trace.largest_gap}. *)
+    fewer than two deliveries.  Delivery times are sorted first and
+    ties between equally wide gaps resolve to the earliest interval,
+    so duplicate timestamps yield a deterministic answer. *)
 
 val blackouts :
   ?component:string ->

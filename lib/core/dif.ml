@@ -1,6 +1,5 @@
 type t = {
   engine : Rina_sim.Engine.t;
-  trace : Rina_sim.Trace.t option;
   name : Types.dif_name;
   policy : Policy.t;
   qos_cubes : Qos.t list;
@@ -8,9 +7,9 @@ type t = {
   mutable members : Ipcp.t list;
 }
 
-let create engine ?trace ?(policy = Policy.default) ?(qos_cubes = Qos.standard_cubes)
+let create engine ?(policy = Policy.default) ?(qos_cubes = Qos.standard_cubes)
     ?(rank = 0) name =
-  { engine; trace; name; policy; qos_cubes; rank; members = [] }
+  { engine; name; policy; qos_cubes; rank; members = [] }
 
 let name t = t.name
 
@@ -22,7 +21,7 @@ let rank t = t.rank
 
 let add_member t ?bootstrap ?credentials ~name () =
   let ipcp =
-    Ipcp.create t.engine ?trace:t.trace ?credentials ~qos_cubes:t.qos_cubes
+    Ipcp.create t.engine ?credentials ~qos_cubes:t.qos_cubes
       ~rank:t.rank ~name:(Types.apn name) ~dif:t.name ~policy:t.policy ()
   in
   let boot =

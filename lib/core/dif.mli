@@ -18,7 +18,6 @@ type t
 
 val create :
   Rina_sim.Engine.t ->
-  ?trace:Rina_sim.Trace.t ->
   ?policy:Policy.t ->
   ?qos_cubes:Qos.t list ->
   ?rank:int ->

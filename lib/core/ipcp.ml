@@ -74,7 +74,6 @@ type pending_grant = {
 
 type t = {
   engine : Engine.t;
-  trace : Rina_sim.Trace.t option;
   name : Types.apn;
   dif : Types.dif_name;
   policy : Policy.t;
@@ -128,17 +127,8 @@ type t = {
          no probes) unless policy [multipath] arms the monitor *)
 }
 
-let trace t event =
-  match t.trace with
-  | Some tr ->
-    Rina_sim.Trace.record tr
-      ~component:(t.dif ^ ":" ^ Types.apn_to_string t.name)
-      ~event
-  | None -> ()
-
 (* Flight-recorder emission; guarded with [Flight.enabled] at every
-   call site.  The component matches the legacy trace component so both
-   streams line up in analysis. *)
+   call site. *)
 module Flight = Rina_util.Flight
 
 let flight_comp t = t.dif ^ ":" ^ Types.apn_to_string t.name
@@ -429,7 +419,6 @@ let rebuild_own_lsa t =
         { Routing.Lsa.origin = t.address; seq = t.own_lsa_seq; neighbors = adj }
       in
       ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
-      trace t "lsa_update";
       flood_lsa t lsa;
       schedule_recompute t
     end
@@ -485,7 +474,6 @@ let rec enroll_attempt t np ~attempt =
            Metrics.incr t.metrics "enroll_timeout";
            if attempt < en.Policy.enroll_retries && t.up then begin
              Metrics.incr t.metrics "enroll_retries";
-             trace t "enroll_backoff";
              let delay =
                Rina_util.Backoff.delay_for ~rng:t.rng
                  ~base:(Float.max 1e-6 en.Policy.retry_backoff)
@@ -506,7 +494,6 @@ let rec enroll_attempt t np ~attempt =
 and start_enrollment t np =
   if t.auto_enroll && t.enroll_state = E_none && not t.enrolled then begin
     t.enroll_state <- E_pending np.np_id;
-    trace t "enroll_start";
     enroll_attempt t np ~attempt:0
   end
 
@@ -520,8 +507,7 @@ and handle_hello t port_id (pdu : Pdu.t) =
       when peer_addr > 0 && token <> hello_token t ~name:peer_name ~addr:peer_addr
       ->
       ignore peer_name;
-      Metrics.incr t.metrics "hello_rejected";
-      trace t "hello_rejected"
+      Metrics.incr t.metrics "hello_rejected"
     | Ok (peer_name, peer_addr, _) ->
       np.np_last_hello <- Engine.now t.engine;
       np.np_last_seen <- Engine.now t.engine;
@@ -554,7 +540,6 @@ let local_grant t =
 
 let finish_admission t port_id ~invoke ~granted =
   Metrics.incr t.metrics "enroll_accepted";
-  trace t "enroll_accepted";
   send_mgmt_on_port t ~port:port_id
     (Riep.make ~opcode:Riep.M_connect_r ~obj_class:"enrollment" ~invoke_id:invoke
        ~result:0
@@ -563,7 +548,6 @@ let finish_admission t port_id ~invoke ~granted =
 
 let deny_admission t port_id ~invoke reason =
   Metrics.incr t.metrics "enroll_denied";
-  trace t "enroll_denied";
   send_mgmt_on_port t ~port:port_id
     (Riep.make ~opcode:Riep.M_connect_r ~obj_class:"enrollment" ~invoke_id:invoke
        ~result:1 ~result_reason:reason ())
@@ -641,8 +625,7 @@ let handle_connect_r t port_id (msg : Riep.t) =
   | E_pending _ ->
     if msg.Riep.result <> 0 then begin
       t.enroll_state <- E_none;
-      Metrics.incr t.metrics "enroll_rejected";
-      trace t "enroll_rejected"
+      Metrics.incr t.metrics "enroll_rejected"
     end
     else begin
       match msg.Riep.obj_value with
@@ -661,7 +644,6 @@ let handle_connect_r t port_id (msg : Riep.t) =
           t.enrolled <- true;
           t.enroll_state <- E_none;
           Metrics.incr t.metrics "enrolled";
-          trace t "enrolled";
           (* Announce the new address on every port so adjacencies form. *)
           Hashtbl.iter (fun _ np -> send_hello t np) t.nports;
           rebuild_own_lsa t;
@@ -757,7 +739,6 @@ let make_flow_state t ~port ~local_cep ~remote_cep ~remote_addr ~local_app
   in
   let on_error reason =
     Metrics.incr t.metrics "flow_errors";
-    trace t ("flow_error:" ^ reason);
     if Flight.enabled () then
       Flight.emit ~component:(flight_comp t) ~flow:local_cep ~rank:t.rank
         (Flight.Custom "flow_abort");
@@ -877,7 +858,6 @@ let handle_flow_create t (msg : Riep.t) =
       | Some reg ->
         if not (acl_allows t ~src_app:fr.fr_src_app ~dst_app:fr.fr_dst_app) then begin
           Metrics.incr t.metrics "alloc_denied_acl";
-          trace t "alloc_denied_acl";
           reply ~result:3 ~reason:"access denied" None
         end
         else begin
@@ -907,7 +887,6 @@ let handle_flow_create t (msg : Riep.t) =
                overloaded destination.  Result 4 = busy, retryable —
                unlike 2/3, which are permanent. *)
             Metrics.incr t.metrics "alloc_busy_rejected";
-            trace t "alloc_busy";
             reply ~result:4 ~reason:"busy: admission limit reached" None
           end
           else begin
@@ -1050,7 +1029,6 @@ let handle_lsa_delete t from_port (msg : Riep.t) =
     end
     else if Routing.withdraw t.lsdb origin then begin
       Metrics.incr t.metrics "lsa_withdrawn";
-      trace t (Printf.sprintf "lsa_withdrawn:%d" origin);
       flood_lsa_delete t ?except_port:from_port origin;
       schedule_recompute t
     end
@@ -1100,7 +1078,6 @@ let note_path_transition t np = function
       | Multipath.To_down -> "path_down"
     in
     Metrics.incr t.metrics name;
-    trace t (Printf.sprintf "%s:port%d" name np.np_id);
     if Flight.enabled () then
       Flight.emit ~component:(flight_comp t) ~flow:np.np_id ~rank:t.rank
         (Flight.Custom name);
@@ -1155,7 +1132,6 @@ let rec multipath_tick t =
 let declare_peer_dead t np =
   let dead = np.np_peer in
   Metrics.incr t.metrics "peer_declared_dead";
-  trace t (Printf.sprintf "peer_dead:%d" dead);
   if Flight.enabled () then
     Flight.emit ~component:(flight_comp t) ~flow:dead ~rank:t.rank
       (Flight.Custom "peer_dead");
@@ -1217,7 +1193,6 @@ let rec anti_entropy_tick t =
          let np = List.nth ports (t.ae_round mod List.length ports) in
          t.ae_round <- t.ae_round + 1;
          Metrics.incr t.metrics "anti_entropy_runs";
-         trace t (Printf.sprintf "anti_entropy:port%d" np.np_id);
          sync_peer t np);
     ignore
       (Engine.schedule ~lane:Engine.Timer t.engine ~delay:interval (fun () ->
@@ -1336,7 +1311,6 @@ let age_lsdb t =
       (fun origin ->
         if origin <> t.address && Routing.withdraw t.lsdb origin then begin
           Metrics.incr t.metrics "lsa_aged_out";
-          trace t (Printf.sprintf "lsa_aged_out:%d" origin);
           flood_lsa_delete t origin;
           schedule_recompute t
         end)
@@ -1362,13 +1336,12 @@ let rec hello_tick t =
 
 (* ---------- construction ---------- *)
 
-let create engine ?trace:tr ?(credentials = "") ?(qos_cubes = Qos.standard_cubes)
+let create engine ?(credentials = "") ?(qos_cubes = Qos.standard_cubes)
     ?(rank = 0) ~name ~dif ~policy () =
   let rec t =
     lazy
       {
         engine;
-        trace = tr;
         name;
         dif;
         policy;
@@ -1465,7 +1438,6 @@ let bootstrap t =
   ignore
     (Routing.install t.lsdb
        { Routing.Lsa.origin = 1; seq = 1; neighbors = [] });
-  trace t "bootstrapped";
   run_enrolled_hooks t
 
 let bind_port t ?(cost = 1.0) ?rate chan =
@@ -1527,7 +1499,6 @@ let leave t =
     ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
     flood_lsa t lsa;
     t.last_adjacency <- [];
-    trace t "left";
     Metrics.incr t.metrics "left_dif";
     t.enrolled <- false;
     t.auto_enroll <- false;
@@ -1561,7 +1532,6 @@ let publish_app t apn =
 let crash t =
   if t.up then begin
     t.up <- false;
-    trace t "crash";
     Metrics.incr t.metrics "crashes";
     if Flight.enabled () then
       Flight.emit ~component:(flight_comp t) ~rank:t.rank (Flight.Custom "crash");
@@ -1596,7 +1566,6 @@ let crash t =
 let restart t =
   if not t.up then begin
     t.up <- true;
-    trace t "restart";
     Metrics.incr t.metrics "restarts";
     if Flight.enabled () then
       Flight.emit ~component:(flight_comp t) ~rank:t.rank

@@ -43,7 +43,6 @@ type flow = {
 
 val create :
   Rina_sim.Engine.t ->
-  ?trace:Rina_sim.Trace.t ->
   ?credentials:string ->
   ?qos_cubes:Qos.t list ->
   ?rank:int ->

@@ -214,9 +214,9 @@ let enqueue t port ~hdr frame =
       end;
       flight_frame t frame Flight.Enqueued;
       Queue.push frame port.queues.(cls);
-      let d = float_of_int (depth + 1) in
-      if d > Rina_util.Metrics.gauge t.metrics "queue_hwm" then
-        Rina_util.Metrics.set_gauge t.metrics "queue_hwm" d;
+      let hwm = Rina_util.Metrics.get t.metrics "queue_hwm" in
+      if depth + 1 > hwm then
+        Rina_util.Metrics.add t.metrics "queue_hwm" (depth + 1 - hwm);
       serve t port rate
     end
 

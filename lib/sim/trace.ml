@@ -18,81 +18,16 @@ let create ?ring_capacity engine =
     telemetry = None;
   }
 
-let record t ~component ~event =
-  Flight.Buf.add t.buf
-    {
-      Flight.time = Engine.now t.engine;
-      component;
-      kind = Flight.Custom event;
-      flow = 0;
-      rank = 0;
-      seq = 0;
-      size = 0;
-      span = 0;
-    }
-
 let typed_events t = Flight.Buf.to_list t.buf
 
 let length t = Flight.Buf.length t.buf
 
-let events t =
-  List.map
-    (fun (e : Flight.event) -> (e.time, e.component, Flight.kind_to_string e.kind))
-    (typed_events t)
-
-let filter t ~component =
-  let acc = ref [] in
-  Flight.Buf.iter
-    (fun (e : Flight.event) ->
-      if String.equal e.component component then
-        acc := (e.time, Flight.kind_to_string e.kind) :: !acc)
-    t.buf;
-  List.rev !acc
-
-let count t ~component ~event =
-  let n = ref 0 in
-  Flight.Buf.iter
-    (fun (e : Flight.event) ->
-      if
-        String.equal e.component component
-        && String.equal (Flight.kind_to_string e.kind) event
-      then incr n)
-    t.buf;
-  !n
-
-(* Times are sorted before scanning (record order among equal
-   timestamps is then irrelevant) and ties between equally wide gaps
-   resolve to the earliest interval, so duplicate timestamps give a
-   deterministic answer. *)
-let largest_gap_of_times times =
-  match times with
-  | [] | [ _ ] -> None
-  | _ ->
-    let arr = Array.of_list times in
-    Array.sort compare arr;
-    let best = ref None in
-    for i = 1 to Array.length arr - 1 do
-      let gap = arr.(i) -. arr.(i - 1) in
-      match !best with
-      | Some (g, _) when g >= gap -> ()
-      | Some _ | None -> best := Some (gap, arr.(i - 1))
-    done;
-    !best
-
-let largest_gap t ~component ~event =
-  let times = ref [] in
-  Flight.Buf.iter
-    (fun (e : Flight.event) ->
-      if
-        String.equal e.component component
-        && String.equal (Flight.kind_to_string e.kind) event
-      then times := e.time :: !times)
-    t.buf;
-  largest_gap_of_times !times
-
 (* ---------- flight-recorder attachment ---------- *)
 
 let attach ?(sample_rate = 1.) ?telemetry ?stream t =
+  (* validate before touching any state: a rejected attach must leave
+     the stream file, [t] and the domain's recorder as they were *)
+  let ppm = Flight.ppm_of_rate sample_rate in
   t.attached <- true;
   (match stream with
    | Some path ->
@@ -103,7 +38,7 @@ let attach ?(sample_rate = 1.) ?telemetry ?stream t =
   Flight.set_clock (fun () -> Engine.now t.engine);
   (match telemetry with
    | Some tele ->
-     Telemetry.set_latency_ppm tele (Flight.ppm_of_rate sample_rate);
+     Telemetry.set_latency_ppm tele ppm;
      Telemetry.install tele
    | None -> Telemetry.uninstall ());
   (match t.stream with

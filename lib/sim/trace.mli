@@ -2,14 +2,14 @@
 
     Experiments attach one trace to an engine; instrumented components
     all over the stack then emit typed {!Rina_util.Flight.event}s into
-    it, and legacy components record plain (component, event) string
-    pairs.  Used to measure e.g. handoff interruption windows (gap
-    between consecutive delivery events), to assert event orderings in
-    integration tests, and to export JSONL for [rina_trace].
+    it.  The events are read back with {!typed_events}, exported as
+    JSONL for [rina_trace], and analysed offline by
+    [Rina_check.Trace_report] (e.g. the handoff interruption window,
+    [Trace_report.delivery_gap]).
 
-    Events live in an O(1)-append buffer; nothing is recorded through
-    the typed path unless {!attach} has been called (tracing is off by
-    default and costs one load + one branch per emission site). *)
+    Events live in an O(1)-append buffer; nothing is recorded unless
+    {!attach} has been called (tracing is off by default and costs one
+    load + one branch per emission site). *)
 
 type t
 
@@ -34,7 +34,9 @@ val attach :
     event regardless of the sample rate.  [stream] redirects the sink
     to a JSONL file, one event per line as it happens, instead of
     buffering — long runs spill to disk; call {!close} to flush.
-    @raise Invalid_argument if [sample_rate] is outside (0, 1]. *)
+    @raise Invalid_argument if [sample_rate] is outside (0, 1]; the
+    check comes first, so a rejected call leaves the [stream] file,
+    [t] and the recorder untouched. *)
 
 val detach : unit -> unit
 (** Turn the flight recorder off and restore the null sink/clock/tap
@@ -54,11 +56,6 @@ val snapshots : t -> interval:float -> until:float -> unit
     @raise Invalid_argument if [interval <= 0] or [t] was attached
     without [~telemetry]. *)
 
-val record : t -> component:string -> event:string -> unit
-(** Log a string event from [component] at the current virtual time
-    (stored as [Custom event]).  Works without {!attach}, matching the
-    pre-flight-recorder behaviour. *)
-
 val probe : t -> name:string -> period:float -> until:float -> (unit -> int) -> unit
 (** [probe t ~name ~period ~until sample] schedules a periodic sampler
     on the engine clock: every [period] seconds until [until] it emits
@@ -67,26 +64,10 @@ val probe : t -> name:string -> period:float -> until:float -> (unit -> int) -> 
     attached.  Used for link queue depth and EFCP window occupancy.
     @raise Invalid_argument if [period <= 0]. *)
 
-val events : t -> (float * string * string) list
-(** All events, oldest first, as [(time, component, label)] where the
-    label is [Flight.kind_to_string] of the typed kind. *)
-
 val typed_events : t -> Rina_util.Flight.event list
 (** All events, oldest first, in full typed form. *)
 
 val length : t -> int
-
-val filter : t -> component:string -> (float * string) list
-(** Events of one component, oldest first. *)
-
-val count : t -> component:string -> event:string -> int
-
-val largest_gap : t -> component:string -> event:string -> (float * float) option
-(** [largest_gap t ~component ~event] is the widest interval between
-    two consecutive occurrences, as [(gap, start_time)]; [None] with
-    fewer than two occurrences.  Occurrence times are sorted first and
-    ties between equally wide gaps resolve to the earliest interval, so
-    duplicate timestamps yield a deterministic answer. *)
 
 val save_jsonl : t -> string -> unit
 (** Write every buffered event as one JSON object per line (the format

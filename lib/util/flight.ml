@@ -340,124 +340,6 @@ module Buf = struct
     b.dropped <- 0
 end
 
-(* ---------- binary codec ---------- *)
-
-let reason_tag = function
-  | R_queue_full -> 0
-  | R_link_down -> 1
-  | R_loss -> 2
-  | R_crc -> 3
-  | R_decode -> 4
-  | R_ttl_expired -> 5
-  | R_no_route -> 6
-  | R_ingress_filter -> 7
-  | R_stale -> 8
-  | R_duplicate -> 9
-  | R_other _ -> 10
-  | R_blackhole -> 11
-  (* append-only: new reasons take the next tag so old binary traces
-     keep decoding *)
-  | R_corrupt -> 12
-  | R_dup -> 13
-  | R_reorder_overflow -> 14
-  | R_congestion -> 15
-  | R_endpoint_crash -> 16
-  | R_path_down -> 17
-
-let kind_tag = function
-  | Pdu_sent -> 0
-  | Pdu_recvd -> 1
-  | Pdu_dropped _ -> 2
-  | Enqueued -> 3
-  | Dequeued -> 4
-  | Timer_set -> 5
-  | Timer_fired -> 6
-  | Retransmit -> 7
-  | Handoff -> 8
-  | Route_update -> 9
-  | Custom _ -> 10
-
-let write_event w e =
-  let module W = Codec.Writer in
-  W.f64 w e.time;
-  W.string w e.component;
-  W.u8 w (kind_tag e.kind);
-  (match e.kind with
-   | Pdu_dropped r ->
-     W.u8 w (reason_tag r);
-     (match r with R_other s -> W.string w s | _ -> ())
-   | Custom s -> W.string w s
-   | _ -> ());
-  W.u64 w (Int64.of_int e.flow);
-  W.u16 w e.rank;
-  W.u64 w (Int64.of_int e.seq);
-  W.u64 w (Int64.of_int e.size);
-  W.u64 w (Int64.of_int e.span)
-
-let read_event r =
-  let module R = Codec.Reader in
-  let time = R.f64 r in
-  let component = R.string r in
-  let kind =
-    match R.u8 r with
-    | 0 -> Pdu_sent
-    | 1 -> Pdu_recvd
-    | 2 ->
-      Pdu_dropped
-        (match R.u8 r with
-         | 0 -> R_queue_full
-         | 1 -> R_link_down
-         | 2 -> R_loss
-         | 3 -> R_crc
-         | 4 -> R_decode
-         | 5 -> R_ttl_expired
-         | 6 -> R_no_route
-         | 7 -> R_ingress_filter
-         | 8 -> R_stale
-         | 9 -> R_duplicate
-         | 10 -> R_other (R.string r)
-         | 11 -> R_blackhole
-         | 12 -> R_corrupt
-         | 13 -> R_dup
-         | 14 -> R_reorder_overflow
-         | 15 -> R_congestion
-         | 16 -> R_endpoint_crash
-         | 17 -> R_path_down
-         | n -> raise (R.Decode_error (Printf.sprintf "unknown reason tag %d" n)))
-    | 3 -> Enqueued
-    | 4 -> Dequeued
-    | 5 -> Timer_set
-    | 6 -> Timer_fired
-    | 7 -> Retransmit
-    | 8 -> Handoff
-    | 9 -> Route_update
-    | 10 -> Custom (R.string r)
-    | n -> raise (R.Decode_error (Printf.sprintf "unknown kind tag %d" n))
-  in
-  let flow = Int64.to_int (R.u64 r) in
-  let rank = R.u16 r in
-  let seq = Int64.to_int (R.u64 r) in
-  let size = Int64.to_int (R.u64 r) in
-  let span = Int64.to_int (R.u64 r) in
-  { time; component; kind; flow; rank; seq; size; span }
-
-let encode_events events =
-  let module W = Codec.Writer in
-  let w = W.create () in
-  W.u32 w (List.length events);
-  List.iter (write_event w) events;
-  W.contents w
-
-let decode_events data =
-  let module R = Codec.Reader in
-  try
-    let r = R.create data in
-    let n = R.u32 r in
-    let events = List.init n (fun _ -> read_event r) in
-    R.expect_end r;
-    Ok events
-  with R.Decode_error msg -> Error msg
-
 (* ---------- JSONL codec ---------- *)
 
 let json_escape b s =

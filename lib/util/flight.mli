@@ -54,8 +54,9 @@ type kind =
   | Handoff
   | Route_update
   | Custom of string
-      (** Component-specific events, including legacy
-          [Trace.record] strings and periodic probe samples. *)
+      (** Component-specific events: management messages, lifecycle
+          and fault markers, trace metadata and periodic probe
+          samples. *)
 
 type event = {
   time : float;
@@ -202,8 +203,7 @@ val reason_of_string : string -> reason
     string maps to [R_other]. *)
 
 val kind_to_string : kind -> string
-(** Display form; [Custom s] renders as [s] so legacy
-    [Trace.record] strings round-trip unchanged. *)
+(** Display form; [Custom s] renders as [s]. *)
 
 (** Growable event buffer with O(1) amortised append, or — with a
     [capacity] — a bounded ring that keeps the newest [capacity] events
@@ -231,16 +231,6 @@ module Buf : sig
   val to_list : t -> event list
   val clear : t -> unit
 end
-
-(** {2 Binary codec} *)
-
-val write_event : Codec.Writer.t -> event -> unit
-
-val read_event : Codec.Reader.t -> event
-(** @raise Codec.Reader.Decode_error on malformed input. *)
-
-val encode_events : event list -> bytes
-val decode_events : bytes -> (event list, string) result
 
 (** {2 JSONL codec}
 

@@ -1,25 +1,16 @@
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  hists : (string, Stats.Histogram.h) Hashtbl.t;
-}
+type t = (string, int ref) Hashtbl.t
 
-let create () =
-  {
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 4;
-    hists = Hashtbl.create 4;
-  }
+let create () = Hashtbl.create 16
 
 (* Exception-style lookup: [find_opt] allocates a [Some] per hit and
    [incr] runs on every PDU, so the hot path keeps the hit case
    allocation-free. *)
 let find t name =
-  match Hashtbl.find t.counters name with
+  match Hashtbl.find t name with
   | r -> r
   | exception Not_found ->
     let r = ref 0 in
-    Hashtbl.add t.counters name r;
+    Hashtbl.add t name r;
     r
 
 let incr t name = Stdlib.incr (find t name)
@@ -32,61 +23,8 @@ let add t name n =
   r := max 0 (!r + n)
 
 let get t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
 let to_list t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ---------- gauges ---------- *)
-
-let find_gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r
-  | None ->
-    let r = ref 0. in
-    Hashtbl.add t.gauges name r;
-    r
-
-let set_gauge t name v = find_gauge t name := v
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0.
-
-let gauges t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ---------- fixed-bucket histograms ---------- *)
-
-let observe t ?(lo = 0.) ?(hi = 1.) ?(bins = 20) name x =
-  let h =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-      let h = Stats.Histogram.create ~lo ~hi ~bins in
-      Hashtbl.add t.hists name h;
-      h
-  in
-  Stats.Histogram.add h x
-
-let histogram t name = Hashtbl.find_opt t.hists name
-
-let histograms t =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.iter (fun _ r -> r := 0.) t.gauges;
-  Hashtbl.reset t.hists
-
-let pp fmt t =
-  List.iter (fun (name, v) -> Format.fprintf fmt "%s=%d@ " name v) (to_list t);
-  List.iter (fun (name, v) -> Format.fprintf fmt "%s=%g@ " name v) (gauges t);
-  List.iter
-    (fun (name, h) ->
-      Format.fprintf fmt "%s=[%s]@ " name
-        (String.concat ";"
-           (Array.to_list (Array.map string_of_int (Stats.Histogram.counts h)))))
-    (histograms t)

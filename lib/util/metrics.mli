@@ -1,15 +1,13 @@
-(** Named counters, gauges and histograms grouped in registries.
+(** Named integer counters grouped in registries.
 
     Components (EFCP instances, routers, schedulers) increment counters
     through a registry; experiments read them afterwards to report
-    message overheads, retransmission counts, update scopes, etc.
-    Gauges hold last-written float samples (queue depths, window
-    occupancy); histograms bucket distributions with fixed edges
-    (reusing {!Stats.Histogram}). *)
+    message overheads, retransmission counts, update scopes, etc.  A
+    high-water mark is a counter raised to each new maximum with
+    {!get} and {!add}.  Distributions go to {!Sketch.Hist}. *)
 
 type t
-(** A registry of named counters, gauges and histograms.  The three
-    namespaces are independent. *)
+(** A registry of named counters. *)
 
 val create : unit -> t
 
@@ -24,33 +22,5 @@ val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** Current value; 0 for a counter never touched. *)
 
-val reset : t -> unit
-(** Zero every counter and gauge (names stay registered) and drop all
-    histograms. *)
-
 val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val set_gauge : t -> string -> float -> unit
-(** Record the latest sample of a float-valued quantity. *)
-
-val gauge : t -> string -> float
-(** Last value set; 0. for a gauge never written. *)
-
-val gauges : t -> (string * float) list
-(** All gauges, sorted by name. *)
-
-val observe : t -> ?lo:float -> ?hi:float -> ?bins:int -> string -> float -> unit
-(** Add one sample to the named fixed-bucket histogram, creating it
-    with the given shape (default 20 bins over \[0, 1\]) on first use;
-    the shape arguments are ignored afterwards.  Out-of-range samples
-    clamp into the edge bins. *)
-
-val histogram : t -> string -> Stats.Histogram.h option
-
-val histograms : t -> (string * Stats.Histogram.h) list
-(** All histograms, sorted by name. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints counters ([name=3]), then gauges ([name=0.5]), then
-    histograms ([name=\[0;2;1\]]), each group sorted by name. *)

@@ -98,30 +98,3 @@ module Welford = struct
   let mean w = if w.n = 0 then nan else w.m
   let variance w = if w.n < 2 then nan else w.m2 /. float_of_int (w.n - 1)
 end
-
-module Histogram = struct
-  type h = { lo : float; hi : float; counts : int array; mutable n : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
-    { lo; hi; counts = Array.make bins 0; n = 0 }
-
-  let add h x =
-    let bins = Array.length h.counts in
-    let idx =
-      int_of_float (float_of_int bins *. ((x -. h.lo) /. (h.hi -. h.lo)))
-    in
-    let idx = if idx < 0 then 0 else if idx >= bins then bins - 1 else idx in
-    h.counts.(idx) <- h.counts.(idx) + 1;
-    h.n <- h.n + 1
-
-  let counts h = Array.copy h.counts
-
-  let bin_edges h =
-    let bins = Array.length h.counts in
-    Array.init (bins + 1) (fun i ->
-        h.lo +. (float_of_int i *. (h.hi -. h.lo) /. float_of_int bins))
-
-  let total h = h.n
-end

@@ -2,7 +2,8 @@
 
     [t] keeps all samples (experiments are laptop-scale) so that exact
     percentiles can be reported; [Welford] offers a constant-space
-    alternative when only mean/variance are needed. *)
+    alternative when only mean/variance are needed.  Bucketed
+    distributions with an exact merge are {!Sketch.Hist}. *)
 
 type t
 
@@ -46,19 +47,4 @@ module Welford : sig
   val count : w -> int
   val mean : w -> float
   val variance : w -> float
-end
-
-(** Fixed-bin histogram over a closed range. *)
-module Histogram : sig
-  type h
-
-  val create : lo:float -> hi:float -> bins:int -> h
-  (** @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)
-
-  val add : h -> float -> unit
-  (** Samples outside \[lo, hi\] are clamped into the edge bins. *)
-
-  val counts : h -> int array
-  val bin_edges : h -> float array
-  val total : h -> int
 end

@@ -99,7 +99,9 @@ let test_efcp_window_respected () =
      flight and the rest in backlog. *)
   Alcotest.(check bool) "in_flight <= window" true (Efcp.in_flight h.sender <= 8);
   check Alcotest.int "backlog holds the rest" (50 - Efcp.in_flight h.sender)
-    (Efcp.backlog h.sender)
+    (Efcp.backlog h.sender);
+  check Alcotest.int "backlog_hwm is the deepest backlog" (50 - Efcp.in_flight h.sender)
+    (Metrics.get (Efcp.metrics h.sender) "backlog_hwm")
 
 let test_efcp_recovers_from_data_loss () =
   (* Drop every 7th data transmission. *)
@@ -535,7 +537,10 @@ let test_rmt_priority_scheduling () =
      check Alcotest.int "first was in service" 0 first;
      check Alcotest.(list int) "high before low" [ 5; 5; 5; 0; 0; 0 ] rest
    | [] -> Alcotest.fail "nothing served");
-  check Alcotest.int "queue drained" 0 (Rmt.queue_depth rmt p)
+  check Alcotest.int "queue drained" 0 (Rmt.queue_depth rmt p);
+  (* three frames of each class waited behind the one in service *)
+  check Alcotest.int "queue_hwm is the deepest class queue" 3
+    (Metrics.get (Rmt.metrics rmt) "queue_hwm")
 
 let test_rmt_ecn_marking () =
   (* A shaped port driven past [mark_threshold] marks Dtp frames with

@@ -302,42 +302,12 @@ let test_medium_edge_loss_grows () =
 
 (* ---------- Trace ---------- *)
 
-let test_trace () =
-  let e = Engine.create () in
-  let tr = Trace.create e in
-  ignore (Engine.schedule e ~delay:1. (fun () -> Trace.record tr ~component:"x" ~event:"tick"));
-  ignore (Engine.schedule e ~delay:3. (fun () -> Trace.record tr ~component:"x" ~event:"tick"));
-  ignore (Engine.schedule e ~delay:4. (fun () -> Trace.record tr ~component:"y" ~event:"boom"));
-  Engine.run e;
-  check Alcotest.int "count" 2 (Trace.count tr ~component:"x" ~event:"tick");
-  check Alcotest.int "filter" 1 (List.length (Trace.filter tr ~component:"y"));
-  match Trace.largest_gap tr ~component:"x" ~event:"tick" with
-  | Some (gap, start) ->
-    check (Alcotest.float 1e-9) "gap" 2. gap;
-    check (Alcotest.float 1e-9) "start" 1. start
-  | None -> Alcotest.fail "expected a gap"
-
 (* Duplicate timestamps must not make the widest-gap answer depend on
    record order: times are sorted and ties resolve to the earliest
    interval. *)
 let test_trace_duplicate_gap () =
-  let e = Engine.create () in
-  let tr = Trace.create e in
-  let at d = ignore (Engine.schedule e ~delay:d (fun () -> Trace.record tr ~component:"x" ~event:"t")) in
-  at 1.;
-  at 1.;
-  (* duplicate timestamp *)
-  at 3.;
-  at 5.;
-  Engine.run e;
   (* gaps: 0 (the duplicate), 2 (1->3), 2 (3->5): tie resolves to the
      earliest interval, so start must be 1, not 3 *)
-  (match Trace.largest_gap tr ~component:"x" ~event:"t" with
-  | Some (gap, start) ->
-    check (Alcotest.float 1e-9) "gap" 2. gap;
-    check (Alcotest.float 1e-9) "earliest tied interval" 1. start
-  | None -> Alcotest.fail "expected a gap");
-  (* same answer through the offline report path *)
   let mk time =
     { Flight.time; component = "x"; kind = Flight.Pdu_recvd;
       flow = 0; rank = 0; seq = 0; size = 0; span = 0 }
@@ -369,6 +339,36 @@ let test_trace_attach_timer_events () =
   Engine.run e;
   check Alcotest.int "silent after detach" n (Trace.length tr);
   check Alcotest.bool "detached" false (Trace.is_attached tr)
+
+(* A sample rate outside (0, 1] is rejected before attach touches
+   anything: the stream file keeps its bytes, the rejected trace is not
+   attached, and the recorder keeps feeding the trace attached before
+   (clock, sink and telemetry tap unchanged). *)
+let test_trace_attach_rejected_rate () =
+  let e = Engine.create () in
+  let a = Trace.create e and b = Trace.create e in
+  let tele_b = Rina_util.Telemetry.create () in
+  let path = Filename.temp_file "rina_trace_keep" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.detach ();
+      Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc "precious\n");
+      Trace.attach a;
+      Flight.emit ~component:"x" (Flight.Custom "before");
+      Alcotest.check_raises "rate above 1 rejected"
+        (Invalid_argument "Flight.ppm_of_rate: rate must be in (0, 1]")
+        (fun () -> Trace.attach ~sample_rate:2.0 ~telemetry:tele_b ~stream:path b);
+      Flight.emit ~component:"x" (Flight.Custom "after");
+      check Alcotest.string "stream file untouched" "precious\n"
+        (In_channel.with_open_text path In_channel.input_all);
+      check Alcotest.bool "rejected trace not attached" false (Trace.is_attached b);
+      check Alcotest.bool "first trace still attached" true (Trace.is_attached a);
+      check Alcotest.int "both events reach the first trace" 2 (Trace.length a);
+      check Alcotest.int "none reach the rejected trace" 0 (Trace.length b);
+      check Alcotest.int "rejected registry not installed" 0
+        (Rina_util.Telemetry.counter tele_b "events"))
 
 let test_trace_probe () =
   let e = Engine.create () in
@@ -449,7 +449,7 @@ let test_trace_jsonl_roundtrip () =
          Flight.emit ~component:"efcp" ~flow:3 ~rank:1 ~seq:7 ~size:500
            ~span:(Flight.span_of ~flow:3 ~seq:7)
            (Flight.Pdu_dropped (Flight.R_other "weird"));
-         Trace.record tr ~component:"legacy" ~event:"tick"));
+         Flight.emit ~component:"x" (Flight.Custom "tick")));
   Engine.run e;
   Trace.detach ();
   let path = Filename.temp_file "rina_trace" ".jsonl" in
@@ -508,7 +508,10 @@ let test_trace_snapshots () =
   let snaps = Rina_util.Telemetry.snapshots tele in
   check Alcotest.int "one snapshot per interval" 5 (List.length snaps);
   check Alcotest.int "marker events in trace" 5
-    (Trace.count tr ~component:"trace" ~event:"snapshot");
+    (List.length
+       (List.filter
+          (fun ev -> ev.Flight.kind = Flight.Custom "snapshot")
+          (Trace.typed_events tr)));
   (* snapshots are interval deltas: exactly one interval saw the send *)
   check Alcotest.int "send landed in one interval" 1
     (List.length
@@ -1060,7 +1063,7 @@ let test_link_crash_is_directional () =
 (* End-to-end property: whatever seeded mangle schedule the link runs
    (corruption + duplication + reordering + delay spikes), a reliable
    flow through a DIF still delivers each SDU exactly once, in order —
-   and a same-seed replay produces a byte-identical flight trace. *)
+   and a same-seed replay records the identical flight trace. *)
 let run_mangled_transfer seed n =
   let srng = Prng.create ((seed * 7) + 1) in
   let spec =
@@ -1101,7 +1104,7 @@ let run_mangled_transfer seed n =
       | Error msg -> Alcotest.failf "allocate failed: %s" msg);
   Engine.run ~until:(Engine.now e +. 60.) e;
   Trace.detach ();
-  (List.rev !delivered, Flight.encode_events (Trace.typed_events tr))
+  (List.rev !delivered, Trace.typed_events tr)
 
 let prop_mangled_exactly_once_and_replayable =
   QCheck.Test.make ~name:"mangled link: exactly-once delivery + exact replay"
@@ -1112,7 +1115,7 @@ let prop_mangled_exactly_once_and_replayable =
       let delivered', trace' = run_mangled_transfer seed n in
       delivered = List.init n Fun.id
       && delivered' = delivered
-      && Bytes.equal trace trace')
+      && trace = trace')
 
 (* ---------- multipath: dual-homed failover ---------- *)
 
@@ -1471,9 +1474,10 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "record and gaps" `Quick test_trace;
           Alcotest.test_case "duplicate timestamps" `Quick test_trace_duplicate_gap;
           Alcotest.test_case "attach / timer events" `Quick test_trace_attach_timer_events;
+          Alcotest.test_case "rejected attach changes nothing" `Quick
+            test_trace_attach_rejected_rate;
           Alcotest.test_case "probe cadence" `Quick test_trace_probe;
           Alcotest.test_case "link drop reasons" `Quick test_trace_link_drop_reasons;
           Alcotest.test_case "jsonl roundtrip" `Quick test_trace_jsonl_roundtrip;
