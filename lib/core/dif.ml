@@ -51,7 +51,6 @@ let connect _t ?cost ?rate_a ?rate_b a b (chan_a, chan_b) =
 let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
   let data_c = Ipcp.chan_of_flow owner data
   and mgmt_c = Ipcp.chan_of_flow owner mgmt in
-  let stats = Rina_util.Metrics.create () in
   let pushback = (Ipcp.policy owner).Policy.congestion.Policy.pushback in
   let is_management frame =
     (* frame = encoded PDU + CRC trailer; byte 0 version, byte 1 type
@@ -64,7 +63,6 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
   {
     Rina_sim.Chan.send =
       (fun frame ->
-        Rina_util.Metrics.incr stats "tx";
         if is_management frame then mgmt_c.Rina_sim.Chan.send frame
         else begin
           (* Push-back across the layer boundary (§6): the bytes here
@@ -83,7 +81,6 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
             && data.Ipcp.congested ()
           then begin
             Pdu.mark_ecn_frame frame;
-            Rina_util.Metrics.incr stats "pushback_marked";
             let r = Rina_util.Flight.cur () in
             if Rina_util.Flight.on r then
               Rina_util.Flight.emit_to r
@@ -99,7 +96,7 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
         mgmt_c.Rina_sim.Chan.set_receiver f);
     is_up = data_c.Rina_sim.Chan.is_up;
     on_carrier = data_c.Rina_sim.Chan.on_carrier;
-    stats;
+    stats = Rina_util.Metrics.create ();
   }
 
 let stack_connect ~lower_a ~lower_b ~upper_a ~upper_b ?(qos_id = Qos.reliable.Qos.id)

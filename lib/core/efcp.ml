@@ -26,6 +26,12 @@ type t = {
   deliver : bytes -> unit;
   on_error : string -> unit;
   metrics : Rina_util.Metrics.t;
+  (* handles for the counters bumped per PDU *)
+  pdus_sent : Rina_util.Metrics.counter;
+  acks_sent : Rina_util.Metrics.counter;
+  acks_rcvd : Rina_util.Metrics.counter;
+  delivered : Rina_util.Metrics.counter;
+  backlog_hwm : Rina_util.Metrics.counter;
   (* --- sender --- *)
   mutable next_seq : int;        (* next sequence number to assign *)
   mutable snd_una : int;         (* lowest unacknowledged sequence *)
@@ -81,6 +87,8 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
   let tx_span_key, rx_span_key =
     match span_keys with Some keys -> keys | None -> (remote_cep, local_cep)
   in
+  let metrics = Rina_util.Metrics.create () in
+  let counter = Rina_util.Metrics.counter metrics in
   {
     engine;
     config;
@@ -94,7 +102,12 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
     send_pdu;
     deliver;
     on_error;
-    metrics = Rina_util.Metrics.create ();
+    metrics;
+    pdus_sent = counter "pdus_sent";
+    acks_sent = counter "acks_sent";
+    acks_rcvd = counter "acks_rcvd";
+    delivered = counter "delivered";
+    backlog_hwm = counter "backlog_hwm";
     next_seq = 1;
     snd_una = 1;
     send_limit = 1 + config.Policy.window;
@@ -244,7 +257,7 @@ let transmit t payload =
     Hashtbl.replace t.retx seq
       { payload; sent_at = Rina_sim.Engine.now t.engine; retries = 0;
         sacked = false; path = 0 };
-  Rina_util.Metrics.incr t.metrics "pdus_sent";
+  Rina_util.Metrics.bump t.pdus_sent;
   flight_tx t seq (Bytes.length payload) Flight.Pdu_sent;
   let path = t.send_pdu (dtp_pdu t seq payload) in
   (match Hashtbl.find_opt t.retx seq with
@@ -305,10 +318,9 @@ let send t payload =
     transmit t payload
   else begin
     Queue.push payload t.backlog;
-    let hwm = Rina_util.Metrics.get t.metrics "backlog_hwm" in
+    let hwm = Rina_util.Metrics.value t.backlog_hwm in
     if Queue.length t.backlog > hwm then
-      Rina_util.Metrics.add t.metrics "backlog_hwm"
-        (Queue.length t.backlog - hwm)
+      Rina_util.Metrics.bump_by t.backlog_hwm (Queue.length t.backlog - hwm)
   end
 
 (* --- receiver side --- *)
@@ -354,7 +366,7 @@ let sack_payload t =
 let send_ack_now t =
   cancel_timer t.ack_timer;
   t.ack_timer <- None;
-  Rina_util.Metrics.incr t.metrics "acks_sent";
+  Rina_util.Metrics.bump t.acks_sent;
   (* Echo a received congestion mark exactly once: the sender's
      smoothed mark fraction then measures marked *acks*, the same
      quantity the marking queue produced. *)
@@ -409,7 +421,7 @@ let deliver_in_sequence t =
       let seq = t.rcv_next in
       Hashtbl.remove t.ooo seq;
       t.rcv_next <- t.rcv_next + 1;
-      Rina_util.Metrics.incr t.metrics "delivered";
+      Rina_util.Metrics.bump t.delivered;
       flight_rx t seq (Bytes.length payload) Flight.Pdu_recvd;
       san_delivery t seq;
       t.deliver payload
@@ -446,7 +458,7 @@ let handle_dtp t (pdu : Pdu.t) =
     end
     else if pdu.Pdu.seq = t.rcv_next then begin
       t.rcv_next <- t.rcv_next + 1;
-      Rina_util.Metrics.incr t.metrics "delivered";
+      Rina_util.Metrics.bump t.delivered;
       flight_rx t pdu.Pdu.seq (Bytes.length pdu.Pdu.payload) Flight.Pdu_recvd;
       san_delivery t pdu.Pdu.seq;
       t.deliver pdu.Pdu.payload;
@@ -496,7 +508,7 @@ let handle_dtp t (pdu : Pdu.t) =
     end
     else begin
       t.highest_delivered <- max t.highest_delivered pdu.Pdu.seq;
-      Rina_util.Metrics.incr t.metrics "delivered";
+      Rina_util.Metrics.bump t.delivered;
       flight_rx t pdu.Pdu.seq (Bytes.length pdu.Pdu.payload) Flight.Pdu_recvd;
       san_delivery t pdu.Pdu.seq;
       t.deliver pdu.Pdu.payload
@@ -567,7 +579,7 @@ let retransmit_holes t highest_sacked =
   done
 
 let handle_ack t (pdu : Pdu.t) =
-  Rina_util.Metrics.incr t.metrics "acks_rcvd";
+  Rina_util.Metrics.bump t.acks_rcvd;
   let ack = pdu.Pdu.ack in
   (* ECN congestion response, before cumulative-ack processing so the
      reduced window governs how far this very ack reopens the gate.

@@ -263,44 +263,63 @@ let adjacency_set t =
   Hashtbl.fold (fun addr cost acc -> (addr, cost) :: acc) best []
   |> List.sort compare
 
-(* Second routing step (Fig. 4): choose the point of attachment to a
-   neighbour among possibly several ports, with stickiness so we can
-   count genuine failovers. *)
-let port_to_peer t peer =
-  let candidates =
+(* [adjacency_set t <> []] without building the set: a flow-backed
+   channel of an upper DIF asks this per PDU. *)
+let has_live_adjacency t =
+  Hashtbl.fold
+    (fun _ np live -> live || (np.np_peer > 0 && nport_alive t np))
+    t.nports false
+
+(* No live sticky point of attachment to [peer]: choose the live port
+   with the lowest id (port ids start at 1), accounting a local
+   failover when there was a sticky choice to lose. *)
+let rechoose_port t peer =
+  let lowest =
     Hashtbl.fold
-      (fun _ np acc ->
-        if np.np_peer = peer && nport_alive t np then np.np_id :: acc else acc)
-      t.nports []
-    |> List.sort compare
+      (fun _ np best ->
+        if np.np_peer = peer && nport_alive t np && (best = 0 || np.np_id < best)
+        then np.np_id
+        else best)
+      t.nports 0
   in
-  match candidates with
-  | [] ->
+  if lowest = 0 then begin
     Hashtbl.remove t.chosen_poa peer;
     None
-  | first :: _ -> (
-    match Hashtbl.find_opt t.chosen_poa peer with
-    | Some p when List.mem p candidates -> Some p
-    | Some _ ->
+  end
+  else begin
+    if Hashtbl.mem t.chosen_poa peer then begin
       (* Previous point of attachment died: local failover, no routing
          update needed beyond this hop. *)
       if Flight.enabled () then
         Flight.emit ~component:(flight_comp t) ~flow:peer ~rank:t.rank
           Flight.Handoff;
-      Metrics.incr t.metrics "local_reroute";
-      Hashtbl.replace t.chosen_poa peer first;
-      Some first
-    | None ->
-      Hashtbl.replace t.chosen_poa peer first;
-      Some first)
+      Metrics.incr t.metrics "local_reroute"
+    end;
+    Hashtbl.replace t.chosen_poa peer lowest;
+    Some lowest
+  end
+
+(* Second routing step (Fig. 4): choose the point of attachment to a
+   neighbour among possibly several ports, with stickiness so we can
+   count genuine failovers.  While the sticky port lives it is the
+   answer, which is what the scan would return; the scan runs only
+   on first use and after it dies. *)
+let port_to_peer t peer =
+  match Hashtbl.find t.chosen_poa peer with
+  | p -> (
+    match Hashtbl.find t.nports p with
+    | np when np.np_peer = peer && nport_alive t np -> Some p
+    | _ -> rechoose_port t peer
+    | exception Not_found -> rechoose_port t peer)
+  | exception Not_found -> rechoose_port t peer
 
 (* Legacy single-path forwarding: one next hop, one sticky point of
    attachment.  Still the whole story when the multipath monitor is
    disarmed; the label-aware dispatch lives below [qos_cube]. *)
 let forward_single t (pdu : Pdu.t) =
-  match Hashtbl.find_opt t.next_hops pdu.Pdu.dst_addr with
-  | None -> None
-  | Some (next_hop, _) -> port_to_peer t next_hop
+  match Hashtbl.find t.next_hops pdu.Pdu.dst_addr with
+  | next_hop, _ -> port_to_peer t next_hop
+  | exception Not_found -> None
 
 (* ---------- management PDU transmission ---------- *)
 
@@ -1716,22 +1735,12 @@ let allocate_flow t ~src ~dst ~qos_id ~on_result =
   end
 
 let chan_of_flow t (flow : flow) : Chan.t =
-  let stats = Metrics.create () in
   {
-    Chan.send =
-      (fun frame ->
-        Metrics.incr stats "tx";
-        Metrics.add stats "tx_bytes" (Bytes.length frame);
-        flow.send frame);
-    set_receiver =
-      (fun f ->
-        flow.set_on_receive (fun sdu ->
-            Metrics.incr stats "rx";
-            Metrics.add stats "rx_bytes" (Bytes.length sdu);
-            f sdu));
-    is_up = (fun () -> adjacency_set t <> []);
+    Chan.send = flow.send;
+    set_receiver = flow.set_on_receive;
+    is_up = (fun () -> has_live_adjacency t);
     on_carrier = (fun f -> t.isolation_watchers <- f :: t.isolation_watchers);
-    stats;
+    stats = Metrics.create ();
   }
 
 (* ---------- instrumentation ---------- *)

@@ -129,7 +129,9 @@ val chan_of_flow : t -> flow -> Rina_sim.Chan.t
     still has any live point of attachment: when the node's last link
     in this DIF dies, local holders of flow-backed channels learn
     immediately (the system knows its own radios), while remote
-    failures are still detected by the upper DIF's hello timers. *)
+    failures are still detected by the upper DIF's hello timers.  The
+    channel's [stats] registry stays empty; the flow's own counters
+    are its [flow_metrics]. *)
 
 (* --- management / instrumentation (not part of the app-visible API) --- *)
 

@@ -16,7 +16,7 @@ type port = {
   deficits : float array;        (* DRR state *)
   mutable rr_class : int;        (* DRR scan position *)
   mutable busy : bool;           (* a departure is scheduled *)
-  tx_key : string;               (* per-port egress counter key *)
+  sent_port : Rina_util.Metrics.counter;  (* per-port egress counter *)
 }
 
 type t = {
@@ -40,10 +40,17 @@ type t = {
          process reports [R_path_down] when routes exist but every
          member path is Down, [R_no_route] otherwise *)
   metrics : Rina_util.Metrics.t;
+  (* handles for the counters bumped per frame *)
+  sent : Rina_util.Metrics.counter;
+  relayed : Rina_util.Metrics.counter;
+  delivered_up : Rina_util.Metrics.counter;
+  queue_hwm : Rina_util.Metrics.counter;
 }
 
 let create engine ~own_address ~scheduler
     ?(congestion = Policy.default_congestion) ?(label = "rmt") ?(rank = 0) () =
+  let metrics = Rina_util.Metrics.create () in
+  let counter = Rina_util.Metrics.counter metrics in
   {
     engine;
     own_address;
@@ -59,7 +66,11 @@ let create engine ~own_address ~scheduler
     classify = (fun _ -> 0);
     ingress_filter = (fun _ _ -> true);
     drop_reason = (fun _ -> Rina_util.Flight.R_no_route);
-    metrics = Rina_util.Metrics.create ();
+    metrics;
+    sent = counter "sent";
+    relayed = counter "relayed";
+    delivered_up = counter "delivered_up";
+    queue_hwm = counter "queue_hwm";
   }
 
 let set_forwarding t f = t.forwarding <- f
@@ -104,8 +115,8 @@ let flight_frame t frame kind =
       ~span:(Pdu.Peek.span frame) kind
 
 let transmit_now t port frame =
-  Rina_util.Metrics.incr t.metrics "sent";
-  Rina_util.Metrics.incr t.metrics port.tx_key;
+  Rina_util.Metrics.bump t.sent;
+  Rina_util.Metrics.bump port.sent_port;
   flight_frame t frame Flight.Pdu_sent;
   port.chan.Rina_sim.Chan.send frame
 
@@ -214,14 +225,14 @@ let enqueue t port ~hdr frame =
       end;
       flight_frame t frame Flight.Enqueued;
       Queue.push frame port.queues.(cls);
-      let hwm = Rina_util.Metrics.get t.metrics "queue_hwm" in
+      let hwm = Rina_util.Metrics.value t.queue_hwm in
       if depth + 1 > hwm then
-        Rina_util.Metrics.add t.metrics "queue_hwm" (depth + 1 - hwm);
+        Rina_util.Metrics.bump_by t.queue_hwm (depth + 1 - hwm);
       serve t port rate
     end
 
 let deliver_up t from_port pdu =
-  Rina_util.Metrics.incr t.metrics "delivered_up";
+  Rina_util.Metrics.bump t.delivered_up;
   flight_pdu t pdu Flight.Pdu_recvd;
   t.deliver from_port pdu
 
@@ -261,7 +272,7 @@ let relay_or_deliver t from_port pdu =
         drop_unroutable t pdu;
         None
       | Some port ->
-        (if from_port <> None then Rina_util.Metrics.incr t.metrics "relayed");
+        if Option.is_some from_port then Rina_util.Metrics.bump t.relayed;
         enqueue t port ~hdr:pdu (Pdu.encode_frame pdu);
         Some port_id)
   end
@@ -282,7 +293,7 @@ let relay_frame t ~hdr frame =
     match Hashtbl.find_opt t.ports port_id with
     | None -> drop ()
     | Some port ->
-      Rina_util.Metrics.incr t.metrics "relayed";
+      Rina_util.Metrics.bump t.relayed;
       let frame = Bytes.copy frame in
       Bytes.set_uint8 frame Pdu.ttl_offset hdr.Pdu.ttl;
       Sdu_protection.seal frame;
@@ -339,7 +350,8 @@ let add_port t ?rate chan =
       deficits = Array.make num_classes 0.;
       rr_class = 0;
       busy = false;
-      tx_key = "sent_port" ^ string_of_int id;
+      sent_port =
+        Rina_util.Metrics.counter t.metrics ("sent_port" ^ string_of_int id);
     }
   in
   Hashtbl.replace t.ports id port;
@@ -355,9 +367,6 @@ let remove_port t port_id =
 
 let ports t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.ports [] |> List.sort compare
-
-let port_chan t port_id =
-  Option.map (fun p -> p.chan) (Hashtbl.find_opt t.ports port_id)
 
 let send t pdu = relay_or_deliver t None pdu
 

@@ -68,8 +68,6 @@ val remove_port : t -> Types.port_id -> unit
 val ports : t -> Types.port_id list
 (** Currently bound ports, sorted. *)
 
-val port_chan : t -> Types.port_id -> Rina_sim.Chan.t option
-
 val set_drop_reason : t -> (Pdu.t -> Rina_util.Flight.reason) -> unit
 (** Refine the drop reason recorded when forwarding returns no port:
     the management task answers [R_path_down] when the destination is

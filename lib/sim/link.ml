@@ -26,6 +26,10 @@ type half = {
   mutable held : held list;  (* oldest first; short (bounded by holds in flight) *)
   comp : string;  (* flight-recorder component name for this direction *)
   stats : Rina_util.Metrics.t;
+  tx : Rina_util.Metrics.counter;  (* per-frame tallies, as handles *)
+  tx_bytes : Rina_util.Metrics.counter;
+  rx : Rina_util.Metrics.counter;
+  rx_bytes : Rina_util.Metrics.counter;
   mutable busy_until : float;
   mutable queued : int;
   mutable receiver : bytes -> unit;
@@ -48,6 +52,8 @@ type t = {
 }
 
 let make_half engine rng ~bit_rate ~delay ~queue_capacity ~loss ~mangle ~comp =
+  let stats = Rina_util.Metrics.create () in
+  let counter = Rina_util.Metrics.counter stats in
   {
     engine;
     rng;
@@ -58,7 +64,11 @@ let make_half engine rng ~bit_rate ~delay ~queue_capacity ~loss ~mangle ~comp =
     mangle = Mangle.make_state mangle;
     held = [];
     comp;
-    stats = Rina_util.Metrics.create ();
+    stats;
+    tx = counter "tx";
+    tx_bytes = counter "tx_bytes";
+    rx = counter "rx";
+    rx_bytes = counter "rx_bytes";
     busy_until = 0.;
     queued = 0;
     receiver = (fun _ -> ());
@@ -140,8 +150,8 @@ let rec deliver_frame t half frame =
   if Rina_util.Flight.on r then
     Rina_util.Flight.emit_to r ~component:half.comp ~size:(Bytes.length frame)
       Rina_util.Flight.Pdu_recvd;
-  Rina_util.Metrics.incr half.stats "rx";
-  Rina_util.Metrics.add half.stats "rx_bytes" (Bytes.length frame);
+  Rina_util.Metrics.bump half.rx;
+  Rina_util.Metrics.bump_by half.rx_bytes (Bytes.length frame);
   half.receiver frame;
   if half.held <> [] then release_overtaken t half
 
@@ -247,8 +257,8 @@ let transmit t half frame =
     if Rina_util.Flight.on r then
       Rina_util.Flight.emit_to r ~component:half.comp
         ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent;
-    Rina_util.Metrics.incr m "tx";
-    Rina_util.Metrics.add m "tx_bytes" (Bytes.length frame);
+    Rina_util.Metrics.bump half.tx;
+    Rina_util.Metrics.bump_by half.tx_bytes (Bytes.length frame);
     half.queued <- half.queued + 1;
     let now = Engine.now half.engine in
     let start = Float.max now half.busy_until in

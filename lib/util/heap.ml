@@ -2,7 +2,14 @@
    numbers and payloads alongside.  A push allocates nothing beyond
    amortised array growth (the classic record-of-entries layout costs a
    record plus a boxed float per insert), and the hot comparisons read
-   unboxed floats. *)
+   unboxed floats.
+
+   The tree is 4-ary: children of [i] are [4i+1 .. 4i+4], so a pop
+   walks half as many levels as a binary heap, and the four children
+   of a node share a cache line or two of each array.  Both sifts move
+   a hole instead of swapping: the entry being placed is held in locals
+   and every level does one three-field move (one write barrier, on
+   [vals]) instead of a swap (two). *)
 
 type 'a t = {
   mutable keys : floatarray;
@@ -28,20 +35,14 @@ let is_empty h = h.size = 0
 (* [i] sorts before [j] if its key is smaller, or on equal keys if it
    was inserted earlier — this gives FIFO semantics for simultaneous
    events, which keeps simulations deterministic. *)
-let before h i j =
+let[@inline] before h i j =
   let ki = Float.Array.get h.keys i and kj = Float.Array.get h.keys j in
   ki < kj || (ki = kj && h.seqs.(i) < h.seqs.(j))
 
-let swap h i j =
-  let k = Float.Array.get h.keys i in
-  Float.Array.set h.keys i (Float.Array.get h.keys j);
-  Float.Array.set h.keys j k;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let v = h.vals.(i) in
-  h.vals.(i) <- h.vals.(j);
-  h.vals.(j) <- v
+let[@inline] move h ~src ~dst =
+  Float.Array.set h.keys dst (Float.Array.get h.keys src);
+  h.seqs.(dst) <- h.seqs.(src);
+  h.vals.(dst) <- h.vals.(src)
 
 (* Single growth path: the value being inserted doubles as the fill
    element, so growing from empty needs no reachable dummy and there is
@@ -61,17 +62,29 @@ let ensure_room h value =
     h.vals <- vals
   end
 
+(* The entry at [start] moves up.  It is read into locals here rather
+   than passed in: a float argument to a function that is not inlined
+   is boxed, one allocation per push. *)
 let sift_up h start =
+  let key = Float.Array.get h.keys start
+  and seq = h.seqs.(start)
+  and value = h.vals.(start) in
   let i = ref start in
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before h !i parent then begin
-      swap h !i parent;
+    let parent = (!i - 1) / 4 in
+    let kp = Float.Array.get h.keys parent in
+    if key < kp || (key = kp && seq < h.seqs.(parent)) then begin
+      move h ~src:parent ~dst:!i;
       i := parent
     end
     else continue := false
-  done
+  done;
+  if !i <> start then begin
+    Float.Array.set h.keys !i key;
+    h.seqs.(!i) <- seq;
+    h.vals.(!i) <- value
+  end
 
 let push_raw h key seq value =
   ensure_room h value;
@@ -95,20 +108,36 @@ let push_with_seq h ~key ~seq value =
   if seq >= h.next_seq then h.next_seq <- seq + 1;
   push_raw h key seq value
 
+(* The entry at [start] moves down, held in locals like [sift_up]'s. *)
 let sift_down_from h start =
+  let key = Float.Array.get h.keys start
+  and seq = h.seqs.(start)
+  and value = h.vals.(start) in
   let i = ref start in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < h.size && before h l !smallest then smallest := l;
-    if r < h.size && before h r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap h !smallest !i;
-      i := !smallest
+    let first = (4 * !i) + 1 in
+    if first >= h.size then continue := false
+    else begin
+      let best = ref first in
+      let last = if first + 3 < h.size then first + 3 else h.size - 1 in
+      for c = first + 1 to last do
+        if before h c !best then best := c
+      done;
+      let c = !best in
+      let kc = Float.Array.get h.keys c in
+      if kc < key || (kc = key && h.seqs.(c) < seq) then begin
+        move h ~src:c ~dst:!i;
+        i := c
+      end
+      else continue := false
     end
-    else continue := false
-  done
+  done;
+  if !i <> start then begin
+    Float.Array.set h.keys !i key;
+    h.seqs.(!i) <- seq;
+    h.vals.(!i) <- value
+  end
 
 (* Unboxed access: the engine's event loop reads the top fields and
    drops the minimum without materialising an option or a tuple. *)
@@ -125,9 +154,7 @@ let drop_min h =
   if h.size = 0 then invalid_arg "Heap.drop_min: empty heap";
   h.size <- h.size - 1;
   if h.size > 0 then begin
-    Float.Array.set h.keys 0 (Float.Array.get h.keys h.size);
-    h.seqs.(0) <- h.seqs.(h.size);
-    h.vals.(0) <- h.vals.(h.size);
+    move h ~src:h.size ~dst:0;
     sift_down_from h 0
   end
 
@@ -149,19 +176,19 @@ let compact h ~keep =
   let kept = ref 0 in
   for i = 0 to h.size - 1 do
     if keep h.vals.(i) then begin
-      if !kept <> i then begin
-        Float.Array.set h.keys !kept (Float.Array.get h.keys i);
-        h.seqs.(!kept) <- h.seqs.(i);
-        h.vals.(!kept) <- h.vals.(i)
-      end;
+      if !kept <> i then move h ~src:i ~dst:!kept;
       incr kept
     end
   done;
   let removed = h.size - !kept in
   h.size <- !kept;
-  for i = (h.size / 2) - 1 downto 0 do
-    sift_down_from h i
-  done;
+  (* The last parent is (size - 2) / 4, which rounds toward zero to 0
+     for a heap of 0 or 1 entries: those have no parent to sift, and
+     sifting index 0 of an empty heap would read past its arrays. *)
+  if h.size > 1 then
+    for i = (h.size - 2) / 4 downto 0 do
+      sift_down_from h i
+    done;
   removed
 
 let clear h =

@@ -1,10 +1,12 @@
-(** Binary min-heap keyed by a float priority, with stable tie-breaking.
+(** 4-ary min-heap keyed by a float priority, with stable tie-breaking.
 
     The discrete-event engine needs: O(log n) insert / pop-min, and
     deterministic ordering when two events share the same timestamp
     (ties are broken by insertion order — each push consumes one
     monotonically increasing sequence number).  Entries carry an
-    arbitrary payload.
+    arbitrary payload.  Pops follow the (key, seq) order exactly, so
+    the arity of the tree is invisible to callers: only its cost
+    shows.
 
     Two access styles coexist: the boxed {!pop}/{!peek} (convenient for
     Dijkstra-style uses) and the unboxed {!top_key}/{!top_value}/

@@ -4,7 +4,16 @@
     through a registry; experiments read them afterwards to report
     message overheads, retransmission counts, update scopes, etc.  A
     high-water mark is a counter raised to each new maximum with
-    {!get} and {!add}.  Distributions go to {!Sketch.Hist}. *)
+    {!get} and {!add} (or {!value} and {!bump_by}).  Distributions go
+    to {!Sketch.Hist}.
+
+    Two ways to bump, one registry.  A site that runs per frame, PDU or
+    SDU declares a {!counter} handle once per component instance and
+    bumps it with {!bump}/{!bump_by}: no string is hashed per bump.
+    Everything else (control-plane events, errors, per-run tallies)
+    bumps by name with {!incr}/{!add}, which hashes the name each time
+    and needs no declaration.  Both write the same cells, so readers
+    ({!get}, {!to_list}) cannot tell them apart. *)
 
 type t
 (** A registry of named counters. *)
@@ -24,3 +33,20 @@ val get : t -> string -> int
 
 val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)
+
+type counter
+(** A handle on one named counter of one registry, resolved once. *)
+
+val counter : t -> string -> counter
+(** [counter reg name] declares a handle.  It joins [reg] on its first
+    {!bump} or {!bump_by}, not here: until then [get reg name] is 0 and
+    [name] is absent from {!to_list}, as if it had never been named. *)
+
+val bump : counter -> unit
+(** Same as [incr reg name], without hashing [name]. *)
+
+val bump_by : counter -> int -> unit
+(** Same as [add reg name n], clamp at zero included. *)
+
+val value : counter -> int
+(** Same as [get reg name]. *)

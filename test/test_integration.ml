@@ -2,6 +2,8 @@
    flow allocation, relaying, failover, access control, recursion. *)
 
 module Engine = Rina_sim.Engine
+module Chan = Rina_sim.Chan
+module Pdu = Rina_core.Pdu
 module Link = Rina_sim.Link
 module Dif = Rina_core.Dif
 module Ipcp = Rina_core.Ipcp
@@ -340,6 +342,76 @@ let test_traced_failover_interruption_window () =
        50 ms inter-send spacing of the undisturbed stream *)
     check Alcotest.bool "gap is the outage" true (gap > 0.05 && start >= 0.9)
   | None -> Alcotest.fail "expected a delivery gap")
+
+(* The relay decision's point of attachment is sticky.  Two members
+   joined by two parallel links; [a]'s data frames are counted per
+   link.  Data rides one port while it lives, a dead port costs exactly
+   one local reroute and one Handoff, and traffic stays on the survivor
+   after the first link returns. *)
+let test_sticky_point_of_attachment () =
+  let engine = Engine.create () in
+  let rng = Rina_util.Prng.create 21 in
+  let dif = Dif.create engine "mh" in
+  let a = Dif.add_member dif ~name:"a" () in
+  let b = Dif.add_member dif ~name:"b" () in
+  let counting (c : Chan.t) n =
+    {
+      c with
+      Chan.send =
+        (fun frame ->
+          if Pdu.Peek.is_dtp frame then incr n;
+          c.Chan.send frame);
+    }
+  in
+  let on1 = ref 0 and on2 = ref 0 in
+  let l1 = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.001 () in
+  let l2 = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.001 () in
+  Dif.connect dif a b (counting (Link.endpoint_a l1) on1, Link.endpoint_b l1);
+  Dif.connect dif a b (counting (Link.endpoint_a l2) on2, Link.endpoint_b l2);
+  Dif.run_until_converged dif ();
+  let got = ref 0 in
+  Ipcp.register_app b (Types.apn "svc") ~on_flow:(fun flow ->
+      flow.Ipcp.set_on_receive (fun _ -> incr got));
+  Ipcp.register_app a (Types.apn "cli") ~on_flow:(fun _ -> ());
+  let flow = ref None in
+  Ipcp.allocate_flow a ~src:(Types.apn "cli") ~dst:(Types.apn "svc") ~qos_id:1
+    ~on_result:(function Ok f -> flow := Some f | Error e -> Alcotest.fail e);
+  wait engine 5.;
+  let f = Option.get !flow in
+  let tr = Trace.create engine in
+  Trace.attach tr;
+  let burst () =
+    for _ = 1 to 10 do
+      f.Ipcp.send (Bytes.create 64)
+    done;
+    wait engine 3.
+  in
+  let reroutes () = Metrics.get (Ipcp.metrics a) "local_reroute" in
+  let handoffs () =
+    List.length
+      (List.filter
+         (fun ev ->
+           ev.Flight.kind = Flight.Handoff && ev.Flight.flow = Ipcp.address b)
+         (Trace.typed_events tr))
+  in
+  burst ();
+  check Alcotest.int "delivered" 10 !got;
+  check Alcotest.(pair int int) "one port while it lives" (10, 0) (!on1, !on2);
+  check Alcotest.int "no reroute" 0 (reroutes ());
+  Link.set_up l1 false;
+  burst ();
+  check Alcotest.int "delivered after the kill" 20 !got;
+  check Alcotest.(pair int int) "moved to the survivor" (10, 10) (!on1, !on2);
+  check Alcotest.int "one reroute" 1 (reroutes ());
+  check Alcotest.int "one handoff" 1 (handoffs ());
+  Link.set_up l1 true;
+  wait engine 3.;
+  burst ();
+  Trace.detach ();
+  check Alcotest.int "delivered after the return" 30 !got;
+  check Alcotest.(pair int int) "stays on the survivor" (10, 20) (!on1, !on2);
+  check Alcotest.int "still one reroute" 1 (reroutes ());
+  check Alcotest.int "still one handoff" 1 (handoffs ())
 
 let test_ring_reroutes_after_link_failure () =
   (* Square ring 0-1-2-3-0: kill 0-1; 0 must still reach 1 the long
@@ -814,6 +886,8 @@ let () =
           Alcotest.test_case "traced failover window" `Quick
             test_traced_failover_interruption_window;
           Alcotest.test_case "ring reroute" `Quick test_ring_reroutes_after_link_failure;
+          Alcotest.test_case "sticky point of attachment" `Quick
+            test_sticky_point_of_attachment;
         ] );
       ("recursion", [ Alcotest.test_case "stacked transfer" `Quick test_stacked_dif_transfer ]);
       ( "chaos",

@@ -150,6 +150,63 @@ let test_heap_clear () =
   Heap.clear h;
   Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
 
+(* Compaction rebuilds from the last parent down; heaps too small to
+   have one (0 or 1 entries, also straight after [create] or [clear],
+   when the arrays are empty) must come through untouched. *)
+let test_heap_compact_small () =
+  let drain h =
+    let rec go acc =
+      match Heap.pop h with Some (_, v) -> go (v :: acc) | None -> List.rev acc
+    in
+    go []
+  in
+  let keep_all _ = true in
+  check Alcotest.int "fresh heap" 0 (Heap.compact (Heap.create ()) ~keep:keep_all);
+  List.iter
+    (fun n ->
+      let fill () =
+        let h = Heap.create () in
+        for i = n downto 1 do
+          Heap.push h (float_of_int i) i
+        done;
+        h
+      in
+      let h = fill () in
+      check Alcotest.int (Printf.sprintf "keep all of %d" n) 0
+        (Heap.compact h ~keep:keep_all);
+      check Alcotest.(list int) (Printf.sprintf "order of %d" n)
+        (List.init n succ) (drain h);
+      let h = fill () in
+      check Alcotest.int (Printf.sprintf "drop odd of %d" n) ((n + 1) / 2)
+        (Heap.compact h ~keep:(fun v -> v mod 2 = 0));
+      check Alcotest.(list int) (Printf.sprintf "evens of %d" n)
+        (List.filter (fun v -> v mod 2 = 0) (List.init n succ))
+        (drain h);
+      let h = fill () in
+      Heap.clear h;
+      check Alcotest.int (Printf.sprintf "cleared %d" n) 0
+        (Heap.compact h ~keep:keep_all);
+      check Alcotest.bool "still empty" true (Heap.is_empty h))
+    [ 0; 1; 2 ]
+
+(* Sizes at the edges of the 4-ary tree's levels (1, 5, 21, 85 entries
+   fill levels 0-3), with keys from three values so ties decide most
+   pops, pushed in an order that makes entries climb: every pop must
+   come out in (key, insertion) order. *)
+let test_heap_level_edges () =
+  List.iter
+    (fun n ->
+      let h = Heap.create () in
+      let entries = List.init n (fun i -> (float_of_int ((n - i) mod 3), i)) in
+      List.iter (fun (k, i) -> Heap.push h k i) entries;
+      let rec drain acc =
+        match Heap.pop h with Some kv -> drain (kv :: acc) | None -> List.rev acc
+      in
+      check
+        Alcotest.(list (pair (float 0.) int))
+        (Printf.sprintf "%d entries" n) (List.sort compare entries) (drain []))
+    [ 1; 4; 5; 20; 21; 84; 85 ]
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap sorts any float list" ~count:200
     QCheck.(list (float_bound_inclusive 1000.))
@@ -168,13 +225,17 @@ let prop_heap_sorts =
    the drain order is nondecreasing in (key, seq) — i.e. compaction
    preserves heap order and FIFO tie-breaking, and reserved sequence
    numbers pushed out of order (the timer wheel's flush protocol)
-   still land in reservation order on equal keys. *)
+   still land in reservation order on equal keys.  With [ties], keys
+   come from three values, so the seq decides most pops. *)
 let prop_heap_interleaved_compaction =
   QCheck.Test.make ~name:"heap matches model under push/pop/cancel-compaction"
-    ~count:60
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
+    ~count:100
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, ties) ->
       let rng = Prng.create (seed + 1) in
+      let key () =
+        if ties then float_of_int (Prng.int rng 3) else Prng.float rng 50.
+      in
       let h = Heap.create () in
       let model = ref [] in
       (* live (key, seq) pairs *)
@@ -202,7 +263,7 @@ let prop_heap_interleaved_compaction =
         match Prng.int rng 8 with
         | 0 | 1 | 2 ->
           let seq = Heap.reserve_seq h in
-          push_seq (Prng.float rng 50.) seq
+          push_seq (key ()) seq
         | 3 | 4 -> pop_check ()
         | 5 ->
           (* cancel a random subset wholesale, as the engine's reap
@@ -220,8 +281,8 @@ let prop_heap_interleaved_compaction =
              the reservation, not the push *)
           let seq1 = Heap.reserve_seq h in
           let seq2 = Heap.reserve_seq h in
-          let k1 = Prng.float rng 50. in
-          let k2 = if Prng.bernoulli rng 0.5 then k1 else Prng.float rng 50. in
+          let k1 = key () in
+          let k2 = if Prng.bernoulli rng 0.5 then k1 else key () in
           push_seq k2 seq2;
           push_seq k1 seq1
       done;
@@ -441,13 +502,52 @@ let test_metrics_sorted_export () =
     "counters sorted" sorted
     (List.map fst (Metrics.to_list m))
 
+(* [bump_by] on a handle and [add] by name, fed the same deltas, give
+   the same registry: clamped at zero, and a zero or negative first
+   delta still creates the counter. *)
 let test_metrics_clamp () =
+  let by_name = Metrics.create () and by_handle = Metrics.create () in
+  let c = Metrics.counter by_handle "a" and z = Metrics.counter by_handle "z" in
+  List.iter
+    (fun (delta, want) ->
+      Metrics.add by_name "a" delta;
+      Metrics.bump_by c delta;
+      check Alcotest.int "by name" want (Metrics.get by_name "a");
+      check Alcotest.int "by handle" want (Metrics.get by_handle "a"))
+    [ (5, 5); (-9, 0); (3, 3); (0, 3); (-3, 0) ];
+  Metrics.add by_name "z" (-4);
+  Metrics.bump_by z (-4);
+  check
+    Alcotest.(list (pair string int))
+    "same registry" (Metrics.to_list by_name) (Metrics.to_list by_handle)
+
+(* A handle and its name are one counter, whichever bumps first. *)
+let test_metrics_counter_handles () =
   let m = Metrics.create () in
-  Metrics.add m "a" 5;
-  Metrics.add m "a" (-9);
-  check Alcotest.int "clamped at zero" 0 (Metrics.get m "a");
-  Metrics.add m "a" 3;
-  check Alcotest.int "counts up from zero" 3 (Metrics.get m "a")
+  let x = Metrics.counter m "x" in
+  check Alcotest.int "declared reads 0" 0 (Metrics.get m "x");
+  check Alcotest.int "handle reads 0" 0 (Metrics.value x);
+  check
+    Alcotest.(list (pair string int))
+    "declared is absent" [] (Metrics.to_list m);
+  Metrics.bump x;
+  Metrics.bump x;
+  Metrics.incr m "x";
+  check Alcotest.int "name sees handle" 3 (Metrics.get m "x");
+  check Alcotest.int "handle sees name" 3 (Metrics.value x);
+  (* bumped by name before its handle's first bump *)
+  let y = Metrics.counter m "y" in
+  Metrics.incr m "y";
+  check Alcotest.int "idle handle reads the name" 1 (Metrics.value y);
+  Metrics.bump y;
+  check Alcotest.int "then shares its cell" 2 (Metrics.get m "y");
+  (* declared after the name exists *)
+  let x' = Metrics.counter m "x" in
+  Metrics.bump_by x' 2;
+  check Alcotest.int "late handle shares the cell" 5 (Metrics.value x);
+  check
+    Alcotest.(list (pair string int))
+    "one entry per name" [ ("x", 5); ("y", 2) ] (Metrics.to_list m)
 
 let test_span_of () =
   check Alcotest.bool "nonzero" true (Flight.span_of ~flow:0 ~seq:0 <> 0);
@@ -932,6 +1032,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "peek nondestructive" `Quick test_heap_peek_nondestructive;
           Alcotest.test_case "clear" `Quick test_heap_clear;
+          Alcotest.test_case "compact small heaps" `Quick test_heap_compact_small;
+          Alcotest.test_case "level edges" `Quick test_heap_level_edges;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved_compaction;
         ] );
@@ -975,6 +1077,8 @@ let () =
       ( "flight",
         [
           Alcotest.test_case "metrics clamp" `Quick test_metrics_clamp;
+          Alcotest.test_case "metrics counter handles" `Quick
+            test_metrics_counter_handles;
           Alcotest.test_case "metrics sorted export" `Quick test_metrics_sorted_export;
           Alcotest.test_case "span_of" `Quick test_span_of;
           Alcotest.test_case "reason strings" `Quick test_reason_strings;
