@@ -27,14 +27,12 @@
 
 module Engine = Rina_sim.Engine
 module Fault = Rina_sim.Fault
-module Sharded = Rina_sim.Sharded
 module Prng = Rina_util.Prng
 module Ipcp = Rina_core.Ipcp
 module Topo = Rina_exp.Topo
 module Scenario = Rina_exp.Scenario
 module Workload = Rina_exp.Workload
 module Par = Rina_exp.Par
-module Obs = Rina_exp.Obs
 
 let host_cores () = Domain.recommended_domain_count ()
 
@@ -174,96 +172,6 @@ let sweep () =
   in
   { trials = List.length seeds; seq_s; par_s; par_domains; identical }
 
-(* ---------- sharded engine (one trial split over shards) ---------- *)
-
-(* Where [sweep] parallelises across independent trials, this section
-   parallelises *inside* one trial: a line DIF partitioned over 4
-   engine shards, enrollment/routing converging across the mailbox
-   seams, then one CBR flow per shard block (pure shard-local work)
-   plus one flow crossing every seam.  Timing runs are untraced; the
-   byte-identity runs repeat the trial with the sharded flight
-   recorder attached and compare the merged trace, merged telemetry
-   and the result line between 1 domain and [sharded_domains]. *)
-
-let sharded_domains = 4
-
-let sharded_trial ~traced ~domains =
-  let n = if smoke () then 8 else 16 in
-  let shards = 4 in
-  let net = Topo.sharded_line ~seed:31 ~n ~shards ~delay:0.01 () in
-  let obs = if traced then Some (Obs.start_sharded net.Topo.sh) else None in
-  let converged = Topo.sharded_converged ~max_time:120. ~domains net in
-  let per_shard = n / shards in
-  let dur = if smoke () then 2.0 else 8.0 in
-  let sinks = ref [] in
-  let flows = ref [] in
-  (* one shard-local flow per block, plus one end-to-end flow *)
-  let pairs =
-    List.init shards (fun s -> (s * per_shard, (s * per_shard) + per_shard - 1))
-    @ [ (0, n - 1) ]
-  in
-  List.iter
-    (fun (src, dst) ->
-      let sink = Workload.sink () in
-      match Scenario.open_flow_sharded net ~domains ~src ~dst ~qos_id:1 ~sink () with
-      | Error e -> failwith (Printf.sprintf "hotpath: sharded flow %d->%d: %s" src dst e)
-      | Ok (flow, _) ->
-        sinks := sink :: !sinks;
-        flows := (src, flow) :: !flows)
-    pairs;
-  List.iter
-    (fun (src, flow) ->
-      let e = Sharded.engine net.Topo.sh net.Topo.s_shard.(src) in
-      Workload.cbr e ~send:flow.Ipcp.send ~rate:1_000_000. ~size:500
-        ~until:(Engine.now e +. dur) ())
-    !flows;
-  Topo.sharded_wait ~domains net (dur +. 1.0);
-  let delivered =
-    List.fold_left (fun acc s -> acc + s.Workload.count) 0 !sinks
-  in
-  let line =
-    Printf.sprintf
-      "{\"converged\": %b, \"flows\": %d, \"delivered\": %d, \"crossed\": %d}"
-      converged (List.length !flows) delivered
-      (Sharded.crossed net.Topo.sh)
-  in
-  match obs with
-  | None -> (line, "")
-  | Some o ->
-    let artifacts = Obs.sharded_events_jsonl o ^ "\x00" ^ Obs.sharded_stats_jsonl o in
-    Obs.stop_sharded o;
-    (line, artifacts)
-
-type sharded_bench = {
-  sh_seq_s : float;
-  sh_par_s : float;
-  sh_domains : int;
-  sh_identical : bool;
-  sh_line : string;
-}
-
-let sharded_bench () =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let (line_seq, _), sh_seq_s =
-    timed (fun () -> sharded_trial ~traced:false ~domains:1)
-  in
-  let (line_par, _), sh_par_s =
-    timed (fun () -> sharded_trial ~traced:false ~domains:sharded_domains)
-  in
-  let tr_seq, art_seq = sharded_trial ~traced:true ~domains:1 in
-  let tr_par, art_par = sharded_trial ~traced:true ~domains:sharded_domains in
-  let sh_identical =
-    String.equal line_seq line_par
-    && String.equal tr_seq tr_par
-    && String.equal art_seq art_par
-    && String.equal line_seq tr_seq
-  in
-  { sh_seq_s; sh_par_s; sh_domains = sharded_domains; sh_identical; sh_line = line_seq }
-
 (* ---------- JSON artifact + CI regression gate ---------- *)
 
 let pct_reduction ~baseline ~current =
@@ -271,11 +179,11 @@ let pct_reduction ~baseline ~current =
 
 let speedup ~baseline ~current = if baseline <= 0. then 0. else current /. baseline
 
-let render ~timer ~pipeline ~delivered ~sw ~shb =
+let render ~timer ~pipeline ~delivered ~sw =
   let sweep_tps = if sw.seq_s > 0. then float_of_int sw.trials /. sw.seq_s else 0. in
   (* A wall-clock speedup claim is only honest with real parallel
      hardware under it: on a single-core host the domains time-slice,
-     so both speedups are recorded as 0 ("not claimable") there. *)
+     so the speedup is recorded as 0 ("not claimable") there. *)
   let honest ~seq ~par =
     if host_cores () > 1 && par > 0. then seq /. par else 0.
   in
@@ -302,13 +210,7 @@ let render ~timer ~pipeline ~delivered ~sw ~shb =
     \    \"sweep_par_domains\": %d,\n\
     \    \"sweep_trials_per_sec\": %.3f,\n\
     \    \"sweep_speedup\": %.3f,\n\
-    \    \"sweep_par_identical\": %b,\n\
-    \    \"sharded_seq_s\": %.3f,\n\
-    \    \"sharded_par_s\": %.3f,\n\
-    \    \"sharded_domains\": %d,\n\
-    \    \"sharded_speedup\": %.3f,\n\
-    \    \"sharded_identical\": %b,\n\
-    \    \"sharded_result\": %s\n\
+    \    \"sweep_par_identical\": %b\n\
     \  },\n\
     \  \"improvement\": {\n\
     \    \"timer_alloc_reduction_pct\": %.1f,\n\
@@ -326,9 +228,7 @@ let render ~timer ~pipeline ~delivered ~sw ~shb =
     (events_per_sec pipeline) delivered sw.trials sw.seq_s sw.par_s
     sw.par_domains sweep_tps
     (honest ~seq:sw.seq_s ~par:sw.par_s)
-    sw.identical shb.sh_seq_s shb.sh_par_s shb.sh_domains
-    (honest ~seq:shb.sh_seq_s ~par:shb.sh_par_s)
-    shb.sh_identical shb.sh_line
+    sw.identical
     (pct_reduction ~baseline:baseline_timer_bytes_per_event
        ~current:(bytes_per_event timer))
     (pct_reduction ~baseline:baseline_pipeline_bytes_per_event
@@ -426,40 +326,11 @@ let run () =
     Printf.eprintf "hotpath: parallel sweep diverged from sequential output\n";
     exit 1
   end;
-  let shb = sharded_bench () in
-  Printf.printf
-    "hotpath sharded: seq %.2fs, %d-domain %.2fs (x%.2f), artifacts %s\n\
-     hotpath sharded result: %s\n\
-     %!"
-    shb.sh_seq_s shb.sh_domains shb.sh_par_s
-    (if shb.sh_par_s > 0. then shb.sh_seq_s /. shb.sh_par_s else 0.)
-    (if shb.sh_identical then "identical" else "DIVERGED")
-    shb.sh_line;
-  (* The determinism contract is gated unconditionally — it holds on
-     any host; only the wall-clock speedup claim needs real cores. *)
-  if not shb.sh_identical then begin
-    Printf.eprintf
-      "hotpath: sharded run diverged between 1 and %d domains\n" shb.sh_domains;
-    exit 1
-  end;
   let gate_ok =
-    if Sys.getenv_opt "RINA_BENCH_CHECK" <> None then begin
-      let perf_ok = ci_gate ~timer ~pipeline in
-      let speedup_ok =
-        host_cores () <= 1
-        || shb.sh_par_s <= 0.
-        || shb.sh_seq_s /. shb.sh_par_s >= 1.0
-      in
-      if not speedup_ok then
-        Printf.printf
-          "hotpath gate: sharded_speedup %.3f < 1.0 on a %d-core host  REGRESSED\n"
-          (shb.sh_seq_s /. shb.sh_par_s) (host_cores ());
-      perf_ok && speedup_ok
-    end
-    else true
+    Sys.getenv_opt "RINA_BENCH_CHECK" = None || ci_gate ~timer ~pipeline
   in
   Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (render ~timer ~pipeline ~delivered ~sw ~shb));
+      Out_channel.output_string oc (render ~timer ~pipeline ~delivered ~sw));
   Printf.printf "wrote %s\n" json_path;
   if not gate_ok then begin
     Printf.eprintf "hotpath: performance regressed >25%% vs committed %s\n"

@@ -158,7 +158,7 @@ let topo_of_scenario spec =
       Printf.eprintf "scenario %S has no DIF %S\n" scenario dif;
       exit 2)
 
-let run files diameter bit_rate rtt lookahead topology list_rules format strict quiet =
+let run files diameter bit_rate rtt topology list_rules format strict quiet =
   if list_rules then begin
     (match format with
      | `Text -> print_rules_text ()
@@ -174,7 +174,7 @@ let run files diameter bit_rate rtt lookahead topology list_rules format strict 
         Printf.eprintf "--topology replaces --diameter/--bit-rate/--rtt\n";
         exit 2
       | None, Some diameter, Some bottleneck_bit_rate, Some rtt ->
-        Some { Rina_check.Lint.diameter; bottleneck_bit_rate; rtt; lookahead }
+        Some { Rina_check.Lint.diameter; bottleneck_bit_rate; rtt }
       | None, None, None, None -> None
       | _ ->
         Printf.eprintf
@@ -214,13 +214,6 @@ let cmd =
     Arg.(value & opt (some float) None
          & info [ "rtt" ] ~docv:"SECONDS" ~doc:"Path round-trip time in seconds.")
   in
-  let lookahead =
-    Arg.(value & opt (some float) None
-         & info [ "lookahead" ] ~docv:"SECONDS"
-             ~doc:"Conservative lookahead of the topology's shard partition \
-                   (enables rule L121's topology half); omit if the topology \
-                   declares no partition.")
-  in
   let topology =
     Arg.(value & opt (some string) None
          & info [ "topology" ] ~docv:"SCENARIO[:DIF]"
@@ -255,7 +248,7 @@ let cmd =
     (Cmd.info "rina_lint" ~version:"1.1.0"
        ~doc:"Lint declarative policy specs for structural and consistency bugs")
     Term.(
-      const run $ files $ diameter $ bit_rate $ rtt $ lookahead $ topology
+      const run $ files $ diameter $ bit_rate $ rtt $ topology
       $ list_rules $ format $ strict $ quiet)
 
 let () = exit (Cmd.eval' cmd)

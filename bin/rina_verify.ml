@@ -45,12 +45,8 @@ let diag_json (d : Diag.t) =
 let summary_json (s : Verify.summary) =
   Printf.sprintf
     "{\"difs\":%d,\"members\":%d,\"adjacencies\":%d,\"intents\":%d,\
-     \"support_depth\":%d,\"cross_shard_edges\":%d%s}"
+     \"support_depth\":%d}"
     s.n_difs s.n_members s.n_adjacencies s.n_intents s.support_depth
-    s.cross_shard_edges
-    (match s.lookahead with
-     | None -> ""
-     | Some l -> Printf.sprintf ",\"lookahead\":%g" l)
 
 let print_diag d = Printf.printf "  %s\n" (Diag.to_string d)
 
@@ -59,13 +55,7 @@ let print_summary (s : Verify.summary) =
     "  %d DIF(s), %d member(s), %d adjacenc%s, %d intent(s), support depth %d\n"
     s.n_difs s.n_members s.n_adjacencies
     (if s.n_adjacencies = 1 then "y" else "ies")
-    s.n_intents s.support_depth;
-  if s.cross_shard_edges > 0 then
-    Printf.printf "  %d cross-shard edge(s), conservative lookahead %s\n"
-      s.cross_shard_edges
-      (match s.lookahead with
-       | Some l -> Printf.sprintf "%g s" l
-       | None -> "n/a")
+    s.n_intents s.support_depth
 
 let race_sweep () =
   (* A small domain-parallel sweep with every Par annotation armed:

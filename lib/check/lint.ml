@@ -5,7 +5,6 @@ type topo = {
   diameter : int;
   bottleneck_bit_rate : float;
   rtt : float;
-  lookahead : float option;
 }
 
 (* ---------- structural findings: L001-L005 ---------- *)
@@ -290,32 +289,7 @@ let consistency (s : Policy_lang.scan) topo =
          ~hint:"shrink probe_interval (or down_misses) below the dead-peer window");
   (match topo with
    | None -> ()
-   | Some { diameter; bottleneck_bit_rate; rtt; lookahead } ->
-     (* L121: parallel decomposition requested against a topology
-        whose verified partition buys no time.  The sharded engine can
-        only overlap shards inside a strictly positive conservative
-        lookahead window ([rina_verify] V4xx derives it as the min
-        effective delay over cross-shard adjacencies); with the window
-        zero or absent the run degenerates to sequential stepping, so
-        the spec's parallelism is a lie.  (mailbox_capacity's lower
-        bound is part of the key table: a bad one is an L005.) *)
-     let shards = p.shard.shards in
-     (match lookahead with
-      | Some l when l > 0. -> ()
-      | _ when shards <= 1 -> ()
-      | zero_or_absent ->
-        let what =
-          match zero_or_absent with
-          | None -> "the topology's shard partition derives no lookahead"
-          | Some l -> Printf.sprintf "the derived lookahead is %g s" l
-        in
-        emit
-          (Diag.error ~line:(at [ ("shard", "shards") ]) "L121"
-             (Printf.sprintf "shards = %d requested but %s" shards what)
-             ~hint:
-               "every cross-shard adjacency must buy strictly positive delay \
-                (rina_verify V404); fix the partition or drop the [shard] \
-                section"));
+   | Some { diameter; bottleneck_bit_rate; rtt } ->
      (* L201: PDUs on the longest path die before arriving. *)
      if p.max_ttl < diameter then
        emit
@@ -381,8 +355,6 @@ let rules =
     Diag.rule ~code:"L120" ~severity:w
       "congestion feature armed without its signal (pushback without marking, \
        marking with probability 0)";
-    Diag.rule ~code:"L121" ~severity:e
-      "shards requested without a positive verify lookahead";
     Diag.rule ~code:"L122" ~severity:e
       "multipath monitor misconfigured (down_misses below suspect_misses, or an \
        armed monitor with reprobe_backoff = 0)";

@@ -15,27 +15,21 @@
     - [L001]–[L005]: {!Rina_core.Policy_lang.scan}'s findings —
       unknown sections and keys, duplicate keys, malformed lines, and
       values outside their key's type or bounds.
-    - [L101]–[L123] (L117 retired): cross-key consistency on the policy
-      [scan] resolves over [base], e.g. [min_rto <= init_rto],
+    - [L101]–[L123] (gaps are retired codes): cross-key consistency on
+      the policy [scan] resolves over [base], e.g. [min_rto <= init_rto],
       [quantum] only under [kind = drr], [secret] iff password auth,
       [dead_interval > 2 x hello_interval],
       [keepalive_interval < dead_peer_timeout], zero-retry enrollment,
       congestion, telemetry and multipath knobs that cannot work.
-    - [L121], [L201]–[L202]: topology-aware checks, only when [?topo]
-      is given — shards without a positive verify lookahead, TTL vs
-      network diameter, window vs the bandwidth-delay product. *)
+    - [L201]–[L202]: topology-aware checks, only when [?topo] is
+      given — TTL vs network diameter, window vs the bandwidth-delay
+      product. *)
 
 (** Summary of the network a spec is destined for. *)
 type topo = {
   diameter : int;  (** longest shortest-path, in hops *)
   bottleneck_bit_rate : float;  (** narrowest link, bits/second *)
   rtt : float;  (** round-trip time across the longest path, seconds *)
-  lookahead : float option;
-      (** conservative lookahead of the topology's shard partition —
-          the min effective delay over cross-shard adjacencies, as
-          [rina_verify] derives it (V4xx); [None] when the topology
-          declares no shard partition (or none of its edges cross).
-          Gates rule L121. *)
 }
 
 val lint : ?base:Rina_core.Policy.t -> ?topo:topo -> string -> Diag.t list

@@ -17,12 +17,7 @@ type dif = {
 
 type intent = { it_dif : string; it_src : string; it_dst_app : string }
 
-type shard_spec = {
-  shard_count : int;
-  shard_of : (string * string * int) list;
-}
-
-type model = { difs : dif list; intents : intent list; shards : shard_spec option }
+type model = { difs : dif list; intents : intent list }
 
 type summary = {
   n_difs : int;
@@ -30,8 +25,6 @@ type summary = {
   n_adjacencies : int;
   n_intents : int;
   support_depth : int;
-  cross_shard_edges : int;
-  lookahead : float option;
 }
 
 type report = { diags : Diag.t list; summary : summary }
@@ -116,8 +109,8 @@ let rec eff_delay ctx visiting dif_name adj =
   [@@warning "-27"]
 
 (* Dijkstra over one DIF's adjacency graph with effective-delay
-   weights; 0 when [dst] is unreachable (reported separately as V110,
-   and a safe lower bound for the lookahead computation). *)
+   weights; 0 when [dst] is unreachable (reported separately as
+   V110). *)
 and shortest_delay ctx visiting dif_name src dst =
   if String.equal src dst then 0.
   else begin
@@ -581,70 +574,6 @@ let verify ?(max_depth = 16) m =
           end)
         d.d_members)
     m.difs;
-  (* --- V4xx: shard-partition safety + lookahead --- *)
-  let cross_shard_edges = ref 0 in
-  let lookahead = ref None in
-  (match m.shards with
-   | None -> ()
-   | Some ss ->
-     if ss.shard_count <= 0 then
-       err "V403" "shard spec declares %d shards" ss.shard_count
-     else begin
-       let assign = Hashtbl.create 32 in
-       List.iter
-         (fun (dn, mn, s) ->
-           (match Hashtbl.find_opt ctx.members dn with
-            | None -> err "V401" "shard spec references unknown DIF %S" dn
-            | Some mt ->
-              if not (Hashtbl.mem mt mn) then
-                err "V401" "shard spec references unknown member %S of DIF %S" mn dn);
-           if s < 0 || s >= ss.shard_count then
-             err "V403" "shard spec assigns %s/%s to shard %d (of %d)" dn mn s
-               ss.shard_count
-           else Hashtbl.replace assign (dn, mn) s)
-         ss.shard_of;
-       List.iter
-         (fun d ->
-           List.iter
-             (fun mem ->
-               if not (Hashtbl.mem assign (d.d_name, mem.m_name)) then
-                 err "V402" "member %s of DIF %S is assigned to no shard"
-                   mem.m_name d.d_name)
-             d.d_members)
-         m.difs;
-       let populated = Hashtbl.create 8 in
-       Hashtbl.iter (fun _ s -> Hashtbl.replace populated s ()) assign;
-       for s = 0 to ss.shard_count - 1 do
-         if not (Hashtbl.mem populated s) then
-           warn "V405" "shard %d contains no member" s
-       done;
-       List.iter
-         (fun d ->
-           List.iter
-             (fun adj ->
-               match
-                 ( Hashtbl.find_opt assign (d.d_name, adj.adj_a),
-                   Hashtbl.find_opt assign (d.d_name, adj.adj_b) )
-               with
-               | Some sa, Some sb when sa <> sb ->
-                 incr cross_shard_edges;
-                 let delay = eff_delay ctx [ d.d_name ] d.d_name adj in
-                 (lookahead :=
-                    match !lookahead with
-                    | None -> Some delay
-                    | Some l -> Some (Float.min l delay));
-                 if delay <= 0. then
-                   err "V404"
-                     "DIF %S: adjacency %s--%s crosses shards %d/%d with zero \
-                      effective propagation delay"
-                     d.d_name adj.adj_a adj.adj_b sa sb
-                     ~hint:
-                       "conservative lookahead needs every cross-shard edge to \
-                        buy strictly positive time"
-               | _ -> ())
-             d.d_adjacencies)
-         m.difs
-     end);
   let summary =
     {
       n_difs = List.length m.difs;
@@ -653,38 +582,11 @@ let verify ?(max_depth = 16) m =
         List.fold_left (fun acc d -> acc + List.length d.d_adjacencies) 0 m.difs;
       n_intents = List.length m.intents;
       support_depth;
-      cross_shard_edges = !cross_shard_edges;
-      lookahead = !lookahead;
     }
   in
   { diags = List.stable_sort Diag.compare (List.rev !diags); summary }
 
 (* ---------- Lint.topo derivation ---------- *)
-
-(* Per-DIF conservative lookahead under the model's shard partition:
-   min effective delay over this DIF's cross-shard adjacencies — the
-   same quantity the V4xx pass folds into [summary.lookahead], but
-   restricted to one DIF so [Lint] L121 can judge a spec against the
-   network it is destined for. *)
-let shard_lookahead ctx m d =
-  match m.shards with
-  | None -> None
-  | Some ss ->
-    let assign = Hashtbl.create 32 in
-    List.iter (fun (dn, mn, s) -> Hashtbl.replace assign (dn, mn) s) ss.shard_of;
-    List.fold_left
-      (fun acc adj ->
-        match
-          ( Hashtbl.find_opt assign (d.d_name, adj.adj_a),
-            Hashtbl.find_opt assign (d.d_name, adj.adj_b) )
-        with
-        | Some sa, Some sb when sa <> sb ->
-          let delay = eff_delay ctx [ d.d_name ] d.d_name adj in
-          (match acc with
-           | None -> Some delay
-           | Some l -> Some (Float.min l delay))
-        | _ -> acc)
-      None d.d_adjacencies
 
 let lint_topo m ~dif =
   let ctx = index m in
@@ -728,7 +630,6 @@ let lint_topo m ~dif =
         Lint.diameter = max 1 !diameter;
         bottleneck_bit_rate = (if Float.is_finite bottleneck then bottleneck else 0.);
         rtt = 2. *. !worst_delay;
-        lookahead = shard_lookahead ctx m d;
       }
 
 (* ---------- rule table ---------- *)
@@ -768,10 +669,4 @@ let rules =
        (multihomed in name only)";
     Diag.rule ~code:"V301" ~severity:e
       "enrollment dependency cycle between DIFs: bootstrap deadlocks";
-    Diag.rule ~code:"V401" ~severity:e "shard spec references an unknown DIF or member";
-    Diag.rule ~code:"V402" ~severity:e "member assigned to no shard";
-    Diag.rule ~code:"V403" ~severity:e "shard index out of range (or no shards declared)";
-    Diag.rule ~code:"V404" ~severity:e
-      "cross-shard adjacency with zero effective propagation delay (no lookahead)";
-    Diag.rule ~code:"V405" ~severity:w "shard contains no member";
   ]

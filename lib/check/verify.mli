@@ -20,13 +20,7 @@
       {!Rina_core.Delimiting} fragmentation, EFCP window vs link queue
       capacity (the bounded-memory argument per RMT queue);
     - {b enrollment} ([V3xx]) — the "DIF X needs a flow over DIF Y"
-      dependency graph is acyclic, so bootstrap cannot deadlock;
-    - {b sharding} ([V4xx]) — given a proposed spatial decomposition,
-      every cross-shard adjacency has strictly positive effective
-      propagation delay; the induced conservative lookahead window is
-      reported in the {!summary}.  This is the precondition the
-      sharded multicore engine (ROADMAP item 2) will assert before a
-      parallel trial. *)
+      dependency graph is acyclic, so bootstrap cannot deadlock. *)
 
 (** One IPC process of a DIF, as planned. *)
 type member = {
@@ -59,18 +53,7 @@ type dif = {
     allocate to application name [it_dst_app] in that DIF. *)
 type intent = { it_dif : string; it_src : string; it_dst_app : string }
 
-(** A proposed spatial decomposition for the sharded engine: every
-    member of every DIF is assigned to one shard. *)
-type shard_spec = {
-  shard_count : int;
-  shard_of : (string * string * int) list;  (** (dif, member, shard) *)
-}
-
-type model = {
-  difs : dif list;
-  intents : intent list;
-  shards : shard_spec option;
-}
+type model = { difs : dif list; intents : intent list }
 
 type summary = {
   n_difs : int;
@@ -79,12 +62,6 @@ type summary = {
   n_intents : int;
   support_depth : int;
       (** longest chain in the DIF support graph (1 = no stacking) *)
-  cross_shard_edges : int;  (** 0 when no shard spec given *)
-  lookahead : float option;
-      (** conservative lookahead window for the sharded engine: the
-          minimum effective one-way delay over all cross-shard
-          adjacencies; [None] when there is no shard spec or no edge
-          crosses a shard boundary *)
 }
 
 type report = { diags : Diag.t list; summary : summary }

@@ -19,15 +19,12 @@ let engine t = t.engine
 
 let rank t = t.rank
 
-let add_member t ?bootstrap ?credentials ~name () =
+let add_member t ?credentials ~name () =
   let ipcp =
     Ipcp.create t.engine ?credentials ~qos_cubes:t.qos_cubes
       ~rank:t.rank ~name:(Types.apn name) ~dif:t.name ~policy:t.policy ()
   in
-  let boot =
-    match bootstrap with Some b -> b | None -> t.members = []
-  in
-  if boot then Ipcp.bootstrap ipcp;
+  if t.members = [] then Ipcp.bootstrap ipcp;
   t.members <- t.members @ [ ipcp ];
   ipcp
 

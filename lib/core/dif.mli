@@ -34,15 +34,10 @@ val engine : t -> Rina_sim.Engine.t
 val rank : t -> int
 (** The depth given at {!create} — 0 for the lowest layer. *)
 
-val add_member :
-  t -> ?bootstrap:bool -> ?credentials:string -> name:string -> unit -> Ipcp.t
-(** Create an IPC process for this DIF.  By default the first one
-    bootstraps the DIF (address 1); later ones remain unenrolled until
-    [connect]ed to a member, then enroll automatically.  [bootstrap]
-    overrides the default: pass [false] when this [Dif.t] is one
-    shard's management view of a DIF whose founder lives on another
-    shard (the sharded engine builds one [Dif.t] per shard and only
-    the founder's shard may bootstrap). *)
+val add_member : t -> ?credentials:string -> name:string -> unit -> Ipcp.t
+(** Create an IPC process for this DIF.  The first one bootstraps the
+    DIF (address 1); later ones remain unenrolled until [connect]ed to
+    a member, then enroll automatically. *)
 
 val members : t -> Ipcp.t list
 

@@ -51,11 +51,6 @@ type congestion = {
   admission_backoff : float;  (* base of the requester's busy-retry backoff, s *)
 }
 
-type shard = {
-  shards : int;  (* requested engine-shard count; 0 or 1 = sequential *)
-  mailbox_capacity : int;  (* per-directed-mailbox ring bound, entries *)
-}
-
 type stripe_mode = Primary_backup | Weighted_rr
 
 type multipath = {
@@ -78,7 +73,6 @@ type t = {
   max_ttl : int;
   telemetry : telemetry;
   congestion : congestion;
-  shard : shard;
   multipath : multipath;
 }
 
@@ -124,8 +118,6 @@ let default_congestion =
     admission_backoff = 0.2;
   }
 
-let default_shard = { shards = 0; mailbox_capacity = 8192 }
-
 let default_multipath =
   {
     probe_interval = 0.;
@@ -148,7 +140,6 @@ let default =
     max_ttl = 32;
     telemetry = default_telemetry;
     congestion = default_congestion;
-    shard = default_shard;
     multipath = default_multipath;
   }
 

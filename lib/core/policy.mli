@@ -128,22 +128,6 @@ type congestion = {
           retry after a busy rejection ({!Rina_util.Backoff}) *)
 }
 
-(** Parallel-execution policy: how a trial of this configuration may
-    be spatially decomposed over engine shards.  Consumed by the
-    sharded engine driver ([Rina_sim.Sharded] via [Rina_exp]); the
-    partition itself must pass [rina_verify]'s V4xx analyses, and lint
-    rule L121 rejects a spec that asks for shards a topology gives no
-    positive lookahead for. *)
-type shard = {
-  shards : int;
-      (** requested engine-shard count; 0 or 1 = sequential (the
-          default) *)
-  mailbox_capacity : int;
-      (** bound (entries) on each directed cross-shard mailbox ring,
-          at least 2; must cover one lookahead window's worth of
-          cross-shard frames or producers stall *)
-}
-
 (** How one traffic label is spread over a flow's path set. *)
 type stripe_mode =
   | Primary_backup
@@ -191,7 +175,6 @@ type t = {
   max_ttl : int;  (** initial TTL stamped on PDUs entering the DIF *)
   telemetry : telemetry;
   congestion : congestion;
-  shard : shard;
   multipath : multipath;
 }
 
@@ -205,10 +188,6 @@ val default_telemetry : telemetry
 val default_congestion : congestion
 (** Everything off: no marking ([mark_threshold = 0]), no pushback,
     unlimited admission — overload behaviour is opt-in per DIF. *)
-
-val default_shard : shard
-(** Sequential ([shards = 0]) with an 8192-entry mailbox bound —
-    parallel decomposition is opt-in per configuration. *)
 
 val default_multipath : multipath
 (** Monitor off ([probe_interval = 0]): legacy sticky single-PoA

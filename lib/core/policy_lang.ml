@@ -229,15 +229,6 @@ let table =
             (fun c -> c.admission_backoff)
             (fun c admission_backoff -> { c with admission_backoff });
         ];
-      section "shard"
-        (fun d -> d.p.shard)
-        (fun d shard -> { d with p = { d.p with shard } })
-        [
-          int ~min:0 "shards" (fun s -> s.shards) (fun s shards -> { s with shards });
-          int ~min:2 "mailbox_capacity"
-            (fun s -> s.mailbox_capacity)
-            (fun s mailbox_capacity -> { s with mailbox_capacity });
-        ];
       section "multipath"
         (fun d -> d.p.multipath)
         (fun d multipath -> { d with p = { d.p with multipath } })

@@ -49,96 +49,3 @@ let write_stats t path =
       Out_channel.output_string oc (Telemetry.to_jsonl t.telemetry))
 
 let stop t = Trace.close t.trace
-
-(* ---------- sharded observability ----------
-
-   Recorder and telemetry state is domain-local, and in a sharded run
-   one domain may step several shards — so each shard owns a private
-   Flight buffer + Telemetry registry that the Sharded context hooks
-   swap in around every epoch.  The merge back to one trace/registry
-   is order-fixed: events by (time, shard id, per-shard emission
-   index), registries in shard-id order — both pure functions of the
-   per-shard streams, which the determinism contract already fixes, so
-   the merged exports are byte-identical for any domain count. *)
-
-module Sharded = Rina_sim.Sharded
-module Flight = Rina_util.Flight
-
-type shard_obs = {
-  so_buf : Flight.Buf.t;
-  so_tele : Telemetry.t;
-  so_engine : Engine.t;
-}
-
-type sharded = {
-  s_sh : Sharded.t;
-  s_obs : shard_obs array;
-  s_config : Policy.telemetry;
-}
-
-let start_sharded ?(policy = Policy.default) sh =
-  let cfg = policy.Policy.telemetry in
-  if not (cfg.Policy.trace_sample_rate > 0. && cfg.Policy.trace_sample_rate <= 1.)
-  then
-    invalid_arg
-      (Printf.sprintf "Obs.start_sharded: trace_sample_rate %g is outside (0, 1]"
-         cfg.Policy.trace_sample_rate);
-  if cfg.Policy.flight_ring_capacity < 0 then
-    invalid_arg "Obs.start_sharded: negative flight_ring_capacity";
-  let capacity =
-    if cfg.Policy.flight_ring_capacity > 0 then
-      Some cfg.Policy.flight_ring_capacity
-    else None
-  in
-  let s_obs =
-    Array.init (Sharded.shard_count sh) (fun i ->
-        {
-          so_buf = Flight.Buf.create ?capacity ();
-          so_tele = Telemetry.create ();
-          so_engine = Sharded.engine sh i;
-        })
-  in
-  Sharded.set_context sh
-    ~install:(fun i ->
-      let so = s_obs.(i) in
-      Flight.set_clock (fun () -> Engine.now so.so_engine);
-      Flight.set_sink (Flight.Buf.add so.so_buf);
-      Flight.set_sample_rate cfg.Policy.trace_sample_rate;
-      Telemetry.install so.so_tele;
-      Flight.set_enabled true)
-    ~uninstall:(fun _ ->
-      Flight.set_enabled false;
-      Telemetry.uninstall ());
-  { s_sh = sh; s_obs; s_config = cfg }
-
-let sharded_events t =
-  let all = ref [] in
-  Array.iteri
-    (fun sidx so ->
-      let i = ref 0 in
-      Flight.Buf.iter
-        (fun e ->
-          all := (e.Flight.time, sidx, !i, e) :: !all;
-          incr i)
-        so.so_buf)
-    t.s_obs;
-  let cmp (t1, s1, i1, _) (t2, s2, i2, _) =
-    match Float.compare t1 t2 with
-    | 0 -> ( match compare s1 s2 with 0 -> compare i1 i2 | c -> c)
-    | c -> c
-  in
-  List.map (fun (_, _, _, e) -> e) (List.sort cmp !all)
-
-let sharded_events_jsonl t =
-  String.concat ""
-    (List.map (fun e -> Flight.event_to_json e ^ "\n") (sharded_events t))
-
-let sharded_telemetry t =
-  let merged = Telemetry.create () in
-  Array.iter (fun so -> Telemetry.merge_into ~into:merged so.so_tele) t.s_obs;
-  merged
-
-let sharded_stats_jsonl t = Telemetry.to_jsonl (sharded_telemetry t)
-
-let stop_sharded t =
-  Sharded.set_context t.s_sh ~install:(fun _ -> ()) ~uninstall:(fun _ -> ())

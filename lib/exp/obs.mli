@@ -41,40 +41,3 @@ val write_stats : t -> string -> unit
 
 val stop : t -> unit
 (** Flush/close any streaming sink and detach the recorder. *)
-
-(** {2 Sharded observability}
-
-    Per-shard Flight buffers and Telemetry registries, swapped in
-    around each shard epoch through {!Rina_sim.Sharded.set_context}
-    (recorder state is domain-local and one domain may step many
-    shards).  The merged views are {e order-fixed}: events sort by
-    (time, shard id, per-shard emission index), registries merge in
-    shard-id order — so the exports are byte-identical for any
-    [domains] count of the run. *)
-
-type sharded
-
-val start_sharded : ?policy:Rina_core.Policy.t -> Rina_sim.Sharded.t -> sharded
-(** Create one buffer + registry per shard (sized per the policy's
-    [[telemetry]] section, like {!start}) and install the context
-    hooks.  Call before the first [Sharded.run].
-    @raise Invalid_argument on a bad sample rate / ring capacity. *)
-
-val sharded_events : sharded -> Rina_util.Flight.event list
-(** The merged trace so far, in (time, shard, emission-index) order. *)
-
-val sharded_events_jsonl : sharded -> string
-(** {!sharded_events} rendered one JSON object per line — the
-    byte-compare artifact the determinism tests and the hotpath bench
-    assert on. *)
-
-val sharded_telemetry : sharded -> Rina_util.Telemetry.t
-(** A fresh registry holding the shard registries merged in shard-id
-    order (telemetry merge is exact and order-fixed). *)
-
-val sharded_stats_jsonl : sharded -> string
-(** {!sharded_telemetry}'s canonical JSONL export. *)
-
-val stop_sharded : sharded -> unit
-(** Remove the context hooks (the buffers and registries remain
-    readable). *)

@@ -102,14 +102,6 @@ let map ?domains f items =
 let run_trials ?domains ~seeds f =
   Array.to_list (map ?domains (fun seed -> f ~seed) (Array.of_list seeds))
 
-(* Intra-trial parallelism: advance a sharded fleet with the same
-   worker-pool sizing (and RINA_DOMAINS override) as the trial fan-out.
-   The Race fork/join and mailbox annotations live inside
-   [Rina_sim.Sharded]. *)
-let run_sharded ?domains sh ~until =
-  let d = match domains with Some d -> d | None -> default_domains () in
-  Rina_sim.Sharded.run ~domains:d sh ~until
-
 (* Telemetry-sharded fan-out: every trial gets a private registry as
    this domain's [Telemetry.current] — the per-shard stats pipeline —
    and the shards are merged in *input* order after the join, so the

@@ -33,13 +33,6 @@ val run_trials : ?domains:int -> seeds:int list -> (seed:int -> 'a) -> 'a list
 (** Seed-list convenience wrapper over {!map}; results in seed-list
     order. *)
 
-val run_sharded : ?domains:int -> Rina_sim.Sharded.t -> until:float -> unit
-(** Advance one trial's shard fleet ({!Rina_sim.Sharded.run}) using
-    the same pool sizing as {!map} — [domains] defaults to
-    {!default_domains}, so [RINA_DOMAINS=1] forces the deterministic
-    sequential reference run and [RINA_DOMAINS=4] a 4-worker run; the
-    sharded determinism contract makes both byte-identical. *)
-
 val map_telemetry :
   ?domains:int ->
   ?series_bucket:float ->

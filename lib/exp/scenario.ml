@@ -35,47 +35,6 @@ let open_flow (net : Topo.rina_net) ~src ~dst ~qos_id ?sink () =
       | Error e -> out := Error e);
   !out
 
-(* ---------- sharded variants ----------
-
-   Same protocol as [open_flow], but the driver advances the whole
-   shard fleet: registration and allocation calls run on the (idle)
-   owning engines from the calling domain, then [Sharded.run] carries
-   the handshake across the mailboxes.  All timing decisions key off
-   [Sharded.granted] — exactly the last [until] — so the drive loop
-   is a pure function of the seed and the determinism contract holds
-   through flow setup. *)
-
-module Sharded = Rina_sim.Sharded
-
-let drive_sharded (net : Topo.sharded_net) ~domains ~timeout cond =
-  let deadline = Sharded.granted net.Topo.sh +. timeout in
-  while (not (cond ())) && Sharded.granted net.Topo.sh < deadline do
-    Sharded.run ~domains net.Topo.sh
-      ~until:(Sharded.granted net.Topo.sh +. 0.05)
-  done
-
-let open_flow_sharded (net : Topo.sharded_net) ?(domains = 1) ~src ~dst ~qos_id
-    ?sink () =
-  let dst_engine = Sharded.engine net.Topo.sh net.Topo.s_shard.(dst) in
-  let dst_app = Types.apn (Printf.sprintf "sink-n%d" dst) in
-  Ipcp.register_app net.Topo.s_nodes.(dst) dst_app ~on_flow:(fun flow ->
-      match sink with
-      | Some s ->
-        flow.Ipcp.set_on_receive (fun sdu ->
-            Workload.on_sdu s ~now:(Engine.now dst_engine) sdu)
-      | None -> ());
-  let src_app = Types.apn (Printf.sprintf "client-n%d" src) in
-  Ipcp.register_app net.Topo.s_nodes.(src) src_app ~on_flow:(fun _ -> ());
-  let t0 = Sharded.granted net.Topo.sh in
-  let result = ref None in
-  Ipcp.allocate_flow net.Topo.s_nodes.(src) ~src:src_app ~dst:dst_app ~qos_id
-    ~on_result:(fun r -> result := Some r);
-  drive_sharded net ~domains ~timeout:30. (fun () -> !result <> None);
-  match !result with
-  | Some (Ok flow) -> Ok (flow, Sharded.granted net.Topo.sh -. t0)
-  | Some (Error e) -> Error e
-  | None -> Error "allocation never resolved (fleet starved)"
-
 (* ---------- chaos hooks ----------
 
    Node-level faults the simulation layer cannot express on its own:

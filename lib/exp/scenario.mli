@@ -24,20 +24,6 @@ val allocate :
 (** Raw allocation from node [src] towards an already-registered
     application name; drives the engine until the callback fires. *)
 
-val open_flow_sharded :
-  Topo.sharded_net ->
-  ?domains:int ->
-  src:int ->
-  dst:int ->
-  qos_id:Rina_core.Types.qos_id ->
-  ?sink:Workload.sink ->
-  unit ->
-  (Rina_core.Ipcp.flow * float, string) result
-(** {!open_flow} over a sharded net: the allocation handshake crosses
-    the shard mailboxes under [Rina_sim.Sharded.run ~domains].  Every
-    drive decision keys off [Sharded.granted], so the outcome and
-    timing are identical for any [domains] value. *)
-
 (** {1 Chaos hooks}
 
     Node- and topology-level fault closures for a

@@ -170,7 +170,7 @@ module Policy = Rina_core.Policy
 
 let member_name net i = Types.apn_to_string (Ipcp.name net.nodes.(i))
 
-let model_of_net ?name ?(intents = []) ?shards net =
+let model_of_net ?name ?(intents = []) net =
   let dif_name = match name with Some n -> n | None -> Dif.name net.dif in
   let members =
     Array.to_list
@@ -217,20 +217,7 @@ let model_of_net ?name ?(intents = []) ?shards net =
         { Verify.it_dif = dif_name; it_src = member_name net i; it_dst_app = app })
       intents
   in
-  let shards =
-    match shards with
-    | None -> None
-    | Some count ->
-      let n = Array.length net.nodes in
-      Some
-        {
-          Verify.shard_count = count;
-          shard_of =
-            List.init n (fun i ->
-                (dif_name, member_name net i, min (count - 1) (i * count / n)));
-        }
-  in
-  { Verify.difs; intents; shards }
+  { Verify.difs; intents }
 
 (* ---------- pure-data scenario registry ----------
 
@@ -265,7 +252,6 @@ let quickstart_model () =
         };
       ];
     intents = [ { it_dif = "quicknet"; it_src = "host-a"; it_dst_app = "echo-server/1" } ];
-    shards = None;
   }
 
 let mail_relay_model () =
@@ -293,7 +279,6 @@ let mail_relay_model () =
         { it_dif = "mailnet"; it_src = "alice-host"; it_dst_app = "mta-relay/1" };
         { it_dif = "mailnet"; it_src = "relay-host"; it_dst_app = "mta-bob/1" };
       ];
-    shards = None;
   }
 
 let marketplace_model () =
@@ -335,7 +320,6 @@ let marketplace_model () =
         { it_dif = "budget-net"; it_src = "budget-net-west"; it_dst_app = "video-service/1" };
         { it_dif = "premium-net"; it_src = "premium-net-west"; it_dst_app = "video-service/1" };
       ];
-    shards = None;
   }
 
 let mobile_video_model () =
@@ -367,7 +351,6 @@ let mobile_video_model () =
         };
       ];
     intents = [ { it_dif = "metro"; it_src = "mobile"; it_dst_app = "video/1" } ];
-    shards = None;
   }
 
 let recursive_internet_model () =
@@ -437,187 +420,7 @@ let recursive_internet_model () =
         };
       ];
     intents = [ { it_dif = "internet"; it_src = "inet.host1"; it_dst_app = "far-app/1" } ];
-    shards = None;
   }
-
-let sharded_line_model () =
-  let n = 8 in
-  let name i = Printf.sprintf "n%d" i in
-  {
-    Verify.difs =
-      [
-        {
-          d_name = "line";
-          d_policy = Policy.default;
-          d_members =
-            List.init n (fun i ->
-                mk_member ~addr:(i + 1)
-                  ~apps:(if i = n - 1 then [ "sink/1" ] else [])
-                  (name i));
-          d_adjacencies =
-            List.init (n - 1) (fun i ->
-                wire (name i) (name (i + 1)) ~delay:0.002 ~bit_rate:10_000_000.);
-        };
-      ];
-    intents = [ { it_dif = "line"; it_src = "n0"; it_dst_app = "sink/1" } ];
-    shards =
-      Some
-        {
-          Verify.shard_count = 2;
-          shard_of = List.init n (fun i -> ("line", name i, if i < n / 2 then 0 else 1));
-        };
-  }
-
-(* ---------- sharded builders ---------- *)
-
-module Sharded = Rina_sim.Sharded
-
-type sharded_net = {
-  sh : Sharded.t;
-  s_difs : Dif.t array;
-  s_nodes : Ipcp.t array;
-  s_shard : int array;
-  s_lookahead : float;
-  s_policy : Policy.t;
-}
-
-let shard_of_net net (spec : Verify.shard_spec) =
-  let dif_name = Dif.name net.dif in
-  Array.init (Array.length net.nodes) (fun i ->
-      let name = member_name net i in
-      match
-        List.find_opt
-          (fun (d, m, _) -> String.equal d dif_name && String.equal m name)
-          spec.Verify.shard_of
-      with
-      | Some (_, _, s) when s >= 0 && s < spec.Verify.shard_count -> s
-      | Some (_, _, s) ->
-        invalid_arg
-          (Printf.sprintf "Topo.shard_of_net: member %s assigned to shard %d \
-                           outside [0, %d)" name s spec.Verify.shard_count)
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Topo.shard_of_net: member %s missing from shard spec"
-             name))
-
-(* The block decomposition [model_of_net ~shards] proposes, as a plain
-   node-index function. *)
-let block_shard ~shards ~n i = min (shards - 1) (i * shards / n)
-
-(* A sharded line: same shape as {!line} (n nodes in a chain, one DIF,
-   [sink/1] planned on the last node), but partitioned into [shards]
-   block-contiguous regions, each on its own engine.  The partition is
-   first verified statically — [Verify.verify] must report no errors
-   and a positive lookahead (the V4xx precondition) — and the returned
-   net is converged: enrollment and routing ran over the cross-shard
-   mailboxes via [Sharded.run]. *)
-let sharded_line ?(seed = 7) ?policy ?(bit_rate = 10_000_000.) ?(delay = 0.002)
-    ~n ~shards () =
-  if n < 2 then invalid_arg "Topo.sharded_line: need at least 2 nodes";
-  if shards < 2 || shards > n then
-    invalid_arg "Topo.sharded_line: need 2 <= shards <= n";
-  let name i = Printf.sprintf "n%d" i in
-  let assignment = Array.init n (fun i -> block_shard ~shards ~n i) in
-  (* Static precondition: build the pure model of this exact net and
-     let rina_verify's analyses accept the decomposition. *)
-  let model =
-    {
-      Verify.difs =
-        [
-          {
-            d_name = "line";
-            d_policy = (match policy with Some p -> p | None -> Policy.default);
-            d_members =
-              List.init n (fun i ->
-                  mk_member ~addr:(i + 1)
-                    ~apps:(if i = n - 1 then [ "sink/1" ] else [])
-                    (name i));
-            d_adjacencies =
-              List.init (n - 1) (fun i ->
-                  wire (name i) (name (i + 1)) ~delay ~bit_rate);
-          };
-        ];
-      intents = [ { it_dif = "line"; it_src = "n0"; it_dst_app = "sink/1" } ];
-      shards =
-        Some
-          {
-            Verify.shard_count = shards;
-            shard_of = List.init n (fun i -> ("line", name i, assignment.(i)));
-          };
-    }
-  in
-  let report = Verify.verify model in
-  if Rina_check.Diag.has_errors report.Verify.diags then
-    invalid_arg
-      (Printf.sprintf "Topo.sharded_line: partition rejected by rina_verify: %s"
-         (String.concat "; "
-            (List.map Rina_check.Diag.to_string
-               (Rina_check.Diag.errors report.Verify.diags))));
-  let lookahead =
-    match report.Verify.summary.Verify.lookahead with
-    | Some la when la > 0. -> la
-    | Some _ | None ->
-      invalid_arg
-        "Topo.sharded_line: rina_verify reports no positive lookahead for \
-         this partition (L121)"
-  in
-  let sh = Sharded.create ~shards ~lookahead () in
-  let root = Rina_util.Prng.create seed in
-  let rngs = Array.init shards (fun _ -> Rina_util.Prng.split root) in
-  let pol = match policy with Some p -> p | None -> Policy.default in
-  (* One Dif.t per shard: the same logical DIF, but member state must
-     live with its shard's engine.  Only the founder's shard
-     bootstraps; everyone else enrolls over the (possibly cross-shard)
-     links below. *)
-  let s_difs =
-    Array.init shards (fun s -> Dif.create (Sharded.engine sh s) ~policy:pol "line")
-  in
-  let s_nodes =
-    Array.init n (fun i ->
-        Dif.add_member s_difs.(assignment.(i)) ~bootstrap:(i = 0) ~name:(name i) ())
-  in
-  for i = 0 to n - 2 do
-    let sa = assignment.(i) and sb = assignment.(i + 1) in
-    if sa = sb then begin
-      let link =
-        Link.create (Sharded.engine sh sa) rngs.(sa) ~bit_rate ~delay
-          ~label:(Printf.sprintf "link%d" i) ()
-      in
-      Dif.connect s_difs.(sa) s_nodes.(i) s_nodes.(i + 1)
-        (Link.endpoint_a link, Link.endpoint_b link)
-    end
-    else begin
-      let ea, eb =
-        Sharded.cross_link sh ~src:sa ~dst:sb ~bit_rate ~delay
-          ~label:(Printf.sprintf "link%d" i) ()
-      in
-      ignore (Ipcp.bind_port s_nodes.(i) ea);
-      ignore (Ipcp.bind_port s_nodes.(i + 1) eb)
-    end
-  done;
-  { sh; s_difs; s_nodes; s_shard = assignment; s_lookahead = lookahead;
-    s_policy = pol }
-
-let sharded_converged ?(max_time = 120.) ?(domains = 1) net =
-  let n = Array.length net.s_nodes in
-  let step = net.s_policy.Policy.routing.Policy.hello_interval in
-  let converged () =
-    Array.for_all Ipcp.is_enrolled net.s_nodes
-    && Array.for_all (fun ip -> Ipcp.lsdb_size ip >= n) net.s_nodes
-  in
-  let t0 = Float.max 0. (Sharded.granted net.sh) in
-  let deadline = t0 +. max_time in
-  let t = ref t0 in
-  while (not (converged ())) && !t < deadline do
-    t := !t +. step;
-    Sharded.run ~domains net.sh ~until:!t
-  done;
-  (* Let outstanding SPF recomputations and floods settle. *)
-  Sharded.run ~domains net.sh ~until:(!t +. (2. *. step));
-  converged ()
-
-let sharded_wait ?(domains = 1) net d =
-  Sharded.run ~domains net.sh ~until:(Sharded.granted net.sh +. d)
 
 let scenarios () =
   [
@@ -626,7 +429,6 @@ let scenarios () =
     ("marketplace", marketplace_model ());
     ("mobile-video", mobile_video_model ());
     ("recursive-internet", recursive_internet_model ());
-    ("sharded-line", sharded_line_model ());
   ]
 
 let scenario name = List.assoc_opt name (scenarios ())

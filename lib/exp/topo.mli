@@ -93,60 +93,11 @@ val ip_star :
 val wait : Rina_sim.Engine.t -> float -> unit
 (** Advance virtual time by a duration. *)
 
-(** {2 Sharded topologies}
-
-    The same scenarios, partitioned over per-region
-    {!Rina_sim.Sharded} engine shards.  The partition is accepted only
-    after [rina_verify]'s V4xx analyses pass and report a positive
-    conservative lookahead. *)
-
-type sharded_net = {
-  sh : Rina_sim.Sharded.t;
-  s_difs : Rina_core.Dif.t array;
-      (** one management view of the (single, logical) DIF per shard —
-          only the founder's shard bootstrapped *)
-  s_nodes : Rina_core.Ipcp.t array;  (** global node order, as in {!rina_net} *)
-  s_shard : int array;  (** node index -> shard id *)
-  s_lookahead : float;  (** the verified conservative window, seconds *)
-  s_policy : Rina_core.Policy.t;
-}
-
-val shard_of_net : rina_net -> Rina_check.Verify.shard_spec -> int array
-(** Derive the node-index partition of a live net from a verify shard
-    spec (matching members by name in the net's DIF).
-    @raise Invalid_argument on a missing member or out-of-range shard. *)
-
-val sharded_line :
-  ?seed:int ->
-  ?policy:Rina_core.Policy.t ->
-  ?bit_rate:float ->
-  ?delay:float ->
-  n:int ->
-  shards:int ->
-  unit ->
-  sharded_net
-(** The {!line} scenario split into [shards] block-contiguous regions.
-    Statically verifies the decomposition first (errors or a missing
-    lookahead raise), then builds per-shard engines, in-shard
-    {!Rina_sim.Link}s and cross-shard mailbox links.  The result is
-    NOT yet converged — run {!sharded_converged}. *)
-
-val sharded_converged : ?max_time:float -> ?domains:int -> sharded_net -> bool
-(** Drive [Sharded.run] until every node is enrolled and every
-    link-state database holds all members (same criterion as
-    [Dif.run_until_converged]), then let floods settle.  Returns
-    whether convergence was reached before [max_time] of virtual
-    time. *)
-
-val sharded_wait : ?domains:int -> sharded_net -> float -> unit
-(** Advance the whole shard fleet by a duration. *)
-
 (** {2 Static-verification bridge} *)
 
 val model_of_net :
   ?name:string ->
   ?intents:(int * string) list ->
-  ?shards:int ->
   rina_net ->
   Rina_check.Verify.model
 (** Extract a {!Rina_check.Verify.model} from a live net: one DIF
@@ -154,16 +105,13 @@ val model_of_net :
     enrolled addresses and actual app registrations, and one [Direct]
     adjacency per link with its real delay/rate/queue bound.
     [intents] plans flows as [(allocator node index, destination app
-    name)].  [shards] asks for a block decomposition into that many
-    shards over node order — the spec the sharded engine would be
-    handed for this net. *)
+    name)]. *)
 
 val scenarios : unit -> (string * Rina_check.Verify.model) list
 (** The named scenario registry: pure-data models mirroring the
     shipped examples ([quickstart], [mail-relay], [marketplace],
-    [mobile-video], [recursive-internet]) plus [sharded-line] (a line
-    with a 2-shard decomposition, exercising the V4xx analyses).  This
-    is what [rina_verify] runs over and [rina_lint --topology] reads
-    its topology summaries from; all entries must verify error-free. *)
+    [mobile-video], [recursive-internet]).  This is what [rina_verify]
+    runs over and [rina_lint --topology] reads its topology summaries
+    from; all entries must verify error-free. *)
 
 val scenario : string -> Rina_check.Verify.model option

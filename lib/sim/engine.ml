@@ -217,15 +217,6 @@ let rec flush_until t limit =
     end
   end
 
-(* Peek without popping: the sharded driver interleaves this heap with
-   staged cross-shard arrivals and needs the next local key to decide
-   which side fires first.  Flushing due wheel slots here keeps the
-   answer exactly what [step] would pop. *)
-let next_time t =
-  flush_due t;
-  if Rina_util.Heap.is_empty t.queue then None
-  else Some (Rina_util.Heap.top_key t.queue)
-
 let step t =
   flush_due t;
   if Rina_util.Heap.is_empty t.queue then false

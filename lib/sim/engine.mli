@@ -64,8 +64,3 @@ val run : ?until:float -> t -> unit
 val step : t -> bool
 (** Execute exactly one event; [false] if the queue was empty. *)
 
-val next_time : t -> float option
-(** Timestamp of the event {!step} would execute next, without popping
-    it (due wheel slots are flushed so the answer is exact).  [None]
-    when nothing is pending.  This is the peek the sharded engine uses
-    to interleave local events with staged cross-shard arrivals. *)

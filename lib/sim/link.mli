@@ -47,8 +47,7 @@ val bit_rate : t -> float
 (** Current serialisation rate in bits/second (both halves share it). *)
 
 val delay : t -> float
-(** One-way propagation delay in seconds (both halves share it) — what
-    the static verifier reads to bound cross-shard lookahead. *)
+(** One-way propagation delay in seconds (both halves share it). *)
 
 val queue_capacity : t -> int
 (** Drop-tail queue bound in frames (both halves share it). *)

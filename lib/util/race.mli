@@ -1,17 +1,17 @@
 (** Happens-before race detection over domain-parallel code (the
     "domain-race sanitizer" core).
 
-    The coming sharded engine moves one trial's state across several
-    domains; an unsynchronized cross-domain access that is merely a
-    performance bug today becomes a determinism (and memory-safety)
-    bug there.  This module is a vector-clock happens-before detector
-    for the *annotated* shared locations of the codebase: parallel
-    drivers declare their fork/join structure ({!fork}, {!child_begin},
-    {!child_end}, {!join}), their synchronisation objects ({!acquire},
-    {!release} around [Atomic] operations and locks), and the shared
-    cells they read and write ({!read}, {!write}).  Two accesses to the
-    same cell race when neither happens-before the other and at least
-    one is a write; every such pair is recorded.
+    [Rina_exp.Par] hands trials and their results across several
+    domains; an unsynchronized cross-domain access there is a
+    determinism (and memory-safety) bug.  This module is a vector-clock
+    happens-before detector for the *annotated* shared locations of
+    the codebase: parallel drivers declare their fork/join structure
+    ({!fork}, {!child_begin}, {!child_end}, {!join}), their
+    synchronisation objects ({!acquire}, {!release} around [Atomic]
+    operations and locks), and the shared cells they read and write
+    ({!read}, {!write}).  Two accesses to the same cell race when
+    neither happens-before the other and at least one is a write;
+    every such pair is recorded.
 
     Everything is a no-op until {!arm} flips the global switch (one
     [Atomic.get] per call site), so annotations can stay in the hot

@@ -15,9 +15,9 @@
     Both merge {e exactly} — merging is bucket-wise integer addition,
     so it is associative and commutative, and a sketch merged from
     per-domain shards is byte-identical to the sketch a sequential run
-    would have produced.  That is the observability contract the
-    sharded engine inherits: shard-local recording, order-fixed merge,
-    identical output.
+    would have produced.  That is the observability contract
+    [Rina_exp.Par] relies on: worker-local recording, order-fixed
+    merge, identical output.
 
     Nothing here touches domains or DLS; sharding lives in
     {!Telemetry} and [Rina_exp.Par]. *)

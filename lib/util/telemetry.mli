@@ -16,13 +16,12 @@
     table work: span-latency matching, per-reason drop timelines,
     probe sketches.
 
-    {b Sharding contract} (the one the ROADMAP item-2 sharded engine
-    inherits): each [Rina_exp.Par] worker owns a private registry —
-    {!current}/{!set_current} are domain-local — and {!merge_into} is
-    exact bucket-wise addition, associative and commutative, applied in
-    input order by [Par.map_telemetry].  A merged registry is therefore
-    byte-identical ({!to_jsonl}) between a sequential and a
-    multi-domain run of the same trials.
+    {b Merge contract}: each [Rina_exp.Par] worker owns a private
+    registry — {!current}/{!set_current} are domain-local — and
+    {!merge_into} is exact bucket-wise addition, associative and
+    commutative, applied in input order by [Par.map_telemetry].  A
+    merged registry is therefore byte-identical ({!to_jsonl}) between a
+    sequential and a multi-domain run of the same trials.
 
     Latency is tracked for head-sampled spans only (see
     {!set_latency_ppm}); because sampling is span-uniform the sampled

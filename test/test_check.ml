@@ -84,8 +84,7 @@ let test_l005_bad_value () =
   silent "L005" "[efcp]\nwindow = 4\nrtx = gbn\ninit_rto = 1.5\n"
 
 (* The bounds the key table declares beyond a bare type are L005s too:
-   trace_sample_rate in (0, 1], mark_probability in [0, 1],
-   mailbox_capacity at least 2. *)
+   trace_sample_rate in (0, 1], mark_probability in [0, 1]. *)
 let test_l005_table_bounds () =
   List.iter (fires "L005")
     [
@@ -94,7 +93,6 @@ let test_l005_table_bounds () =
       "[telemetry]\ntrace_sample_rate = -0.1\n";
       "[congestion]\nmark_probability = 1.5\n";
       "[congestion]\nmark_probability = -0.5\n";
-      "[shard]\nmailbox_capacity = 1\n";
     ];
   List.iter (silent "L005")
     [
@@ -102,7 +100,6 @@ let test_l005_table_bounds () =
       "[telemetry]\ntrace_sample_rate = 1.0\n";
       "[congestion]\nmark_probability = 0\n";
       "[congestion]\nmark_probability = 1\n";
-      "[shard]\nmailbox_capacity = 2\n";
     ];
   (* L117 is retired: its whole check is this bound *)
   silent "L117" "[telemetry]\ntrace_sample_rate = 0\n"
@@ -268,25 +265,6 @@ let test_l120_congestion_signal_unwired () =
   Alcotest.(check bool) "L120 is a warning" true
     (severity_of "L120" "[congestion]\npushback = on\n" = Diag.Warning)
 
-let test_l121_shard_spec_unusable () =
-  (* a mailbox bound below the ring minimum is a bound of the key: L005 *)
-  fires "L005" "[shard]\nshards = 4\nmailbox_capacity = 1\n";
-  silent "L121" "[shard]\nshards = 4\nmailbox_capacity = 1\n";
-  (* shards requested but the partition buys no time *)
-  let no_la = { Lint.diameter = 2; bottleneck_bit_rate = 1e7; rtt = 0.01; lookahead = None } in
-  let zero_la = { no_la with Lint.lookahead = Some 0. } in
-  let good_la = { no_la with Lint.lookahead = Some 0.002 } in
-  fires ~topo:no_la "L121" "[shard]\nshards = 4\n";
-  fires ~topo:zero_la "L121" "[shard]\nshards = 2\n";
-  silent ~topo:good_la "L121" "[shard]\nshards = 4\n";
-  (* one shard (or none) is sequential: nothing to complain about *)
-  silent ~topo:no_la "L121" "[shard]\nshards = 1\n";
-  silent ~topo:no_la "L121" "";
-  (* without a topology the lookahead half cannot run *)
-  silent "L121" "[shard]\nshards = 4\n";
-  Alcotest.(check bool) "L121 is an error" true
-    (severity_of ~topo:no_la "L121" "[shard]\nshards = 4\n" = Diag.Error)
-
 let test_l122_multipath_monitor () =
   (* Down fires while the path is still Up: Suspect unreachable *)
   fires "L122" "[multipath]\nsuspect_misses = 4\ndown_misses = 2\n";
@@ -321,7 +299,7 @@ let test_l123_failover_slower_than_routing () =
 (* ---------- topology-aware rules ---------- *)
 
 let topo =
-  { Lint.diameter = 5; bottleneck_bit_rate = 1e8; rtt = 0.1; lookahead = Some 0.002 }
+  { Lint.diameter = 5; bottleneck_bit_rate = 1e8; rtt = 0.1 }
 
 let test_l201_ttl_vs_diameter () =
   fires ~topo "L201" "[dif]\nmax_ttl = 3\n";
@@ -432,11 +410,6 @@ let random_policy rng =
         pushback = Prng.bool rng;
         admission_max_pending = Prng.int rng 1000;
         admission_backoff = milli rng 10 2000;
-      };
-    shard =
-      {
-        Policy.shards = Prng.int rng 9;
-        mailbox_capacity = 2 + Prng.int rng 100_000;
       };
     multipath =
       (let mode rng = if Prng.bool rng then Policy.Primary_backup else Policy.Weighted_rr in
@@ -723,8 +696,6 @@ let () =
             test_l119_congestion_config;
           Alcotest.test_case "L120 unwired congestion signal" `Quick
             test_l120_congestion_signal_unwired;
-          Alcotest.test_case "L121 unusable shard spec" `Quick
-            test_l121_shard_spec_unusable;
           Alcotest.test_case "L122 multipath monitor" `Quick
             test_l122_multipath_monitor;
           Alcotest.test_case "L123 failover vs dead-peer" `Quick

@@ -66,23 +66,23 @@ let test_pdu_decode_garbage () =
   | Ok _ -> Alcotest.fail "accepted bad version"
   | Error _ -> ()
 
+let pdu_gen =
+  QCheck.Gen.(
+    map
+      (fun (ty, (d, s, dc, sc), (q, sq, a, w), payload) ->
+        Pdu.make
+          ~pdu_type:(match ty with 0 -> Pdu.Dtp | 1 -> Pdu.Ack | 2 -> Pdu.Mgmt | _ -> Pdu.Hello)
+          ~dst_addr:d ~src_addr:s ~dst_cep:dc ~src_cep:sc ~qos_id:q ~seq:sq ~ack:a
+          ~window:w
+          (Bytes.of_string payload))
+      (tup4 (int_range 0 3)
+         (tup4 (int_range 0 100000) (int_range 0 100000) (int_range 0 9999) (int_range 0 9999))
+         (tup4 (int_range 0 65535) (int_range 0 1000000) (int_range 0 1000000) (int_range 0 65535))
+         (string_size (int_range 0 200))))
+
 let prop_pdu_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      map
-        (fun (ty, (d, s, dc, sc), (q, sq, a, w), payload) ->
-          Pdu.make
-            ~pdu_type:(match ty with 0 -> Pdu.Dtp | 1 -> Pdu.Ack | 2 -> Pdu.Mgmt | _ -> Pdu.Hello)
-            ~dst_addr:d ~src_addr:s ~dst_cep:dc ~src_cep:sc ~qos_id:q ~seq:sq ~ack:a
-            ~window:w
-            (Bytes.of_string payload))
-        (tup4 (int_range 0 3)
-           (tup4 (int_range 0 100000) (int_range 0 100000) (int_range 0 9999) (int_range 0 9999))
-           (tup4 (int_range 0 65535) (int_range 0 1000000) (int_range 0 1000000) (int_range 0 65535))
-           (string_size (int_range 0 200))))
-  in
   QCheck.Test.make ~name:"pdu encode/decode roundtrip" ~count:300
-    (QCheck.make gen)
+    (QCheck.make pdu_gen)
     (fun p -> match Pdu.decode (Pdu.encode p) with Ok q -> p = q | Error _ -> false)
 
 (* ---------- Sdu_protection ---------- *)
@@ -227,19 +227,20 @@ let test_rib_subscriptions () =
   check Alcotest.(list string) "events in order" [ "C/dir/x"; "U/dir/x"; "D/dir/x" ]
     (List.rev !events)
 
+let rib_value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Rib.V_str s) string;
+        map (fun i -> Rib.V_int i) int;
+        map (fun f -> Rib.V_float f) (float_bound_inclusive 1e9);
+        map (fun b -> Rib.V_bool b) bool;
+        map (fun s -> Rib.V_bytes (Bytes.of_string s)) string;
+      ])
+
 let prop_rib_value_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      oneof
-        [
-          map (fun s -> Rib.V_str s) string;
-          map (fun i -> Rib.V_int i) int;
-          map (fun f -> Rib.V_float f) (float_bound_inclusive 1e9);
-          map (fun b -> Rib.V_bool b) bool;
-          map (fun s -> Rib.V_bytes (Bytes.of_string s)) string;
-        ])
-  in
-  QCheck.Test.make ~name:"rib value codec roundtrip" ~count:300 (QCheck.make gen)
+  QCheck.Test.make ~name:"rib value codec roundtrip" ~count:300
+    (QCheck.make rib_value_gen)
     (fun v ->
       let w = Rina_util.Codec.Writer.create () in
       Rib.encode_value w v;
@@ -248,6 +249,13 @@ let prop_rib_value_roundtrip =
       Rib.value_equal v out)
 
 (* ---------- Riep ---------- *)
+
+let riep_opcodes =
+  Riep.
+    [
+      M_connect; M_connect_r; M_release; M_create; M_create_r; M_delete; M_delete_r;
+      M_read; M_read_r; M_write; M_start; M_stop;
+    ]
 
 let test_riep_roundtrip_all_opcodes () =
   List.iter
@@ -259,11 +267,7 @@ let test_riep_roundtrip_all_opcodes () =
       match Riep.decode (Riep.encode m) with
       | Ok m' -> Alcotest.(check bool) "roundtrip" true (m = m')
       | Error e -> Alcotest.fail e)
-    Riep.
-      [
-        M_connect; M_connect_r; M_release; M_create; M_create_r; M_delete; M_delete_r;
-        M_read; M_read_r; M_write; M_start; M_stop;
-      ]
+    riep_opcodes
 
 let test_riep_response_mapping () =
   Alcotest.(check bool) "create->create_r" true
@@ -639,6 +643,61 @@ let test_shim_tag_filtering () =
   Alcotest.(check bool) "tags differ" true
     (Shim.tag_of_dif "net-1" <> Shim.tag_of_dif "net-2")
 
+(* ---------- wire decoders ---------- *)
+
+(* Frames arrive off (N-1) channels that may corrupt, cut short or
+   forge them, so every wire decoder must be total: arbitrary bytes,
+   and valid encodings with 1-4 bytes overwritten or cut short, give
+   [Ok] or [Error] — never an exception.  [decode_sub] and
+   [decode_header] are tried at every [len] up to the buffer length. *)
+let prop_wire_decoders_total =
+  let open QCheck.Gen in
+  let mangle base =
+    let n = Bytes.length base in
+    let* edits = list_size (int_range 1 4) (pair (int_bound (max 0 (n - 1))) char) in
+    let* keep = frequency [ (3, return n); (1, int_bound n) ] in
+    let b = Bytes.copy base in
+    List.iter (fun (i, c) -> if i < n then Bytes.set b i c) edits;
+    return (Bytes.sub b 0 keep)
+  in
+  let riep_gen =
+    map
+      (fun (opcode, (obj_class, obj_name), obj_value, (invoke_id, result, version, origin)) ->
+        Riep.make ~opcode ~obj_class ~obj_name ?obj_value ~invoke_id ~result ~version
+          ~origin ())
+      (quad (oneofl riep_opcodes) (pair small_string small_string) (opt rib_value_gen)
+         (quad (int_bound 100_000) (int_bound 65535) (int_bound 1000) (int_bound 1000)))
+  in
+  let lsa_gen =
+    map
+      (fun (origin, seq, neighbors) -> lsa origin seq neighbors)
+      (triple (int_bound 100_000) (int_bound 100_000)
+         (list_size (int_bound 6) (pair (int_bound 100_000) (float_bound_inclusive 100.))))
+  in
+  let input =
+    oneof
+      [
+        map Bytes.of_string (string_size ~gen:char (int_bound 80));
+        pdu_gen >>= (fun p -> mangle (Pdu.encode p));
+        riep_gen >>= (fun m -> mangle (Riep.encode m));
+        lsa_gen >>= (fun l -> mangle (Routing.Lsa.encode l));
+      ]
+  in
+  let total decode b =
+    match decode b with Ok _ | Error _ -> true | exception _ -> false
+  in
+  let total_at_every_len decode b =
+    let rec go len = len > Bytes.length b || (total (decode ~len) b && go (len + 1)) in
+    go 0
+  in
+  QCheck.Test.make ~count:2000 ~name:"wire decoders never raise"
+    (QCheck.make ~print:(fun b -> Printf.sprintf "%S" (Bytes.to_string b)) input)
+    (fun b ->
+      total_at_every_len (fun ~len b -> Pdu.decode_sub b ~len) b
+      && total_at_every_len (fun ~len b -> Pdu.decode_header b ~len) b
+      && total Riep.decode b
+      && total Routing.Lsa.decode b)
+
 let () =
   Alcotest.run "rina_core"
     [
@@ -705,4 +764,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_spf_paths_loop_free;
         ] );
       ("shim", [ Alcotest.test_case "tag filtering" `Quick test_shim_tag_filtering ]);
+      ("decoders", [ QCheck_alcotest.to_alcotest prop_wire_decoders_total ]);
     ]

@@ -264,62 +264,6 @@ let test_sampled_telemetry_par_deterministic () =
     true
     (tallied > kept)
 
-(* ---------- sharded engine: byte-identity under domains + races ---------- *)
-
-module Obs = Rina_exp.Obs
-module Sharded = Rina_sim.Sharded
-module Qos = Rina_core.Qos
-module Race = Rina_util.Race
-
-(* One full sharded trial — enrollment and routing convergence over
-   the shard seam, a flow across it, half a second of CBR — returning
-   every observable artifact.  The 20 ms link delay keeps the
-   conservative lookahead window wide (few epochs), so the race-armed
-   variant stays fast. *)
-let sharded_trial ~domains =
-  let net = Topo.sharded_line ~seed:23 ~n:4 ~shards:2 ~delay:0.02 () in
-  let obs = Obs.start_sharded net.Topo.sh in
-  let converged = Topo.sharded_converged ~max_time:60. ~domains net in
-  let sink = Workload.sink () in
-  let flow_ok =
-    match
-      Scenario.open_flow_sharded net ~domains ~src:0 ~dst:3
-        ~qos_id:Qos.reliable.Qos.id ~sink ()
-    with
-    | Ok (flow, _) ->
-      let e0 = Sharded.engine net.Topo.sh 0 in
-      Workload.cbr e0 ~send:flow.Ipcp.send ~rate:100_000. ~size:400
-        ~until:(Engine.now e0 +. 0.5) ();
-      Topo.sharded_wait ~domains net 1.0;
-      true
-    | Error _ -> false
-  in
-  let ev = Obs.sharded_events_jsonl obs in
-  let st = Obs.sharded_stats_jsonl obs in
-  Obs.stop_sharded obs;
-  (converged, flow_ok, sink.Workload.count, ev, st)
-
-let test_sharded_identical_and_race_free () =
-  let c1, f1, n1, e1, s1 = sharded_trial ~domains:1 in
-  Alcotest.(check bool) "sequential run converges" true c1;
-  Alcotest.(check bool) "flow opens over the shard seam" true f1;
-  Alcotest.(check bool) "sink saw traffic" true (n1 > 0);
-  Race.arm ();
-  let c2, f2, n2, e2, s2 = sharded_trial ~domains:2 in
-  let races = Race.races () in
-  Race.disarm ();
-  List.iter
-    (fun r -> Printf.eprintf "RACE at %s\n" r.Race.site)
-    races;
-  Alcotest.(check int) "zero data races" 0 (List.length races);
-  Alcotest.(check bool) "parallel run converges" true c2;
-  Alcotest.(check bool) "parallel flow opens" true f2;
-  Alcotest.(check int) "same sdu count" n1 n2;
-  Alcotest.(check bool) "flight trace byte-identical (1 vs 2 domains)" true
-    (String.equal e1 e2);
-  Alcotest.(check bool) "telemetry byte-identical (1 vs 2 domains)" true
-    (String.equal s1 s2)
-
 let () =
   Alcotest.run "rina_exp"
     [
@@ -352,10 +296,5 @@ let () =
             test_par_identical_to_sequential;
           Alcotest.test_case "sampled traces + merged telemetry deterministic"
             `Quick test_sampled_telemetry_par_deterministic;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "byte-identical across domains, race-free" `Quick
-            test_sharded_identical_and_race_free;
         ] );
     ]

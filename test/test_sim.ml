@@ -1121,6 +1121,14 @@ let prop_mangled_exactly_once_and_replayable =
 
 module Policy = Rina_core.Policy
 
+(* The multipath monitor armed with a fast probe cadence. *)
+let mp_policy =
+  {
+    Policy.default with
+    Policy.multipath =
+      { Policy.default_multipath with Policy.probe_interval = 0.05; reprobe_backoff = 0.1 };
+  }
+
 (* Two members joined by two parallel links (a dual-homed adjacency),
    multipath monitor armed.  Mid-transfer one link loses carrier: the
    stranded PDUs must be re-striped onto the survivor within a probe
@@ -1129,18 +1137,7 @@ module Policy = Rina_core.Policy
 let test_multipath_failover_and_recovery () =
   let e = Engine.create () in
   let rng = Prng.create 42 in
-  let policy =
-    {
-      Rina_core.Policy.default with
-      Policy.multipath =
-        {
-          Policy.default_multipath with
-          Policy.probe_interval = 0.05;
-          reprobe_backoff = 0.1;
-        };
-    }
-  in
-  let dif = Dif.create e ~policy "mp" in
+  let dif = Dif.create e ~policy:mp_policy "mp" in
   let a = Dif.add_member dif ~name:"a" () in
   let b = Dif.add_member dif ~name:"b" () in
   let l1 = Link.create e rng ~bit_rate:10_000_000. ~delay:0.001 ~label:"p1" () in
@@ -1202,192 +1199,49 @@ let test_multipath_failover_and_recovery () =
     (Rina_util.Metrics.get (Ipcp.rmt_metrics a) "sent_port1" > 0
     && Rina_util.Metrics.get (Ipcp.rmt_metrics a) "sent_port2" > 0)
 
-(* ---------- sharded engine: cross-shard delivery order ---------- *)
+(* ---------- multipath: random fault window ---------- *)
 
-module Sharded = Rina_sim.Sharded
-
-(* A fleet of [shards] engines linked in a full mesh of cross-shard
-   channels.  Each shard fires a Prng-drawn schedule of sends towards
-   random peers; every frame carries (source shard, per-pair counter),
-   numbered inside the engine events so the numbering follows
-   execution order on the source shard.  Returns, per destination
-   shard, the delivery log [(arrival time, source shard, counter)] in
-   execution order.
-
-   [chunks] splits the run into that many [run ~until] increments and
-   [domains] picks the worker count — by the determinism contract,
-   neither may change a single recorded entry. *)
-let run_cross_traffic ~seed ~shards ~chunks ~domains =
-  let lookahead = 0.01 in
-  let horizon = 1.0 in
-  let t = Sharded.create ~shards ~lookahead () in
+(* A dual-homed segment (a ==2 links== r) feeding one more hop r -> b,
+   all in one DIF on one engine.  A seeded fault window downs one
+   member link mid-transfer and revives it.  The reliable flow must
+   deliver exactly-once in order, and two runs of the same seed must
+   return the same delivery log — arrival time and payload: the
+   failover machinery (probe timers, WRR striping, re-striping of
+   stranded PDUs) sits inside the determinism contract. *)
+let run_failover_trial ~seed ~kill_at ~kill_for =
+  let e = Engine.create () in
   let rng = Prng.create seed in
-  let send = Hashtbl.create 16 in
-  let logs = Array.init shards (fun _ -> ref []) in
-  (* an endpoint on shard [on_shard] receives the reverse direction *)
-  let attach on_shard (chan : Chan.t) =
-    chan.Chan.set_receiver (fun frame ->
-        let src = Char.code (Bytes.get frame 0) in
-        let k = Int32.to_int (Bytes.get_int32_be frame 1) in
-        logs.(on_shard) :=
-          (Engine.now (Sharded.engine t on_shard), src, k)
-          :: !(logs.(on_shard)))
+  let dif = Dif.create e ~policy:mp_policy "mpf" in
+  let a = Dif.add_member dif ~name:"a" () in
+  let r = Dif.add_member dif ~name:"r" () in
+  let b = Dif.add_member dif ~name:"b" () in
+  let l1 = Link.create e rng ~bit_rate:10_000_000. ~delay:0.001 ~label:"m1" () in
+  let l2 = Link.create e rng ~bit_rate:10_000_000. ~delay:0.001 ~label:"m2" () in
+  let x = Link.create e rng ~bit_rate:10_000_000. ~delay:0.005 ~label:"x" () in
+  Dif.connect dif a r (Link.endpoint_a l1, Link.endpoint_b l1);
+  Dif.connect dif a r (Link.endpoint_a l2, Link.endpoint_b l2);
+  Dif.connect dif r b (Link.endpoint_a x, Link.endpoint_b x);
+  Dif.run_until_converged dif ();
+  let converged =
+    List.for_all
+      (fun ip -> Ipcp.is_enrolled ip && Ipcp.lsdb_size ip >= 3)
+      [ a; r; b ]
   in
-  for a = 0 to shards - 1 do
-    for b = a + 1 to shards - 1 do
-      let delay = lookahead *. (1. +. Prng.uniform_in rng 0. 3.) in
-      let ab, ba =
-        Sharded.cross_link t ~queue_capacity:4096 ~src:a ~dst:b
-          ~bit_rate:1e9 ~delay ()
-      in
-      Hashtbl.replace send (a, b) ab.Chan.send;
-      Hashtbl.replace send (b, a) ba.Chan.send;
-      attach a ab;
-      attach b ba
-    done
-  done;
-  let counters = Hashtbl.create 16 in
-  for src = 0 to shards - 1 do
-    let e = Sharded.engine t src in
-    let n_sends = 20 + Prng.int rng 60 in
-    for _ = 1 to n_sends do
-      let at = Prng.uniform_in rng 0.001 (0.9 *. horizon) in
-      let dst = (src + 1 + Prng.int rng (shards - 1)) mod shards in
-      let f : bytes -> unit = Hashtbl.find send (src, dst) in
-      ignore
-        (Engine.schedule_at e ~time:at (fun () ->
-             let key = (src, dst) in
-             let r =
-               match Hashtbl.find_opt counters key with
-               | Some r -> r
-               | None ->
-                 let r = ref (-1) in
-                 Hashtbl.replace counters key r;
-                 r
-             in
-             incr r;
-             let frame = Bytes.create 5 in
-             Bytes.set frame 0 (Char.chr src);
-             Bytes.set_int32_be frame 1 (Int32.of_int !r);
-             f frame))
-    done
-  done;
-  let step = horizon /. float_of_int chunks in
-  for c = 1 to chunks do
-    Sharded.run ~domains t ~until:(step *. float_of_int c)
-  done;
-  Array.map (fun l -> List.rev !l) logs
-
-(* (time, src shard, per-pair seq) is the cross-shard tie-break: every
-   delivery log must be lexicographically sorted by it, and within one
-   source the counters arrive gap-free in send order. *)
-let log_well_ordered log =
-  let rec ordered = function
-    | (t1, s1, k1) :: ((t2, s2, k2) :: _ as rest) ->
-      (t1 < t2 || (t1 = t2 && (s1 < s2 || (s1 = s2 && k1 < k2))))
-      && ordered rest
-    | _ -> true
-  in
-  ordered log
-
-let prop_sharded_delivery_order =
-  QCheck.Test.make
-    ~name:"sharded: (time, shard, seq) delivery order, any interleaving"
-    ~count:8
-    QCheck.(pair (int_range 0 1_000_000) (int_range 2 4))
-    (fun (seed, shards) ->
-      let base = run_cross_traffic ~seed ~shards ~chunks:1 ~domains:1 in
-      let chunked = run_cross_traffic ~seed ~shards ~chunks:7 ~domains:1 in
-      let par =
-        run_cross_traffic ~seed ~shards ~chunks:3 ~domains:(min shards 4)
-      in
-      let per_src_in_order log =
-        let last = Hashtbl.create 8 in
-        List.for_all
-          (fun (_, s, k) ->
-            let prev =
-              match Hashtbl.find_opt last s with Some p -> p | None -> -1
-            in
-            Hashtbl.replace last s k;
-            k = prev + 1)
-          log
-      in
-      Array.for_all log_well_ordered base
-      && Array.for_all per_src_in_order base
-      && Array.exists (fun l -> l <> []) base
-      && base = chunked && base = par)
-
-(* ---------- multipath x sharded: failover determinism ---------- *)
-
-(* A dual-homed segment inside shard 0 (a ==2 links== r) feeding a
-   cross-shard hop r -> b on shard 1 (cross-links are ideal, so the
-   faulted member path must be shard-local).  A seeded fault window
-   downs one member link mid-transfer and revives it.  The reliable
-   flow must deliver exactly-once in order, and the delivery log —
-   arrival time and payload — must be identical whether the fleet runs
-   on one domain or two: the failover machinery (probe timers, WRR
-   striping, re-striping of stranded PDUs) sits inside the determinism
-   contract. *)
-let run_sharded_failover_trial ~seed ~kill_at ~kill_for ~domains =
-  let lookahead = 0.005 in
-  let sh = Sharded.create ~shards:2 ~lookahead () in
-  let e0 = Sharded.engine sh 0 and e1 = Sharded.engine sh 1 in
-  let rng = Prng.create seed in
-  let policy =
-    {
-      Rina_core.Policy.default with
-      Policy.multipath =
-        {
-          Policy.default_multipath with
-          Policy.probe_interval = 0.05;
-          reprobe_backoff = 0.1;
-        };
-    }
-  in
-  let d0 = Dif.create e0 ~policy "mpsh" in
-  let d1 = Dif.create e1 ~policy "mpsh" in
-  let a = Dif.add_member d0 ~bootstrap:true ~name:"a" () in
-  let r = Dif.add_member d0 ~bootstrap:false ~name:"r" () in
-  let b = Dif.add_member d1 ~bootstrap:false ~name:"b" () in
-  let l1 = Link.create e0 rng ~bit_rate:10_000_000. ~delay:0.001 ~label:"m1" () in
-  let l2 = Link.create e0 rng ~bit_rate:10_000_000. ~delay:0.001 ~label:"m2" () in
-  Dif.connect d0 a r (Link.endpoint_a l1, Link.endpoint_b l1);
-  Dif.connect d0 a r (Link.endpoint_a l2, Link.endpoint_b l2);
-  let er, eb =
-    Sharded.cross_link sh ~src:0 ~dst:1 ~bit_rate:10_000_000. ~delay:lookahead
-      ~label:"x" ()
-  in
-  ignore (Ipcp.bind_port r er);
-  ignore (Ipcp.bind_port b eb);
-  let hello = policy.Rina_core.Policy.routing.Rina_core.Policy.hello_interval in
-  let converged () =
-    Ipcp.is_enrolled a && Ipcp.is_enrolled r && Ipcp.is_enrolled b
-    && Ipcp.lsdb_size a >= 3
-    && Ipcp.lsdb_size r >= 3
-    && Ipcp.lsdb_size b >= 3
-  in
-  let t = ref 0. in
-  while (not (converged ())) && !t < 120. do
-    t := !t +. hello;
-    Sharded.run ~domains sh ~until:!t
-  done;
-  Sharded.run ~domains sh ~until:(!t +. (2. *. hello));
   let log = ref [] in
   let alloc_failed = ref false in
   Ipcp.register_app b (Types.apn "sink") ~on_flow:(fun fl ->
       fl.Ipcp.set_on_receive (fun sdu ->
-          log :=
-            (Engine.now e1, Int32.to_int (Bytes.get_int32_be sdu 0)) :: !log));
+          log := (Engine.now e, Int32.to_int (Bytes.get_int32_be sdu 0)) :: !log));
   let n = 40 in
-  let base = Sharded.granted sh in
+  let base = Engine.now e in
   Ipcp.allocate_flow a ~src:(Types.apn "src") ~dst:(Types.apn "sink") ~qos_id:1
     ~on_result:(fun res ->
       match res with
       | Ok fl ->
-        let t0 = Engine.now e0 in
+        let t0 = Engine.now e in
         for i = 0 to n - 1 do
           ignore
-            (Engine.schedule_at e0
+            (Engine.schedule_at e
                ~time:(t0 +. (0.01 *. float_of_int i))
                (fun () ->
                  let sdu = Bytes.make 32 's' in
@@ -1396,46 +1250,25 @@ let run_sharded_failover_trial ~seed ~kill_at ~kill_for ~domains =
         done
       | Error _ -> alloc_failed := true);
   ignore
-    (Engine.schedule_at e0 ~time:(base +. kill_at) (fun () ->
-         Link.set_up l1 false));
+    (Engine.schedule_at e ~time:(base +. kill_at) (fun () -> Link.set_up l1 false));
   ignore
-    (Engine.schedule_at e0
+    (Engine.schedule_at e
        ~time:(base +. kill_at +. kill_for)
        (fun () -> Link.set_up l1 true));
-  Sharded.run ~domains sh ~until:(base +. 15.);
-  (List.rev !log, converged () && not !alloc_failed)
+  Engine.run ~until:(base +. 15.) e;
+  (List.rev !log, converged && not !alloc_failed)
 
-let prop_multipath_sharded_failover =
+let prop_multipath_failover =
   QCheck.Test.make
-    ~name:"multipath: random fault window, exactly-once, 1-vs-2 domain replay"
+    ~name:"multipath: random fault window, exactly-once, same-seed replay"
     ~count:6
     QCheck.(triple (int_range 0 100_000) (int_range 0 20) (int_range 1 25))
     (fun (seed, kill_slot, dur_slot) ->
       let kill_at = 0.02 +. (0.01 *. float_of_int kill_slot) in
       let kill_for = 0.02 *. float_of_int dur_slot in
-      let log1, ok1 =
-        run_sharded_failover_trial ~seed ~kill_at ~kill_for ~domains:1
-      in
-      let log2, ok2 =
-        run_sharded_failover_trial ~seed ~kill_at ~kill_for ~domains:2
-      in
-      ok1 && ok2
-      && List.map snd log1 = List.init 40 Fun.id
-      && log1 = log2)
-
-let test_sharded_build_validation () =
-  Alcotest.check_raises "shards < 1"
-    (Invalid_argument "Sharded.create: need at least one shard") (fun () ->
-      ignore (Sharded.create ~shards:0 ~lookahead:0.01 ()));
-  let t = Sharded.create ~shards:2 ~lookahead:0.01 () in
-  (match
-     Sharded.cross_link t ~src:0 ~dst:1 ~bit_rate:1e9 ~delay:0.001 ()
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "delay below the lookahead accepted");
-  match Sharded.cross_link t ~src:1 ~dst:1 ~bit_rate:1e9 ~delay:0.02 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "self-link accepted"
+      let log1, ok1 = run_failover_trial ~seed ~kill_at ~kill_for in
+      let log2, ok2 = run_failover_trial ~seed ~kill_at ~kill_for in
+      ok1 && ok2 && List.map snd log1 = List.init 40 Fun.id && log1 = log2)
 
 let () =
   Alcotest.run "rina_sim"
@@ -1526,12 +1359,6 @@ let () =
         [
           Alcotest.test_case "dual-homed failover + recovery" `Quick
             test_multipath_failover_and_recovery;
-          QCheck_alcotest.to_alcotest prop_multipath_sharded_failover;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "build validation" `Quick
-            test_sharded_build_validation;
-          QCheck_alcotest.to_alcotest prop_sharded_delivery_order;
+          QCheck_alcotest.to_alcotest prop_multipath_failover;
         ] );
     ]

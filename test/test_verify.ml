@@ -2,9 +2,9 @@
 
    Fixtures plant one defect each and assert the exact V-code fires;
    QCheck properties generate random recursive stacks — clean ones
-   must verify silent, and four planted defect classes (unreachable
-   name, address collision, enrollment cycle, zero-delay cross-shard
-   edge) must always be flagged.  The domain-race sanitizer is tested
+   must verify silent, and three planted defect classes (unreachable
+   name, address collision, enrollment cycle) must always be
+   flagged.  The domain-race sanitizer is tested
    both ways: an injected unsynchronized cross-domain write is caught,
    and the annotated Par sweep runs clean and byte-identical. *)
 
@@ -37,7 +37,7 @@ let stacked lower via_a via_b a b =
 let dif ?(policy = Policy.default) name members adjs =
   { Verify.d_name = name; d_policy = policy; d_members = members; d_adjacencies = adjs }
 
-let model ?(intents = []) ?shards difs = { Verify.difs; intents; shards }
+let model ?(intents = []) difs = { Verify.difs; intents }
 
 let intent d src app = { Verify.it_dif = d; it_src = src; it_dst_app = app }
 
@@ -208,32 +208,6 @@ let test_enrollment_cycle () =
   check Alcotest.int "one cycle report" 1
     (List.length (List.filter (String.equal "V301") (codes_of m)))
 
-let test_shards () =
-  let line =
-    dif "d"
-      [ mem ~addr:1 "a"; mem ~addr:2 "b"; mem ~addr:3 "c" ]
-      [ direct "a" "b"; direct ~delay:0. "b" "c" ]
-  in
-  let spec shard_of = { Verify.shard_count = 2; shard_of } in
-  flags "V401" (model ~shards:(spec [ ("d", "ghost", 0) ]) [ line ]);
-  flags "V402"
-    (model ~shards:(spec [ ("d", "a", 0); ("d", "b", 0) ]) [ line ]);
-  flags "V403"
-    (model ~shards:(spec [ ("d", "a", 0); ("d", "b", 0); ("d", "c", 7) ]) [ line ]);
-  flags "V405"
-    (model ~shards:(spec [ ("d", "a", 0); ("d", "b", 0); ("d", "c", 0) ]) [ line ]);
-  (* zero-delay edge b--c crosses the cut *)
-  let bad = model ~shards:(spec [ ("d", "a", 0); ("d", "b", 0); ("d", "c", 1) ]) [ line ] in
-  flags "V404" bad;
-  (* the positive-delay cut is fine, and reports its lookahead *)
-  let good = model ~shards:(spec [ ("d", "a", 0); ("d", "b", 1); ("d", "c", 1) ]) [ line ] in
-  let r = Verify.verify good in
-  check (Alcotest.list Alcotest.string) "good cut clean" []
-    (List.map (fun d -> d.Diag.code) r.diags);
-  check Alcotest.int "one cross edge" 1 r.summary.cross_shard_edges;
-  check (Alcotest.float 1e-9) "lookahead = the cut edge delay" 0.002
-    (match r.summary.lookahead with Some l -> l | None -> nan)
-
 let test_effective_delay () =
   (* stacked delay = shortest path through the lower DIF *)
   let lower =
@@ -273,15 +247,11 @@ let test_lint_topo () =
 
 let test_model_of_net () =
   let net = Topo.line ~n:4 () in
-  let m = Topo.model_of_net ~shards:2 net in
+  let m = Topo.model_of_net net in
   let r = Verify.verify m in
   check (Alcotest.list Alcotest.string) "live line model verifies silent" []
     (List.map (fun d -> d.Diag.code) r.diags);
-  check Alcotest.int "members extracted" 4 r.summary.n_members;
-  check Alcotest.int "one cross-shard edge on a split line" 1
-    r.summary.cross_shard_edges;
-  check Alcotest.bool "positive lookahead" true
-    (match r.summary.lookahead with Some l -> l > 0. | None -> false)
+  check Alcotest.int "members extracted" 4 r.summary.n_members
 
 (* ---------- QCheck: random recursive stacks ---------- *)
 
@@ -347,7 +317,7 @@ let plant defect (m : Verify.model) =
         m.difs
     in
     let src = (List.hd top.Verify.d_members).Verify.m_name in
-    ( { m with difs; intents = intent top.Verify.d_name src "lost" :: m.intents },
+    ( { Verify.difs; intents = intent top.Verify.d_name src "lost" :: m.intents },
       [ "V102"; "V104" ] )
   | `Collision ->
     let difs =
@@ -385,38 +355,14 @@ let plant defect (m : Verify.model) =
         m.difs
     in
     ({ m with difs }, [ (if List.length m.difs = 1 then "V211" else "V301") ])
-  | `Zero_delay_cut ->
-    (* zero-delay edge appended to L0, then a shard cut right across it *)
-    let difs =
-      List.map
-        (fun d ->
-          if d.Verify.d_name = "L0" then
-            let a = (List.hd d.Verify.d_members).Verify.m_name in
-            let b = (List.nth d.Verify.d_members 1).Verify.m_name in
-            { d with Verify.d_adjacencies = direct ~delay:0. a b :: d.d_adjacencies }
-          else d)
-        m.difs
-    in
-    let shard_of =
-      List.concat_map
-        (fun d ->
-          List.mapi
-            (fun i mem ->
-              let cut = d.Verify.d_name = "L0" && i = 0 in
-              (d.Verify.d_name, mem.Verify.m_name, if cut then 0 else 1))
-            d.Verify.d_members)
-        difs
-    in
-    ({ m with difs; shards = Some { Verify.shard_count = 2; shard_of } }, [ "V404" ])
 
 let defect_gen =
   QCheck.oneofl
     ~print:(function
       | `Unreachable -> "unreachable"
       | `Collision -> "collision"
-      | `Cycle -> "cycle"
-      | `Zero_delay_cut -> "zero-delay-cut")
-    [ `Unreachable; `Collision; `Cycle; `Zero_delay_cut ]
+      | `Cycle -> "cycle")
+    [ `Unreachable; `Collision; `Cycle ]
 
 let prop_planted_defect_flagged =
   QCheck.Test.make ~name:"planted defects are always flagged" ~count:150
@@ -494,8 +440,7 @@ let test_rule_tables () =
       check Alcotest.bool (c ^ " documented") true (List.mem c documented))
     [ "V001"; "V002"; "V003"; "V004"; "V101"; "V102"; "V103"; "V104"; "V110";
       "V201"; "V202"; "V203"; "V210"; "V211"; "V220"; "V221"; "V222"; "V230";
-      "V301";
-      "V401"; "V402"; "V403"; "V404"; "V405" ];
+      "V301" ];
   List.iter
     (fun c ->
       check Alcotest.bool (c ^ " documented") true
@@ -515,7 +460,6 @@ let () =
           Alcotest.test_case "multihomed in name only" `Quick
             test_multihomed_in_name_only;
           Alcotest.test_case "enrollment cycle" `Quick test_enrollment_cycle;
-          Alcotest.test_case "shard safety" `Quick test_shards;
           Alcotest.test_case "effective delay" `Quick test_effective_delay;
         ] );
       ( "registry",
