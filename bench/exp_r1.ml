@@ -23,10 +23,11 @@
    The flight recorder runs throughout.  Per-fault blackout windows
    (Rina_check.Trace_report.blackouts) and delivery-gap percentiles
    are computed from the trace and written to
-   BENCH_chaos_recovery.json; the CI chaos smoke job fails the build
-   on any "recovered": false (a fault from which delivery never
-   resumed).  Everything is seeded and runs in virtual time, so the
-   JSON is bit-identical across runs. *)
+   BENCH_chaos_recovery.json.  With RINA_BENCH_CHECK=1 the run fails
+   if any fault, in either stack, never recovers (delivery never
+   resumed); CI also greps the artifact for "recovered": false.
+   Everything is seeded and runs in virtual time, so the JSON is
+   bit-identical across runs. *)
 
 module Engine = Rina_sim.Engine
 module Link = Rina_sim.Link
@@ -34,6 +35,7 @@ module Loss = Rina_sim.Loss
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
 module Flight = Rina_util.Flight
+module Json = Rina_util.Json
 module Stats = Rina_util.Stats
 module Table = Rina_util.Table
 module Ipcp = Rina_core.Ipcp
@@ -273,51 +275,13 @@ let run_ip () =
 
 (* ---------- reporting ---------- *)
 
-let blackout_of outcome label =
-  match
-    List.find_opt (fun (l, _, _) -> String.equal l label) outcome.blackouts
-  with
-  | Some (_, _, gap) -> gap
-  | None -> None
-
-let json_stack buf name outcome =
-  let p q = 1000. *. Stats.percentile outcome.gaps q in
-  Buffer.add_string buf (Printf.sprintf "  %S: {\n" name);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"delivered\": %d,\n" outcome.delivered);
-  Buffer.add_string buf "    \"faults\": [\n";
-  let n = List.length schedule in
-  List.iteri
-    (fun i (label, at, until) ->
-      let blackout, recovered =
-        match blackout_of outcome label with
-        | Some g -> (Printf.sprintf "%.6f" g, true)
-        | None -> ("null", false)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"label\": %S, \"at_s\": %.1f, \"until_s\": %.1f, \
-            \"blackout_s\": %s, \"recovered\": %b}%s\n"
-           label at until blackout recovered
-           (if i = n - 1 then "" else ",")))
-    schedule;
-  Buffer.add_string buf "    ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"gap_p50_ms\": %.3f,\n    \"gap_p95_ms\": %.3f,\n    \
-        \"gap_p99_ms\": %.3f,\n    \"gap_max_s\": %.6f\n"
-       (p 50.) (p 95.) (p 99.)
-       (Stats.max_value outcome.gaps))
-
-let write_json rina ip =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  json_stack buf "rina" rina;
-  Buffer.add_string buf "  },\n";
-  json_stack buf "ip" ip;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_chaos_recovery.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf))
+let stack_json o =
+  let ms q = Json.fixed 3 (1000. *. Stats.percentile o.gaps q) in
+  Json.Obj
+    [ ("delivered", Json.int o.delivered);
+      ("faults", Gate.fault_rows schedule o.blackouts);
+      ("gap_p50_ms", ms 50.); ("gap_p95_ms", ms 95.); ("gap_p99_ms", ms 99.);
+      ("gap_max_s", Json.fixed 6 (Stats.max_value o.gaps)) ]
 
 let fmt_blackout = function
   | Some g -> Printf.sprintf "%.2f s" g
@@ -332,14 +296,14 @@ let run () =
       ~columns:[ "fault"; "window"; "RINA blackout"; "TCP/IP blackout" ]
   in
   match run_rina () with
-  | Error e -> Printf.printf "R1: RINA run failed: %s\n" e
+  | Error e -> Gate.abort ("R1: RINA run failed: " ^ e)
   | Ok rina ->
     let ip = run_ip () in
     List.iter
       (fun (label, at, until) ->
         Table.add_rowf table "%s | %.0f..%.0f s | %s | %s" label at until
-          (fmt_blackout (blackout_of rina label))
-          (fmt_blackout (blackout_of ip label)))
+          (fmt_blackout (Gate.blackout rina.blackouts label))
+          (fmt_blackout (Gate.blackout ip.blackouts label)))
       schedule;
     Table.add_rowf table
       "delivery gaps (p50/p99/max) | 0..%.0f s | %.0f ms / %.0f ms / %.1f s \
@@ -352,5 +316,8 @@ let run () =
       (1000. *. Stats.percentile ip.gaps 99.)
       (Stats.max_value ip.gaps);
     Table.print table;
-    write_json rina ip;
-    Printf.printf "wrote BENCH_chaos_recovery.json\n"
+    Gate.write "BENCH_chaos_recovery.json"
+      (Json.Obj [ ("rina", stack_json rina); ("ip", stack_json ip) ]);
+    Gate.check "chaos" "R1: a scheduled fault never recovered"
+      [ ("rina: every fault recovers", Gate.all_recovered schedule rina.blackouts);
+        ("ip: every fault recovers", Gate.all_recovered schedule ip.blackouts) ]

@@ -33,6 +33,7 @@ module Mangle = Rina_sim.Mangle
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
 module Flight = Rina_util.Flight
+module Json = Rina_util.Json
 module Metrics = Rina_util.Metrics
 module Table = Rina_util.Table
 module Ipcp = Rina_core.Ipcp
@@ -183,13 +184,6 @@ type outcome = {
   reconverged : bool;  (** far side learned the mid-partition app *)
   reconvergence_s : float option;  (** heal -> directory entry visible *)
 }
-
-let blackout_of outcome label =
-  match
-    List.find_opt (fun (l, _, _) -> String.equal l label) outcome.blackouts
-  with
-  | Some (_, _, gap) -> gap
-  | None -> None
 
 (* ---------- RINA ---------- *)
 
@@ -343,13 +337,7 @@ let run_ip () =
   let events = Trace.typed_events tr in
   Trace.detach ();
   let blackouts = Report.blackouts ~component:"udp:hostB" events in
-  let partition_gap =
-    match
-      List.find_opt (fun (l, _, _) -> String.equal l "partition-right") blackouts
-    with
-    | Some (_, _, gap) -> gap
-    | None -> None
-  in
+  let partition_gap = Gate.blackout blackouts "partition-right" in
   {
     delivered = sink.base.Workload.count;
     sent = !sent;
@@ -365,60 +353,22 @@ let run_ip () =
 
 (* ---------- reporting ---------- *)
 
-let json_stack buf name o =
-  let opt_f = function
-    | Some v -> Printf.sprintf "%.6f" v
-    | None -> "null"
-  in
+let stack_json o =
   let rtx_overhead =
     if o.data_pdus = 0 then 0.
     else float_of_int o.rtx_pdus /. float_of_int o.data_pdus
   in
-  Buffer.add_string buf (Printf.sprintf "  %S: {\n" name);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"sent\": %d,\n    \"delivered\": %d,\n" o.sent
-       o.delivered);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"dup_deliveries\": %d,\n    \"ooo_deliveries\": %d,\n    \
-        \"corrupt_escaped\": %d,\n"
-       o.dup_deliveries o.ooo_deliveries o.corrupt_escaped);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"rtx_pdus\": %d,\n    \"rtx_overhead\": %.6f,\n" o.rtx_pdus
-       rtx_overhead);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"partition_reconverged\": %b,\n    \"reconvergence_s\": %s,\n"
-       o.reconverged
-       (opt_f o.reconvergence_s));
-  Buffer.add_string buf "    \"faults\": [\n";
-  let n = List.length schedule in
-  List.iteri
-    (fun i (label, at, until) ->
-      let blackout, recovered =
-        match blackout_of o label with
-        | Some g -> (Printf.sprintf "%.6f" g, true)
-        | None -> ("null", false)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"label\": %S, \"at_s\": %.1f, \"until_s\": %.1f, \
-            \"blackout_s\": %s, \"recovered\": %b}%s\n"
-           label at until blackout recovered
-           (if i = n - 1 then "" else ",")))
-    schedule;
-  Buffer.add_string buf "    ]\n"
-
-let write_json rina ip =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  json_stack buf "rina" rina;
-  Buffer.add_string buf "  },\n";
-  json_stack buf "ip" ip;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_adversarial.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf))
+  Json.Obj
+    [ ("sent", Json.int o.sent); ("delivered", Json.int o.delivered);
+      ("dup_deliveries", Json.int o.dup_deliveries);
+      ("ooo_deliveries", Json.int o.ooo_deliveries);
+      ("corrupt_escaped", Json.int o.corrupt_escaped);
+      ("rtx_pdus", Json.int o.rtx_pdus);
+      ("rtx_overhead", Json.fixed 6 rtx_overhead);
+      ("partition_reconverged", Json.Bool o.reconverged);
+      ("reconvergence_s",
+       Option.fold ~none:Json.Null ~some:(Json.fixed 6) o.reconvergence_s);
+      ("faults", Gate.fault_rows schedule o.blackouts) ]
 
 let run () =
   let table =
@@ -429,7 +379,7 @@ let run () =
       ~columns:[ "measure"; "RINA"; "UDP/IP" ]
   in
   match run_rina () with
-  | Error e -> Printf.printf "R2: RINA run failed: %s\n" e
+  | Error e -> Gate.abort ("R2: RINA run failed: " ^ e)
   | Ok rina ->
     let ip = run_ip () in
     Table.add_rowf table "delivered / sent | %d / %d | %d / %d" rina.delivered
@@ -448,30 +398,16 @@ let run () =
       | None -> "-")
       ip.reconverged;
     Table.print table;
-    write_json rina ip;
-    Printf.printf "wrote BENCH_adversarial.json\n";
+    Gate.write "BENCH_adversarial.json"
+      (Json.Obj [ ("rina", stack_json rina); ("ip", stack_json ip) ]);
     (* CI gate (RINA_BENCH_CHECK=1): the hardening claims are hard
        invariants, not tolerances — any duplicate / out-of-order /
        corrupt-escaped RINA delivery, a lost SDU, or a
        non-reconverged RIB fails the build. *)
-    if Sys.getenv_opt "RINA_BENCH_CHECK" <> None then begin
-      let fail = ref false in
-      let claim name ok =
-        Printf.printf "adversarial gate: %-28s %s\n" name
-          (if ok then "ok" else "VIOLATED");
-        if not ok then fail := true
-      in
-      claim "exactly_once (no dups)" (rina.dup_deliveries = 0);
-      claim "in_order (no reordering)" (rina.ooo_deliveries = 0);
-      claim "no corrupt escapes" (rina.corrupt_escaped = 0);
-      claim "complete delivery" (rina.delivered = rina.sent);
-      claim "rib_reconverged" rina.reconverged;
-      claim "all faults recovered"
-        (List.for_all
-           (fun (label, _, _) -> blackout_of rina label <> None)
-           schedule);
-      if !fail then begin
-        Printf.eprintf "R2: adversarial hardening invariant violated\n";
-        exit 1
-      end
-    end
+    Gate.check "adversarial" "R2: adversarial hardening invariant violated"
+      [ ("exactly_once (no dups)", rina.dup_deliveries = 0);
+        ("in_order (no reordering)", rina.ooo_deliveries = 0);
+        ("no corrupt escapes", rina.corrupt_escaped = 0);
+        ("complete delivery", rina.delivered = rina.sent);
+        ("rib_reconverged", rina.reconverged);
+        ("all faults recovered", Gate.all_recovered schedule rina.blackouts) ]

@@ -42,6 +42,7 @@ module Link = Rina_sim.Link
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
 module Flight = Rina_util.Flight
+module Json = Rina_util.Json
 module Metrics = Rina_util.Metrics
 module Stats = Rina_util.Stats
 module Table = Rina_util.Table
@@ -613,113 +614,39 @@ let run_pushback ~pushback () =
 
 (* ---------- reporting ---------- *)
 
-let json_incast buf name o =
-  Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"goodput_bps\": %.0f,\n      \"goodput_ratio\": %.4f,\n" o.ic_goodput
-       o.ic_ratio);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"admitted\": %d,\n      \"completed\": %d,\n"
-       o.ic_admitted o.ic_completed);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"fct_p50_ms\": %.3f,\n      \"fct_p99_ms\": %.3f,\n      \
-        \"fct_max_ms\": %.3f,\n"
-       o.ic_p50 o.ic_p99 o.ic_max);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"ecn_marked\": %d,\n      \"congestion_dropped\": %d,\n      \
-        \"queue_dropped\": %d,\n      \"queue_hwm\": %d,\n"
-       o.ic_marked o.ic_cong_dropped o.ic_queue_dropped o.ic_queue_hwm);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"corrupt_escaped\": %d\n    }" o.ic_corrupt)
+let incast_json o =
+  Json.Obj
+    [ ("goodput_bps", Json.fixed 0 o.ic_goodput);
+      ("goodput_ratio", Json.fixed 4 o.ic_ratio);
+      ("admitted", Json.int o.ic_admitted); ("completed", Json.int o.ic_completed);
+      ("fct_p50_ms", Json.fixed 3 o.ic_p50); ("fct_p99_ms", Json.fixed 3 o.ic_p99);
+      ("fct_max_ms", Json.fixed 3 o.ic_max); ("ecn_marked", Json.int o.ic_marked);
+      ("congestion_dropped", Json.int o.ic_cong_dropped);
+      ("queue_dropped", Json.int o.ic_queue_dropped);
+      ("queue_hwm", Json.int o.ic_queue_hwm);
+      ("corrupt_escaped", Json.int o.ic_corrupt) ]
 
-let json_crowd buf name o =
-  Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"arrivals\": %d,\n      \"admitted\": %d,\n      \
-        \"alloc_failed\": %d,\n"
-       o.cr_arrivals o.cr_admitted o.cr_failed);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"busy_retries\": %d,\n      \"busy_rejected\": %d,\n"
-       o.cr_busy_retries o.cr_busy_rejected);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"completed\": %d,\n      \"unfinished\": %d,\n      \
-        \"corrupt_escaped\": %d,\n"
-       o.cr_completed o.cr_unfinished o.cr_corrupt);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "      \"fct_p50_ms\": %.3f,\n      \"fct_p99_ms\": %.3f,\n      \
-        \"goodput_bps\": %.0f"
-       o.cr_p50 o.cr_p99 o.cr_goodput);
-  (if o.cr_blackouts <> [] then begin
-     Buffer.add_string buf ",\n      \"faults\": [\n";
-     let n = List.length crowd_faults in
-     List.iteri
-       (fun i (label, at, until) ->
-         let blackout, recovered =
-           match
-             List.find_opt (fun (l, _, _) -> String.equal l label) o.cr_blackouts
-           with
-           | Some (_, _, Some g) -> (Printf.sprintf "%.6f" g, true)
-           | _ -> ("null", false)
-         in
-         Buffer.add_string buf
-           (Printf.sprintf
-              "        {\"label\": %S, \"at_s\": %.1f, \"until_s\": %.1f, \
-               \"blackout_s\": %s, \"recovered\": %b}%s\n"
-              label at until blackout recovered
-              (if i = n - 1 then "" else ",")))
-       crowd_faults;
-     Buffer.add_string buf "      ]"
-   end);
-  Buffer.add_string buf "\n    }"
+let crowd_json o =
+  Json.Obj
+    ([ ("arrivals", Json.int o.cr_arrivals); ("admitted", Json.int o.cr_admitted);
+       ("alloc_failed", Json.int o.cr_failed);
+       ("busy_retries", Json.int o.cr_busy_retries);
+       ("busy_rejected", Json.int o.cr_busy_rejected);
+       ("completed", Json.int o.cr_completed);
+       ("unfinished", Json.int o.cr_unfinished);
+       ("corrupt_escaped", Json.int o.cr_corrupt);
+       ("fct_p50_ms", Json.fixed 3 o.cr_p50); ("fct_p99_ms", Json.fixed 3 o.cr_p99);
+       ("goodput_bps", Json.fixed 0 o.cr_goodput) ]
+    @
+    if o.cr_blackouts = [] then []
+    else [ ("faults", Gate.fault_rows crowd_faults o.cr_blackouts) ])
 
-let json_pushback buf name o =
-  Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"delivered\": %d,\n      \"sent\": %d,\n"
-       o.pb_delivered o.pb_sent);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"ecn_rcvd\": %d,\n      \"ecn_backoffs\": %d,\n"
-       o.pb_ecn_rcvd o.pb_ecn_backoffs);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"peak_lower_backlog\": %d\n    }"
-       o.pb_peak_lower_backlog)
-
-let write_json ~incast_rina ~incast_tcp ~crowd_rina ~crowd_tcp ~pb_on ~pb_off
-    ~composed =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"incast\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"senders\": %d,\n    \"flow_bytes\": %d,\n    \
-        \"bottleneck_bps\": %.0f,\n"
-       senders incast_flow_bytes bottleneck);
-  json_incast buf "rina" incast_rina;
-  Buffer.add_string buf ",\n";
-  json_incast buf "tcp" incast_tcp;
-  Buffer.add_string buf "\n  },\n  \"flash_crowd\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"arrival_rate_per_s\": %.0f,\n    \"window_s\": %.1f,\n" crowd_rate
-       crowd_window);
-  json_crowd buf "rina" crowd_rina;
-  Buffer.add_string buf ",\n";
-  json_crowd buf "tcp" crowd_tcp;
-  Buffer.add_string buf "\n  },\n  \"pushback\": {\n";
-  json_pushback buf "on" pb_on;
-  Buffer.add_string buf ",\n";
-  json_pushback buf "off" pb_off;
-  Buffer.add_string buf "\n  },\n  \"composed_chaos\": {\n";
-  json_crowd buf "rina" composed;
-  Buffer.add_string buf "\n  }\n}\n";
-  Out_channel.with_open_text "BENCH_congestion.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf))
+let pushback_json o =
+  Json.Obj
+    [ ("delivered", Json.int o.pb_delivered); ("sent", Json.int o.pb_sent);
+      ("ecn_rcvd", Json.int o.pb_ecn_rcvd);
+      ("ecn_backoffs", Json.int o.pb_ecn_backoffs);
+      ("peak_lower_backlog", Json.int o.pb_peak_lower_backlog) ]
 
 let run () =
   let incast_rina = run_incast_rina () in
@@ -765,46 +692,39 @@ let run () =
   Table.add_rowf table "composed chaos completed / admitted | %d / %d | n/a"
     composed.cr_completed composed.cr_admitted;
   Table.print table;
-  write_json ~incast_rina ~incast_tcp ~crowd_rina ~crowd_tcp ~pb_on ~pb_off
-    ~composed;
-  Printf.printf "wrote BENCH_congestion.json\n";
-  if Sys.getenv_opt "RINA_BENCH_CHECK" <> None then begin
-    let fail = ref false in
-    let claim name ok =
-      Printf.printf "congestion gate: %-32s %s\n" name
-        (if ok then "ok" else "VIOLATED");
-      if not ok then fail := true
-    in
-    claim "incast goodput >= 80% bottleneck" (incast_rina.ic_ratio >= 0.8);
-    claim "incast all flows complete"
-      (incast_rina.ic_completed = senders && incast_rina.ic_admitted = senders);
-    claim "no corrupt escapes"
-      (incast_rina.ic_corrupt = 0 && crowd_rina.cr_corrupt = 0
-     && composed.cr_corrupt = 0);
-    claim "crowd admission exercised" (crowd_rina.cr_busy_rejected > 0);
-    claim "crowd no livelock"
-      (crowd_rina.cr_unfinished = 0
-      && crowd_rina.cr_completed = crowd_rina.cr_admitted);
-    claim "pushback signal end to end"
-      (pb_on.pb_ecn_rcvd > 0 && pb_on.pb_ecn_backoffs > 0);
-    claim "pushback bounds lower backlog"
-      (pb_on.pb_peak_lower_backlog < pb_off.pb_peak_lower_backlog);
-    claim "pushback still delivers all" (pb_on.pb_delivered = pb_on.pb_sent);
-    claim "composed all faults recover"
-      (List.for_all
-         (fun (label, _, _) ->
-           match
-             List.find_opt
-               (fun (l, _, _) -> String.equal l label)
-               composed.cr_blackouts
-           with
-           | Some (_, _, Some _) -> true
-           | _ -> false)
-         crowd_faults);
-    claim "composed no livelock"
-      (composed.cr_unfinished = 0 && composed.cr_completed = composed.cr_admitted);
-    if !fail then begin
-      Printf.eprintf "R3: congestion-control invariant violated\n";
-      exit 1
-    end
-  end
+  Gate.write "BENCH_congestion.json"
+    (Json.Obj
+       [ ("incast",
+          Json.Obj
+            [ ("senders", Json.int senders);
+              ("flow_bytes", Json.int incast_flow_bytes);
+              ("bottleneck_bps", Json.fixed 0 bottleneck);
+              ("rina", incast_json incast_rina); ("tcp", incast_json incast_tcp) ]);
+         ("flash_crowd",
+          Json.Obj
+            [ ("arrival_rate_per_s", Json.fixed 0 crowd_rate);
+              ("window_s", Json.fixed 1 crowd_window);
+              ("rina", crowd_json crowd_rina); ("tcp", crowd_json crowd_tcp) ]);
+         ("pushback",
+          Json.Obj [ ("on", pushback_json pb_on); ("off", pushback_json pb_off) ]);
+         ("composed_chaos", Json.Obj [ ("rina", crowd_json composed) ]) ]);
+  Gate.check "congestion" "R3: congestion-control invariant violated"
+    [ ("incast goodput >= 80% bottleneck", incast_rina.ic_ratio >= 0.8);
+      ("incast all flows complete",
+       incast_rina.ic_completed = senders && incast_rina.ic_admitted = senders);
+      ("no corrupt escapes",
+       incast_rina.ic_corrupt = 0 && crowd_rina.cr_corrupt = 0
+       && composed.cr_corrupt = 0);
+      ("crowd admission exercised", crowd_rina.cr_busy_rejected > 0);
+      ("crowd no livelock",
+       crowd_rina.cr_unfinished = 0
+       && crowd_rina.cr_completed = crowd_rina.cr_admitted);
+      ("pushback signal end to end",
+       pb_on.pb_ecn_rcvd > 0 && pb_on.pb_ecn_backoffs > 0);
+      ("pushback bounds lower backlog",
+       pb_on.pb_peak_lower_backlog < pb_off.pb_peak_lower_backlog);
+      ("pushback still delivers all", pb_on.pb_delivered = pb_on.pb_sent);
+      ("composed all faults recover",
+       Gate.all_recovered crowd_faults composed.cr_blackouts);
+      ("composed no livelock",
+       composed.cr_unfinished = 0 && composed.cr_completed = composed.cr_admitted) ]

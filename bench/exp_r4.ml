@@ -42,6 +42,7 @@ module Mangle = Rina_sim.Mangle
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
 module Flight = Rina_util.Flight
+module Json = Rina_util.Json
 module Metrics = Rina_util.Metrics
 module Table = Rina_util.Table
 module Ipcp = Rina_core.Ipcp
@@ -257,13 +258,6 @@ let run_failover () =
   | None ->
     Trace.detach ();
     Error "allocation hung"
-
-let blackout_of outcome label =
-  match
-    List.find_opt (fun (l, _, _) -> String.equal l label) outcome.fo_blackouts
-  with
-  | Some (_, _, gap) -> gap
-  | None -> None
 
 (* ---------- 2. striped vs single-path goodput ---------- *)
 
@@ -515,58 +509,37 @@ let run_mobile_ip () =
 
 (* ---------- reporting + gates ---------- *)
 
-let fmt_blackout = function
-  | Some g -> Printf.sprintf "%.6f" g
-  | None -> "null"
-
-let write_json fo striped single mob (ip_blackout, ip_registered) =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"failover\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"probe_interval_s\": %.3f,\n" probe_interval);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"sent\": %d,\n    \"delivered\": %d,\n" fo.fo_sent
-       fo.fo_delivered);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"duplicates\": %d,\n    \"out_of_order\": %d,\n    \
-        \"corrupt_escaped\": %d,\n"
-       fo.fo_dups fo.fo_ooo fo.fo_corrupt);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"failovers\": %d,\n    \"repath_pdus\": %d,\n"
-       fo.fo_failovers fo.fo_repath_pdus);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"path_down_drops\": %d,\n" fo.fo_path_down_drops);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"kill_path_blackout_s\": %s,\n"
-       (fmt_blackout (blackout_of fo (let l, _, _ = kill_one in l))));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"kill_both_blackout_s\": %s\n  },\n"
-       (fmt_blackout (blackout_of fo (let l, _, _ = kill_both in l))));
-  Buffer.add_string buf "  \"striping\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"striped_goodput_bps\": %.0f,\n    \"single_goodput_bps\": \
-        %.0f,\n    \"speedup\": %.3f\n  },\n"
-       striped single
-       (if single > 0. then striped /. single else 0.));
-  Buffer.add_string buf "  \"mass_mobility\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"mobiles\": %d,\n    \"flows\": %d,\n    \"delivered\": %d,\n    \
-        \"lost\": %d,\n    \"aggregate_goodput_bps\": %.0f,\n    \
-        \"max_blackout_s\": %.6f\n  },\n"
-       mob.mo_mobiles mob.mo_flows mob.mo_delivered mob.mo_lost mob.mo_goodput
-       mob.mo_max_blackout);
-  Buffer.add_string buf "  \"mobile_ip\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"handoff_blackout_s\": %.6f,\n    \"registered\": %b\n  }\n"
-       ip_blackout ip_registered);
-  Buffer.add_string buf "}\n";
-  Out_channel.with_open_text "BENCH_multipath.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf))
+let multipath_json fo ~kill_path ~kill_both striped single mob
+    (ip_blackout, ip_registered) =
+  let gap = Option.fold ~none:Json.Null ~some:(Json.fixed 6) in
+  Json.Obj
+    [ ("failover",
+       Json.Obj
+         [ ("probe_interval_s", Json.fixed 3 probe_interval);
+           ("sent", Json.int fo.fo_sent); ("delivered", Json.int fo.fo_delivered);
+           ("duplicates", Json.int fo.fo_dups);
+           ("out_of_order", Json.int fo.fo_ooo);
+           ("corrupt_escaped", Json.int fo.fo_corrupt);
+           ("failovers", Json.int fo.fo_failovers);
+           ("repath_pdus", Json.int fo.fo_repath_pdus);
+           ("path_down_drops", Json.int fo.fo_path_down_drops);
+           ("kill_path_blackout_s", gap kill_path);
+           ("kill_both_blackout_s", gap kill_both) ]);
+      ("striping",
+       Json.Obj
+         [ ("striped_goodput_bps", Json.fixed 0 striped);
+           ("single_goodput_bps", Json.fixed 0 single);
+           ("speedup", Json.fixed 3 (if single > 0. then striped /. single else 0.)) ]);
+      ("mass_mobility",
+       Json.Obj
+         [ ("mobiles", Json.int mob.mo_mobiles); ("flows", Json.int mob.mo_flows);
+           ("delivered", Json.int mob.mo_delivered); ("lost", Json.int mob.mo_lost);
+           ("aggregate_goodput_bps", Json.fixed 0 mob.mo_goodput);
+           ("max_blackout_s", Json.fixed 6 mob.mo_max_blackout) ]);
+      ("mobile_ip",
+       Json.Obj
+         [ ("handoff_blackout_s", Json.fixed 6 ip_blackout);
+           ("registered", Json.Bool ip_registered) ]) ]
 
 let run () =
   let table =
@@ -577,7 +550,7 @@ let run () =
       ~columns:[ "measurement"; "RINA multipath"; "baseline" ]
   in
   match run_failover () with
-  | Error e -> Printf.printf "R4: failover run failed: %s\n" e
+  | Error e -> Gate.abort ("R4: failover run failed: " ^ e)
   | Ok fo ->
     let striped = run_striping ~policy:mp_policy in
     let single = run_striping ~policy:single_path_policy in
@@ -585,8 +558,8 @@ let run () =
     let ip_blackout, ip_registered = run_mobile_ip () in
     let striped_bps = Option.value ~default:0. striped in
     let single_bps = Option.value ~default:0. single in
-    let kill_path = blackout_of fo (let l, _, _ = kill_one in l) in
-    let kill_both_g = blackout_of fo (let l, _, _ = kill_both in l) in
+    let gap (label, _, _) = Gate.blackout fo.fo_blackouts label in
+    let kill_path = gap kill_one and kill_both_g = gap kill_both in
     Table.add_rowf table
       "path-kill blackout | %s s (probe interval %.2f s) | Mobile-IP handoff \
        %.3f s"
@@ -612,31 +585,19 @@ let run () =
       (1000. *. mob.mo_max_blackout)
       (mob.mo_goodput /. 1e6) mob.mo_lost;
     Table.print table;
-    write_json fo striped_bps single_bps mob (ip_blackout, ip_registered);
-    Printf.printf "wrote BENCH_multipath.json\n";
-    if Sys.getenv_opt "RINA_BENCH_CHECK" <> None then begin
-      let fail = ref false in
-      let claim name ok =
-        Printf.printf "multipath gate: %-32s %s\n" name
-          (if ok then "ok" else "VIOLATED");
-        if not ok then fail := true
-      in
-      claim "failover blackout <= 2x probe"
-        (match kill_path with
-        | Some g -> g <= 2. *. probe_interval
-        | None -> false);
-      claim "exactly_once (no dups)" (fo.fo_dups = 0);
-      claim "in_order" (fo.fo_ooo = 0);
-      claim "complete delivery" (fo.fo_delivered = fo.fo_sent);
-      claim "no corrupt escapes" (fo.fo_corrupt = 0);
-      claim "striped >= 1.5x single-path"
-        (single_bps > 0. && striped_bps >= 1.5 *. single_bps);
-      claim "mass handoff bounded"
-        (mob.mo_max_blackout <= (2. *. cell_probe_interval) +. 0.05);
-      claim "mobile-ip blackout recorded"
-        (ip_registered && Float.is_finite ip_blackout && ip_blackout > 0.);
-      if !fail then begin
-        Printf.eprintf "R4: multipath invariant violated\n";
-        exit 1
-      end
-    end
+    Gate.write "BENCH_multipath.json"
+      (multipath_json fo ~kill_path ~kill_both:kill_both_g striped_bps single_bps
+         mob (ip_blackout, ip_registered));
+    Gate.check "multipath" "R4: multipath invariant violated"
+      [ ("failover blackout <= 2x probe",
+         match kill_path with Some g -> g <= 2. *. probe_interval | None -> false);
+        ("exactly_once (no dups)", fo.fo_dups = 0);
+        ("in_order", fo.fo_ooo = 0);
+        ("complete delivery", fo.fo_delivered = fo.fo_sent);
+        ("no corrupt escapes", fo.fo_corrupt = 0);
+        ("striped >= 1.5x single-path",
+         single_bps > 0. && striped_bps >= 1.5 *. single_bps);
+        ("mass handoff bounded",
+         mob.mo_max_blackout <= (2. *. cell_probe_interval) +. 0.05);
+        ("mobile-ip blackout recorded",
+         ip_registered && Float.is_finite ip_blackout && ip_blackout > 0.) ]

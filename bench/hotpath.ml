@@ -21,9 +21,10 @@
    Environment knobs (used by CI):
    - RINA_BENCH_SMOKE=1  small scale (seconds, not minutes); the two
      headline metrics are rates, so they stay comparable;
-   - RINA_BENCH_CHECK=1  before overwriting BENCH_hotpath.json, parse
-     the committed copy and exit 1 if events/sec regressed by more
-     than 25% (or bytes/event grew by more than 25%). *)
+   - RINA_BENCH_CHECK=1  read the committed BENCH_hotpath.json before
+     overwriting it, and exit 1 if events/sec regressed by more than
+     25% (or bytes/event grew by more than 25%) against its "current"
+     block. *)
 
 module Engine = Rina_sim.Engine
 module Fault = Rina_sim.Fault
@@ -33,6 +34,7 @@ module Topo = Rina_exp.Topo
 module Scenario = Rina_exp.Scenario
 module Workload = Rina_exp.Workload
 module Par = Rina_exp.Par
+module Json = Rina_util.Json
 
 let host_cores () = Domain.recommended_domain_count ()
 
@@ -128,7 +130,8 @@ let trial ~seed =
   let engine = net.Topo.engine in
   let sink = Workload.sink () in
   match Scenario.open_flow net ~src:0 ~dst:2 ~qos_id:1 ~sink () with
-  | Error e -> Printf.sprintf "{\"seed\": %d, \"error\": %S}" seed e
+  | Error e ->
+    Json.to_string (Json.Obj [ ("seed", Json.int seed); ("error", Json.Str e) ])
   | Ok (flow, _) ->
     let t0 = Engine.now engine in
     let rng = Prng.create (seed lxor 0x5DEECE66) in
@@ -139,13 +142,12 @@ let trial ~seed =
     Workload.cbr engine ~send:flow.Ipcp.send ~rate:1_000_000. ~size:500
       ~until:(t0 +. 10.) ();
     Engine.run ~until:(t0 +. 14.) engine;
-    Printf.sprintf
-      "{\"seed\": %d, \"delivered\": %d, \"relayed\": %d, \"flow_errors\": %d, \
-       \"faults\": %d}"
-      seed sink.Workload.count
-      (Scenario.sum_rmt_metric net "relayed")
-      (Scenario.sum_metric net "flow_errors")
-      (List.length (Fault.events plan))
+    Json.to_string
+      (Json.Obj
+         [ ("seed", Json.int seed); ("delivered", Json.int sink.Workload.count);
+           ("relayed", Json.int (Scenario.sum_rmt_metric net "relayed"));
+           ("flow_errors", Json.int (Scenario.sum_metric net "flow_errors"));
+           ("faults", Json.int (List.length (Fault.events plan))) ])
 
 type sweep = {
   trials : int;
@@ -187,121 +189,71 @@ let render ~timer ~pipeline ~delivered ~sw =
   let honest ~seq ~par =
     if host_cores () > 1 && par > 0. then seq /. par else 0.
   in
-  Printf.sprintf
-    "{\n\
-    \  \"host_cores\": %d,\n\
-    \  \"smoke\": %b,\n\
-    \  \"baseline\": {\n\
-    \    \"timer_bytes_per_event\": %.1f,\n\
-    \    \"timer_events_per_sec\": %.0f,\n\
-    \    \"pipeline_bytes_per_event\": %.1f,\n\
-    \    \"pipeline_events_per_sec\": %.0f,\n\
-    \    \"sweep_trials_per_sec\": %.3f\n\
-    \  },\n\
-    \  \"current\": {\n\
-    \    \"timer_bytes_per_event\": %.1f,\n\
-    \    \"timer_events_per_sec\": %.0f,\n\
-    \    \"pipeline_bytes_per_event\": %.1f,\n\
-    \    \"pipeline_events_per_sec\": %.0f,\n\
-    \    \"pipeline_delivered\": %d,\n\
-    \    \"sweep_trials\": %d,\n\
-    \    \"sweep_seq_s\": %.3f,\n\
-    \    \"sweep_par_s\": %.3f,\n\
-    \    \"sweep_par_domains\": %d,\n\
-    \    \"sweep_trials_per_sec\": %.3f,\n\
-    \    \"sweep_speedup\": %.3f,\n\
-    \    \"sweep_par_identical\": %b\n\
-    \  },\n\
-    \  \"improvement\": {\n\
-    \    \"timer_alloc_reduction_pct\": %.1f,\n\
-    \    \"pipeline_alloc_reduction_pct\": %.1f,\n\
-    \    \"timer_throughput_speedup\": %.3f,\n\
-    \    \"pipeline_throughput_speedup\": %.3f\n\
-    \  }\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (smoke ())
-    baseline_timer_bytes_per_event baseline_timer_events_per_sec
-    baseline_pipeline_bytes_per_event baseline_pipeline_events_per_sec
-    baseline_sweep_trials_per_sec (bytes_per_event timer)
-    (events_per_sec timer) (bytes_per_event pipeline)
-    (events_per_sec pipeline) delivered sw.trials sw.seq_s sw.par_s
-    sw.par_domains sweep_tps
-    (honest ~seq:sw.seq_s ~par:sw.par_s)
-    sw.identical
-    (pct_reduction ~baseline:baseline_timer_bytes_per_event
-       ~current:(bytes_per_event timer))
-    (pct_reduction ~baseline:baseline_pipeline_bytes_per_event
-       ~current:(bytes_per_event pipeline))
-    (speedup ~baseline:baseline_timer_events_per_sec
-       ~current:(events_per_sec timer))
-    (speedup ~baseline:baseline_pipeline_events_per_sec
-       ~current:(events_per_sec pipeline))
+  let open Json in
+  Obj
+    [ ("host_cores", int (Domain.recommended_domain_count ()));
+      ("smoke", Bool (smoke ()));
+      ("baseline",
+       Obj
+         [ ("timer_bytes_per_event", fixed 1 baseline_timer_bytes_per_event);
+           ("timer_events_per_sec", fixed 0 baseline_timer_events_per_sec);
+           ("pipeline_bytes_per_event", fixed 1 baseline_pipeline_bytes_per_event);
+           ("pipeline_events_per_sec", fixed 0 baseline_pipeline_events_per_sec);
+           ("sweep_trials_per_sec", fixed 3 baseline_sweep_trials_per_sec) ]);
+      ("current",
+       Obj
+         [ ("timer_bytes_per_event", fixed 1 (bytes_per_event timer));
+           ("timer_events_per_sec", fixed 0 (events_per_sec timer));
+           ("pipeline_bytes_per_event", fixed 1 (bytes_per_event pipeline));
+           ("pipeline_events_per_sec", fixed 0 (events_per_sec pipeline));
+           ("pipeline_delivered", int delivered); ("sweep_trials", int sw.trials);
+           ("sweep_seq_s", fixed 3 sw.seq_s); ("sweep_par_s", fixed 3 sw.par_s);
+           ("sweep_par_domains", int sw.par_domains);
+           ("sweep_trials_per_sec", fixed 3 sweep_tps);
+           ("sweep_speedup", fixed 3 (honest ~seq:sw.seq_s ~par:sw.par_s));
+           ("sweep_par_identical", Bool sw.identical) ]);
+      ("improvement",
+       Obj
+         [ ("timer_alloc_reduction_pct",
+            fixed 1
+              (pct_reduction ~baseline:baseline_timer_bytes_per_event
+                 ~current:(bytes_per_event timer)));
+           ("pipeline_alloc_reduction_pct",
+            fixed 1
+              (pct_reduction ~baseline:baseline_pipeline_bytes_per_event
+                 ~current:(bytes_per_event pipeline)));
+           ("timer_throughput_speedup",
+            fixed 3
+              (speedup ~baseline:baseline_timer_events_per_sec
+                 ~current:(events_per_sec timer)));
+           ("pipeline_throughput_speedup",
+            fixed 3
+              (speedup ~baseline:baseline_pipeline_events_per_sec
+                 ~current:(events_per_sec pipeline))) ]) ]
 
-(* Last occurrence of ["name": <number>] in [text] — "current" values
-   shadow "baseline" ones, which is what the CI gate wants. *)
-let find_field text name =
-  let needle = Printf.sprintf "\"%s\":" name in
-  let nlen = String.length needle and tlen = String.length text in
-  let rec last_at from acc =
-    if from >= tlen then acc
-    else
-      match String.index_from_opt text from needle.[0] with
-      | None -> acc
-      | Some i ->
-        if i + nlen <= tlen && String.equal (String.sub text i nlen) needle
-        then last_at (i + nlen) (Some (i + nlen))
-        else last_at (i + 1) acc
-  in
-  match last_at 0 None with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < tlen
-      && (match text.[!stop] with
-         | ',' | '\n' | '}' -> false
-         | _ -> true)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub text start (!stop - start)))
-
-let ci_gate ~timer ~pipeline =
-  match
-    if Sys.file_exists json_path then
-      Some (In_channel.with_open_text json_path In_channel.input_all)
-    else None
-  with
-  | None ->
-    Printf.printf "hotpath: no committed %s; skipping regression gate\n"
-      json_path;
-    true
-  | Some old ->
-    let ok = ref true in
-    let check name ~current ~higher_is_better =
-      match find_field old name with
-      | None -> ()
-      | Some committed when committed <= 0. -> ()
-      | Some committed ->
-        let ratio = current /. committed in
-        let bad =
-          if higher_is_better then ratio < 0.75 else ratio > 1.25
-        in
-        Printf.printf "hotpath gate: %-26s committed %10.1f now %10.1f  %s\n"
-          name committed current
-          (if bad then "REGRESSED" else "ok");
-        if bad then ok := false
-    in
-    check "timer_events_per_sec" ~current:(events_per_sec timer)
-      ~higher_is_better:true;
-    check "pipeline_events_per_sec" ~current:(events_per_sec pipeline)
-      ~higher_is_better:true;
-    check "timer_bytes_per_event" ~current:(bytes_per_event timer)
-      ~higher_is_better:false;
-    check "pipeline_bytes_per_event" ~current:(bytes_per_event pipeline)
-      ~higher_is_better:false;
-    !ok
+(* One claim per headline figure that the committed artifact's
+   "current" block records as positive: rates may not fall below 75%
+   of it, bytes/event may not grow past 125%. *)
+let regression_claims committed ~timer ~pipeline =
+  match Json.parse committed with
+  | Error e -> [ ("committed " ^ json_path ^ " parses", false, e) ]
+  | Ok old ->
+    let block = Option.value ~default:Json.Null (Json.member "current" old) in
+    List.filter_map
+      (fun (name, current, higher_is_better) ->
+        match Option.bind (Json.member name block) Json.to_num with
+        | Some committed when committed > 0. ->
+          let ratio = current /. committed in
+          let bad = if higher_is_better then ratio < 0.75 else ratio > 1.25 in
+          Some
+            ( name,
+              not bad,
+              Printf.sprintf "committed %.1f, now %.1f" committed current )
+        | _ -> None)
+      [ ("timer_events_per_sec", events_per_sec timer, true);
+        ("pipeline_events_per_sec", events_per_sec pipeline, true);
+        ("timer_bytes_per_event", bytes_per_event timer, false);
+        ("pipeline_bytes_per_event", bytes_per_event pipeline, false) ]
 
 let run () =
   let timer = timer_churn () in
@@ -322,18 +274,22 @@ let run () =
     sw.trials sw.seq_s sw.par_domains sw.par_s
     (if sw.par_s > 0. then sw.seq_s /. sw.par_s else 0.)
     (if sw.identical then "identical" else "DIVERGED");
-  if not sw.identical then begin
-    Printf.eprintf "hotpath: parallel sweep diverged from sequential output\n";
-    exit 1
-  end;
-  let gate_ok =
-    Sys.getenv_opt "RINA_BENCH_CHECK" = None || ci_gate ~timer ~pipeline
+  if not sw.identical then
+    Gate.abort "hotpath: parallel sweep diverged from sequential output";
+  (* read before the artifact is overwritten: the gate compares
+     against the committed copy *)
+  let committed =
+    if Sys.file_exists json_path then
+      Some (In_channel.with_open_text json_path In_channel.input_all)
+    else None
   in
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (render ~timer ~pipeline ~delivered ~sw));
-  Printf.printf "wrote %s\n" json_path;
-  if not gate_ok then begin
-    Printf.eprintf "hotpath: performance regressed >25%% vs committed %s\n"
-      json_path;
-    exit 1
-  end
+  Gate.write json_path (render ~timer ~pipeline ~delivered ~sw);
+  match committed with
+  | None ->
+    if Gate.checking () then
+      Printf.printf "hotpath: no committed %s; skipping regression gate\n"
+        json_path
+  | Some text ->
+    Gate.check_detailed "hotpath"
+      ("hotpath: performance regressed >25% vs committed " ^ json_path)
+      (regression_claims text ~timer ~pipeline)

@@ -30,11 +30,17 @@ let () =
     | [] | [ _ ] -> List.map fst experiments
     | _ :: names -> names
   in
+  (* every name is checked before anything runs, so a typo in a CI
+     step fails it instead of gating nothing *)
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) requested with
+   | [] -> ()
+   | unknown ->
+     List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+     Printf.eprintf "valid experiments: %s\n"
+       (String.concat " " (List.map fst experiments));
+     exit 2);
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some run ->
-        run ();
-        print_newline ()
-      | None -> Printf.eprintf "unknown experiment %S\n" name)
+      (List.assoc name experiments) ();
+      print_newline ())
     requested

@@ -24,6 +24,7 @@
 
 module Flight = Rina_util.Flight
 module Telemetry = Rina_util.Telemetry
+module Json = Rina_util.Json
 module Engine = Rina_sim.Engine
 module Trace = Rina_sim.Trace
 module Link = Rina_sim.Link
@@ -126,59 +127,38 @@ let run () =
   let ratio_of s = if scenario_disabled > 0. then s /. scenario_disabled else 1. in
   let ratio = ratio_of scenario_enabled in
   let ratio_sampled = ratio_of scenario_sampled in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"ns_per_event_disabled\": %.3f,\n\
-      \  \"ns_per_event_enabled\": %.3f,\n\
-      \  \"ns_per_event_sampled\": %.3f,\n\
-      \  \"events_per_sec_enabled\": %.0f,\n\
-      \  \"scenario_disabled_s\": %.4f,\n\
-      \  \"scenario_enabled_s\": %.4f,\n\
-      \  \"scenario_sampled_s\": %.4f,\n\
-      \  \"scenario_overhead_ratio\": %.4f,\n\
-      \  \"scenario_sampled_ratio\": %.4f,\n\
-      \  \"sampled_keep_ppm\": %d\n\
-       }\n"
-      ns_disabled ns_enabled ns_sampled events_per_sec scenario_disabled
-      scenario_enabled scenario_sampled ratio ratio_sampled
-      (Flight.ppm_of_rate sample_rate)
-  in
-  Out_channel.with_open_text "BENCH_trace_overhead.json" (fun oc ->
-      Out_channel.output_string oc json);
   Printf.printf
     "trace overhead: %.2f ns/event disabled (gate only), %.1f ns/event \
      enabled (%.1f Mevents/s), %.1f ns/event sampled+tap; scenario %.3fs -> \
-     %.3fs full (x%.3f) / %.3fs sampled (x%.3f)\n\
-     wrote BENCH_trace_overhead.json\n"
+     %.3fs full (x%.3f) / %.3fs sampled (x%.3f)\n"
     ns_disabled ns_enabled (events_per_sec /. 1e6) ns_sampled scenario_disabled
     scenario_enabled ratio scenario_sampled ratio_sampled;
-  if Sys.getenv_opt "RINA_BENCH_CHECK" <> None then begin
-    let fail = ref false in
-    let check name ok detail =
-      if not ok then begin
-        Printf.printf "CHECK FAILED: %s (%s)\n" name detail;
-        fail := true
-      end
-      else Printf.printf "check ok: %s (%s)\n" name detail
-    in
-    (* sanity: the telemetry really aggregated the scenario *)
-    check "telemetry tally live"
-      (Telemetry.counter tele "events" > 0)
-      (Printf.sprintf "tally saw %d events" (Telemetry.counter tele "events"));
-    (* the headline gate: sampled-mode overhead at most half the
-       full-trace overhead (2% absolute floor absorbs timer noise on a
-       busy CI host) *)
-    let full_overhead = ratio -. 1. in
-    let sampled_overhead = ratio_sampled -. 1. in
-    let budget = Float.max (0.5 *. full_overhead) 0.02 in
-    check "sampled overhead <= half of full-trace overhead"
-      (sampled_overhead <= budget)
-      (Printf.sprintf "sampled x%.4f vs full x%.4f (budget +%.1f%%)"
-         ratio_sampled ratio (100. *. budget));
-    (* the disabled site must stay ~ns: one lookup + one branch *)
-    check "disabled site stays ~ns"
-      (ns_disabled <= 15.)
-      (Printf.sprintf "%.2f ns/event" ns_disabled);
-    if !fail then exit 1
-  end
+  Gate.write "BENCH_trace_overhead.json"
+    (Json.Obj
+       [ ("ns_per_event_disabled", Json.fixed 3 ns_disabled);
+         ("ns_per_event_enabled", Json.fixed 3 ns_enabled);
+         ("ns_per_event_sampled", Json.fixed 3 ns_sampled);
+         ("events_per_sec_enabled", Json.fixed 0 events_per_sec);
+         ("scenario_disabled_s", Json.fixed 4 scenario_disabled);
+         ("scenario_enabled_s", Json.fixed 4 scenario_enabled);
+         ("scenario_sampled_s", Json.fixed 4 scenario_sampled);
+         ("scenario_overhead_ratio", Json.fixed 4 ratio);
+         ("scenario_sampled_ratio", Json.fixed 4 ratio_sampled);
+         ("sampled_keep_ppm", Json.int (Flight.ppm_of_rate sample_rate)) ]);
+  (* the headline gate: sampled-mode overhead at most half the
+     full-trace overhead (2% absolute floor absorbs timer noise on a
+     busy CI host) *)
+  let budget = Float.max (0.5 *. (ratio -. 1.)) 0.02 in
+  Gate.check_detailed "trace" "trace: flight-recorder overhead gate violated"
+    [ (* sanity: the telemetry really aggregated the scenario *)
+      ("telemetry tally live",
+       Telemetry.counter tele "events" > 0,
+       Printf.sprintf "tally saw %d events" (Telemetry.counter tele "events"));
+      ("sampled overhead <= half of full-trace overhead",
+       ratio_sampled -. 1. <= budget,
+       Printf.sprintf "sampled x%.4f vs full x%.4f, budget +%.1f%%" ratio_sampled
+         ratio (100. *. budget));
+      (* the disabled site must stay ~ns: one lookup + one branch *)
+      ("disabled site stays ~ns",
+       ns_disabled <= 15.,
+       Printf.sprintf "%.2f ns/event" ns_disabled) ]

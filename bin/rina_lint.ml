@@ -25,6 +25,7 @@
 
 open Cmdliner
 module Diag = Rina_check.Diag
+module Json = Rina_util.Json
 
 (* ---------- the rule table (--list-rules) ---------- *)
 
@@ -39,20 +40,6 @@ let rule_groups =
       Rina_check.Sanitizer.rules );
   ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let print_rules_text () =
   List.iter
     (fun (title, _, rules) ->
@@ -66,20 +53,19 @@ let print_rules_text () =
     rule_groups
 
 let print_rules_json () =
-  let rule_json group (r : Diag.rule) =
-    Printf.sprintf
-      "{\"code\":\"%s\",\"severity\":\"%s\",\"group\":\"%s\",\"summary\":\"%s\"}"
-      (json_escape r.r_code)
-      (Diag.severity_to_string r.r_severity)
-      (json_escape group) (json_escape r.r_summary)
+  let rule group (r : Diag.rule) =
+    Json.Obj
+      [ ("code", Json.Str r.r_code);
+        ("severity", Json.Str (Diag.severity_to_string r.r_severity));
+        ("group", Json.Str group); ("summary", Json.Str r.r_summary) ]
   in
   let rows =
     List.concat_map
       (fun (title, _, rules) ->
-        List.map (rule_json title) (List.sort Diag.compare_rules rules))
+        List.map (rule title) (List.sort Diag.compare_rules rules))
       rule_groups
   in
-  Printf.printf "[%s]\n" (String.concat "," rows)
+  print_endline (Json.to_string (Json.Arr rows))
 
 (* The entirety of docs/linting-rules.md; regenerate with
      dune exec bin/rina_lint.exe -- --list-rules --markdown *)

@@ -18,35 +18,20 @@ open Cmdliner
 module Diag = Rina_check.Diag
 module Verify = Rina_check.Verify
 module Topo = Rina_exp.Topo
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Rina_util.Json
 
 let diag_json (d : Diag.t) =
-  Printf.sprintf
-    "{\"code\":\"%s\",\"severity\":\"%s\",\"line\":%d,\"message\":\"%s\"%s}"
-    (json_escape d.code)
-    (Diag.severity_to_string d.severity)
-    d.line (json_escape d.message)
-    (match d.hint with
-     | None -> ""
-     | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (json_escape h))
+  Json.Obj
+    ([ ("code", Json.Str d.code);
+       ("severity", Json.Str (Diag.severity_to_string d.severity));
+       ("line", Json.int d.line); ("message", Json.Str d.message) ]
+    @ match d.hint with None -> [] | Some h -> [ ("hint", Json.Str h) ])
 
 let summary_json (s : Verify.summary) =
-  Printf.sprintf
-    "{\"difs\":%d,\"members\":%d,\"adjacencies\":%d,\"intents\":%d,\
-     \"support_depth\":%d}"
-    s.n_difs s.n_members s.n_adjacencies s.n_intents s.support_depth
+  Json.Obj
+    [ ("difs", Json.int s.n_difs); ("members", Json.int s.n_members);
+      ("adjacencies", Json.int s.n_adjacencies); ("intents", Json.int s.n_intents);
+      ("support_depth", Json.int s.support_depth) ]
 
 let print_diag d = Printf.printf "  %s\n" (Diag.to_string d)
 
@@ -153,28 +138,21 @@ let run names list_only policies json strict quiet sweep max_depth =
         else None
       in
       if json then begin
-        let scen =
-          List.map
-            (fun (name, (r : Verify.report)) ->
-              Printf.sprintf "{\"name\":\"%s\",\"summary\":%s,\"diags\":[%s]}"
-                (json_escape name) (summary_json r.summary)
-                (String.concat "," (List.map diag_json r.diags)))
-            scenario_results
+        let diags ds = Json.Arr (List.map diag_json ds) in
+        let scen (name, (r : Verify.report)) =
+          Json.Obj
+            [ ("name", Json.Str name); ("summary", summary_json r.summary);
+              ("diags", diags r.diags) ]
         in
-        let pols =
-          List.map
-            (fun (path, diags) ->
-              Printf.sprintf "{\"file\":\"%s\",\"diags\":[%s]}" (json_escape path)
-                (String.concat ","
-                   (List.map diag_json (Option.value ~default:[] diags))))
-            policy_results
+        let pol (path, ds) =
+          Json.Obj
+            [ ("file", Json.Str path); ("diags", diags (Option.value ~default:[] ds)) ]
         in
-        Printf.printf "{\"scenarios\":[%s],\"policies\":[%s]%s}\n"
-          (String.concat "," scen) (String.concat "," pols)
-          (match race_diags with
-           | None -> ""
-           | Some ds ->
-             Printf.sprintf ",\"races\":[%s]" (String.concat "," (List.map diag_json ds)))
+        Json.Obj
+          ([ ("scenarios", Json.Arr (List.map scen scenario_results));
+             ("policies", Json.Arr (List.map pol policy_results)) ]
+          @ match race_diags with None -> [] | Some ds -> [ ("races", diags ds) ])
+        |> Json.to_string |> print_endline
       end;
       let all_diags =
         List.concat_map (fun (_, (r : Verify.report)) -> r.diags) scenario_results

@@ -218,58 +218,55 @@ let span_of ~flow ~seq =
   let h = h land 0x3FFFFFFFFFFF in
   if h = 0 then 1 else h
 
-let reason_to_string = function
-  | R_queue_full -> "queue_full"
-  | R_link_down -> "link_down"
-  | R_blackhole -> "blackhole"
-  | R_loss -> "loss"
-  | R_crc -> "crc"
-  | R_decode -> "decode"
-  | R_ttl_expired -> "ttl_expired"
-  | R_no_route -> "no_route"
-  | R_ingress_filter -> "ingress_filter"
-  | R_stale -> "stale"
-  | R_duplicate -> "duplicate"
-  | R_corrupt -> "corrupt"
-  | R_dup -> "dup"
-  | R_reorder_overflow -> "reorder_overflow"
-  | R_congestion -> "congestion"
-  | R_endpoint_crash -> "endpoint_crash"
-  | R_path_down -> "path_down"
-  | R_other s -> s
+(* One name table per variant serves display, encoding and decoding
+   alike; [R_other], [Pdu_dropped] and [Custom] carry their own text. *)
+let reason_names =
+  [
+    (R_queue_full, "queue_full");
+    (R_link_down, "link_down");
+    (R_blackhole, "blackhole");
+    (R_loss, "loss");
+    (R_crc, "crc");
+    (R_decode, "decode");
+    (R_ttl_expired, "ttl_expired");
+    (R_no_route, "no_route");
+    (R_ingress_filter, "ingress_filter");
+    (R_stale, "stale");
+    (R_duplicate, "duplicate");
+    (R_corrupt, "corrupt");
+    (R_dup, "dup");
+    (R_reorder_overflow, "reorder_overflow");
+    (R_congestion, "congestion");
+    (R_endpoint_crash, "endpoint_crash");
+    (R_path_down, "path_down");
+  ]
 
-let reason_of_string = function
-  | "queue_full" -> R_queue_full
-  | "link_down" -> R_link_down
-  | "blackhole" -> R_blackhole
-  | "loss" -> R_loss
-  | "crc" -> R_crc
-  | "decode" -> R_decode
-  | "ttl_expired" -> R_ttl_expired
-  | "no_route" -> R_no_route
-  | "ingress_filter" -> R_ingress_filter
-  | "stale" -> R_stale
-  | "duplicate" -> R_duplicate
-  | "corrupt" -> R_corrupt
-  | "dup" -> R_dup
-  | "reorder_overflow" -> R_reorder_overflow
-  | "congestion" -> R_congestion
-  | "endpoint_crash" -> R_endpoint_crash
-  | "path_down" -> R_path_down
-  | s -> R_other s
+let reason_to_string = function
+  | R_other s -> s
+  | r -> List.assoc r reason_names
+
+let reason_of_string s =
+  match List.find_opt (fun (_, name) -> String.equal name s) reason_names with
+  | Some (r, _) -> r
+  | None -> R_other s
+
+let kind_names =
+  [
+    (Pdu_sent, "pdu_sent");
+    (Pdu_recvd, "pdu_recvd");
+    (Enqueued, "enqueued");
+    (Dequeued, "dequeued");
+    (Timer_set, "timer_set");
+    (Timer_fired, "timer_fired");
+    (Retransmit, "retransmit");
+    (Handoff, "handoff");
+    (Route_update, "route_update");
+  ]
 
 let kind_to_string = function
-  | Pdu_sent -> "pdu_sent"
-  | Pdu_recvd -> "pdu_recvd"
   | Pdu_dropped r -> "pdu_dropped:" ^ reason_to_string r
-  | Enqueued -> "enqueued"
-  | Dequeued -> "dequeued"
-  | Timer_set -> "timer_set"
-  | Timer_fired -> "timer_fired"
-  | Retransmit -> "retransmit"
-  | Handoff -> "handoff"
-  | Route_update -> "route_update"
   | Custom s -> s
+  | k -> List.assoc k kind_names
 
 (* ---------- O(1)-append event buffer (optionally a bounded ring) ---------- *)
 
@@ -342,218 +339,55 @@ end
 
 (* ---------- JSONL codec ---------- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-(* Shortest representation that round-trips exactly. *)
-let json_float f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let event_to_json e =
-  let b = Buffer.create 96 in
-  Buffer.add_string b "{\"t\":";
-  Buffer.add_string b (json_float e.time);
-  Buffer.add_string b ",\"c\":\"";
-  json_escape b e.component;
-  Buffer.add_string b "\",\"k\":\"";
-  (match e.kind with
-   | Pdu_sent -> Buffer.add_string b "pdu_sent"
-   | Pdu_recvd -> Buffer.add_string b "pdu_recvd"
-   | Pdu_dropped _ -> Buffer.add_string b "pdu_dropped"
-   | Enqueued -> Buffer.add_string b "enqueued"
-   | Dequeued -> Buffer.add_string b "dequeued"
-   | Timer_set -> Buffer.add_string b "timer_set"
-   | Timer_fired -> Buffer.add_string b "timer_fired"
-   | Retransmit -> Buffer.add_string b "retransmit"
-   | Handoff -> Buffer.add_string b "handoff"
-   | Route_update -> Buffer.add_string b "route_update"
-   | Custom _ -> Buffer.add_string b "custom");
-  Buffer.add_char b '"';
-  (match e.kind with
-   | Pdu_dropped r ->
-     Buffer.add_string b ",\"r\":\"";
-     json_escape b (reason_to_string r);
-     Buffer.add_char b '"'
-   | Custom s ->
-     Buffer.add_string b ",\"n\":\"";
-     json_escape b s;
-     Buffer.add_char b '"'
-   | _ -> ());
-  let int_field name v =
-    if v <> 0 then begin
-      Buffer.add_string b ",\"";
-      Buffer.add_string b name;
-      Buffer.add_string b "\":";
-      Buffer.add_string b (string_of_int v)
-    end
+  let k, payload =
+    match e.kind with
+    | Pdu_dropped r -> ("pdu_dropped", [ ("r", Json.Str (reason_to_string r)) ])
+    | Custom s -> ("custom", [ ("n", Json.Str s) ])
+    | k -> (List.assoc k kind_names, [])
   in
-  int_field "flow" e.flow;
-  int_field "rank" e.rank;
-  int_field "seq" e.seq;
-  int_field "size" e.size;
-  int_field "span" e.span;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-exception Json_error of string
-
-(* Minimal parser for the flat objects we emit: string keys mapping to
-   string or number values.  Not a general JSON parser. *)
-let parse_flat_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "bad escape";
-        (match s.[!pos] with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'n' -> Buffer.add_char b '\n'
-         | 't' -> Buffer.add_char b '\t'
-         | 'r' -> Buffer.add_char b '\r'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'u' ->
-           if !pos + 4 >= n then fail "truncated \\u escape";
-           (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'
-            | None -> fail "bad \\u escape");
-           pos := !pos + 4
-         | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false)
-    do
-      incr pos
-    done;
-    if start = !pos then fail "expected value";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !pos < n && s.[!pos] = '}' then incr pos
-  else begin
-    let rec members () =
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let v =
-        if !pos < n && s.[!pos] = '"' then `S (parse_string ())
-        else `N (parse_number ())
-      in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      if !pos < n && s.[!pos] = ',' then begin
-        incr pos;
-        members ()
-      end
-      else expect '}'
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing data";
-  List.rev !fields
+  let int name v = if v = 0 then [] else [ (name, Json.int v) ] in
+  Json.to_string
+    (Json.Obj
+       ((("t", Json.float e.time) :: ("c", Json.Str e.component)
+         :: ("k", Json.Str k) :: payload)
+       @ int "flow" e.flow @ int "rank" e.rank @ int "seq" e.seq
+       @ int "size" e.size @ int "span" e.span))
 
 let event_of_json line =
-  match parse_flat_json line with
-  | exception Json_error msg -> Error msg
-  | fields ->
-    let str name =
-      match List.assoc_opt name fields with Some (`S s) -> Some s | _ -> None
-    in
-    let num name =
-      match List.assoc_opt name fields with Some (`N f) -> Some f | _ -> None
-    in
+  match Json.parse_line line with
+  | Error e -> Error e
+  | Ok fields ->
+    let get conv name = Option.bind (List.assoc_opt name fields) conv in
+    let str = get Json.to_str and num = get Json.to_num in
     let int name = match num name with Some f -> int_of_float f | None -> 0 in
-    (match (num "t", str "c", str "k") with
-     | Some time, Some component, Some k ->
-       let kind =
-         match k with
-         | "pdu_sent" -> Ok Pdu_sent
-         | "pdu_recvd" -> Ok Pdu_recvd
-         | "pdu_dropped" ->
-           Ok
-             (Pdu_dropped
-                (match str "r" with
-                 | Some r -> reason_of_string r
-                 | None -> R_other "unknown"))
-         | "enqueued" -> Ok Enqueued
-         | "dequeued" -> Ok Dequeued
-         | "timer_set" -> Ok Timer_set
-         | "timer_fired" -> Ok Timer_fired
-         | "retransmit" -> Ok Retransmit
-         | "handoff" -> Ok Handoff
-         | "route_update" -> Ok Route_update
-         | "custom" ->
-           Ok (Custom (match str "n" with Some n -> n | None -> ""))
-         | k -> Error (Printf.sprintf "unknown event kind %S" k)
-       in
-       (match kind with
-        | Error e -> Error e
-        | Ok kind ->
-          Ok
-            {
-              time;
-              component;
-              kind;
-              flow = int "flow";
-              rank = int "rank";
-              seq = int "seq";
-              size = int "size";
-              span = int "span";
-            })
-     | _ -> Error "missing required field (t, c or k)")
+    let kind k =
+      match k with
+      | "pdu_dropped" ->
+        Ok
+          (Pdu_dropped
+             (match str "r" with
+              | Some r -> reason_of_string r
+              | None -> R_other "unknown"))
+      | "custom" -> Ok (Custom (Option.value ~default:"" (str "n")))
+      | k -> (
+        match List.find_opt (fun (_, name) -> String.equal name k) kind_names with
+        | Some (kind, _) -> Ok kind
+        | None -> Error (Printf.sprintf "unknown event kind %S" k))
+    in
+    match (num "t", str "c", str "k") with
+    | Some time, Some component, Some k ->
+      Result.map
+        (fun kind ->
+          {
+            time;
+            component;
+            kind;
+            flow = int "flow";
+            rank = int "rank";
+            seq = int "seq";
+            size = int "size";
+            span = int "span";
+          })
+        (kind k)
+    | _ -> Error "missing required field (t, c or k)"

@@ -237,26 +237,9 @@ end
     One event per line, e.g.
     [{"t":1.25,"c":"efcp","k":"pdu_dropped","r":"queue_full","flow":3,"seq":7,"size":500,"span":129}].
     Zero-valued numeric fields are omitted on output and default to 0
-    when absent on input. *)
+    when absent on input.  Lines are {!Json} compact objects; decoding
+    goes through {!Json.parse_line}, so a line whose values are not all
+    strings or numbers is an [Error]. *)
 
 val event_to_json : event -> string
 val event_of_json : string -> (event, string) result
-
-(** {2 Flat-JSON helpers}
-
-    Shared by the other JSONL emitters in the stack ({!Telemetry},
-    stats files) so every line format in the repo parses the same
-    way. *)
-
-exception Json_error of string
-
-val parse_flat_json : string -> (string * [ `S of string | `N of float ]) list
-(** Parse one flat JSON object whose values are strings or numbers
-    (exactly what {!event_to_json} and [Telemetry] emit).  Not a
-    general JSON parser.
-    @raise Json_error on malformed input. *)
-
-val json_float : float -> string
-(** Shortest decimal representation that round-trips the float
-    exactly — the canonical number format for every JSONL file the
-    stack writes. *)

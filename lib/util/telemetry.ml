@@ -234,20 +234,6 @@ let merge_into ~into other =
 
 (* ---------- canonical JSONL ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 4) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let pack pairs =
   String.concat ";" (List.map (fun (i, c) -> Printf.sprintf "%d:%d" i c) pairs)
 
@@ -271,39 +257,44 @@ let unpack s =
 
 let to_jsonl t =
   let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"kind\":\"meta\",\"v\":1,\"series_bucket\":%s,\"latency_ppm\":%d}\n"
-    (Flight.json_float t.bucket) t.lat_ppm;
+  let line fields =
+    Buffer.add_string b (Json.to_string (Json.Obj fields));
+    Buffer.add_char b '\n'
+  in
+  let named kind name rest =
+    line (("kind", Json.Str kind) :: ("name", Json.Str name) :: rest)
+  in
+  line
+    [ ("kind", Json.Str "meta"); ("v", Json.int 1);
+      ("series_bucket", Json.float t.bucket); ("latency_ppm", Json.int t.lat_ppm) ];
   List.iter
-    (fun name ->
-      Printf.bprintf b "{\"kind\":\"counter\",\"name\":\"%s\",\"n\":%d}\n"
-        (esc name) (counter t name))
+    (fun name -> named "counter" name [ ("n", Json.int (counter t name)) ])
     (counter_names t);
   List.iter
     (fun (s : snapshot) ->
-      Printf.bprintf b
-        "{\"kind\":\"snapshot\",\"t\":%s,\"events\":%d,\"sent\":%d,\"recvd\":%d,\"dropped\":%d}\n"
-        (Flight.json_float s.at) s.events s.sent s.recvd s.dropped)
+      line
+        [ ("kind", Json.Str "snapshot"); ("t", Json.float s.at);
+          ("events", Json.int s.events); ("sent", Json.int s.sent);
+          ("recvd", Json.int s.recvd); ("dropped", Json.int s.dropped) ])
     (snapshots t);
   List.iter
     (fun name ->
       let h = Hashtbl.find t.hists name in
-      Printf.bprintf b "{\"kind\":\"hist\",\"name\":\"%s\",\"zero\":%d,\"buckets\":\"%s\"}\n"
-        (esc name) (Sketch.Hist.zero_count h) (pack (Sketch.Hist.buckets h)))
+      named "hist" name
+        [ ("zero", Json.int (Sketch.Hist.zero_count h));
+          ("buckets", Json.Str (pack (Sketch.Hist.buckets h))) ])
     (hist_names t);
   List.iter
     (fun name ->
       let s = Hashtbl.find t.series name in
-      Printf.bprintf b
-        "{\"kind\":\"series\",\"name\":\"%s\",\"bucket\":%s,\"total\":%d,\"counts\":\"%s\"}\n"
-        (esc name)
-        (Flight.json_float (Sketch.Series.bucket_width s))
-        (Sketch.Series.total s)
-        (pack (Sketch.Series.counts s)))
+      named "series" name
+        [ ("bucket", Json.float (Sketch.Series.bucket_width s));
+          ("total", Json.int (Sketch.Series.total s));
+          ("counts", Json.Str (pack (Sketch.Series.counts s))) ])
     (series_names t);
   Buffer.contents b
 
 let of_jsonl text =
-  let lines = String.split_on_char '\n' text in
   let t = ref None in
   let get_t () =
     match !t with
@@ -313,114 +304,89 @@ let of_jsonl text =
       t := Some x;
       x
   in
-  let err lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+  (* Apply one parsed line to the registry. *)
+  let apply fields =
+    let get conv name = Option.bind (List.assoc_opt name fields) conv in
+    let str = get Json.to_str and num = get Json.to_num in
+    let int name = match num name with Some f -> int_of_float f | None -> 0 in
+    let named kind f =
+      match str "name" with
+      | None -> Error (kind ^ " without a name")
+      | Some name -> f (get_t ()) name
+    in
+    match str "kind" with
+    | Some "meta" when Option.is_some !t -> Error "duplicate meta line"
+    | Some "meta" ->
+      let bucket =
+        match num "series_bucket" with Some w when w > 0. -> w | _ -> 0.5
+      in
+      let x = create ~series_bucket:bucket () in
+      x.lat_ppm <-
+        (match num "latency_ppm" with
+         | Some p when p > 0. -> int_of_float p
+         | _ -> full_ppm);
+      t := Some x;
+      Ok ()
+    | Some "counter" ->
+      named "counter" (fun x name ->
+          let n = int "n" and y = x.tally in
+          (match name with
+           | "events" -> y.Flight.t_events <- n
+           | "sent" -> y.Flight.t_sent <- n
+           | "recvd" -> y.Flight.t_recvd <- n
+           | "dropped" -> y.Flight.t_dropped <- n
+           | "retransmit" -> y.Flight.t_retransmit <- n
+           | "timer" -> y.Flight.t_timer <- n
+           | "latency_pending" -> x.pending_carry <- n
+           | name -> count ~n x name);
+          Ok ())
+    | Some "snapshot" ->
+      let x = get_t () in
+      let s =
+        {
+          at = Option.value ~default:0. (num "t");
+          events = int "events";
+          sent = int "sent";
+          recvd = int "recvd";
+          dropped = int "dropped";
+        }
+      in
+      x.snaps <- s :: x.snaps;
+      Ok ()
+    | Some "hist" ->
+      named "hist" (fun x name ->
+          Result.map
+            (fun bs ->
+              Sketch.Hist.merge_into ~into:(hist_for x name)
+                (Sketch.Hist.of_buckets ~zero:(int "zero") bs))
+            (unpack (Option.value ~default:"" (str "buckets"))))
+    | Some "series" ->
+      named "series" (fun x name ->
+          let bucket =
+            match num "bucket" with Some w when w > 0. -> w | _ -> x.bucket
+          in
+          if bucket <> x.bucket then
+            Error
+              (Printf.sprintf "series bucket %g differs from registry %g" bucket
+                 x.bucket)
+          else
+            Result.map
+              (fun cs ->
+                Sketch.Series.merge_into ~into:(series_for x name)
+                  (Sketch.Series.of_counts ~bucket cs))
+              (unpack (Option.value ~default:"" (str "counts"))))
+    | Some k -> Error (Printf.sprintf "unknown line kind %S" k)
+    | None -> Error "line without a \"kind\" field"
+  in
   let rec go lineno = function
     | [] -> Ok (get_t ())
     | line :: rest when String.trim line = "" -> go (lineno + 1) rest
     | line :: rest -> (
-      match Flight.parse_flat_json line with
-      | exception Flight.Json_error msg -> err lineno msg
-      | fields -> (
-        let str name =
-          match List.assoc_opt name fields with
-          | Some (`S s) -> Some s
-          | _ -> None
-        in
-        let num name =
-          match List.assoc_opt name fields with
-          | Some (`N f) -> Some f
-          | _ -> None
-        in
-        let int name = match num name with Some f -> int_of_float f | None -> 0 in
-        match str "kind" with
-        | Some "meta" -> (
-          match !t with
-          | Some _ -> err lineno "duplicate meta line"
-          | None ->
-            let bucket =
-              match num "series_bucket" with Some w when w > 0. -> w | _ -> 0.5
-            in
-            let x = create ~series_bucket:bucket () in
-            x.lat_ppm <- (match num "latency_ppm" with
-                          | Some p when p > 0. -> int_of_float p
-                          | _ -> full_ppm);
-            t := Some x;
-            go (lineno + 1) rest)
-        | Some "counter" -> (
-          let x = get_t () in
-          match str "name" with
-          | None -> err lineno "counter without a name"
-          | Some "events" ->
-            x.tally.Flight.t_events <- int "n";
-            go (lineno + 1) rest
-          | Some "sent" ->
-            x.tally.Flight.t_sent <- int "n";
-            go (lineno + 1) rest
-          | Some "recvd" ->
-            x.tally.Flight.t_recvd <- int "n";
-            go (lineno + 1) rest
-          | Some "dropped" ->
-            x.tally.Flight.t_dropped <- int "n";
-            go (lineno + 1) rest
-          | Some "retransmit" ->
-            x.tally.Flight.t_retransmit <- int "n";
-            go (lineno + 1) rest
-          | Some "timer" ->
-            x.tally.Flight.t_timer <- int "n";
-            go (lineno + 1) rest
-          | Some "latency_pending" ->
-            x.pending_carry <- int "n";
-            go (lineno + 1) rest
-          | Some name ->
-            count ~n:(int "n") x name;
-            go (lineno + 1) rest)
-        | Some "snapshot" ->
-          let x = get_t () in
-          let s =
-            {
-              at = (match num "t" with Some f -> f | None -> 0.);
-              events = int "events";
-              sent = int "sent";
-              recvd = int "recvd";
-              dropped = int "dropped";
-            }
-          in
-          x.snaps <- s :: x.snaps;
-          go (lineno + 1) rest
-        | Some "hist" -> (
-          let x = get_t () in
-          match str "name" with
-          | None -> err lineno "hist without a name"
-          | Some name -> (
-            match unpack (Option.value ~default:"" (str "buckets")) with
-            | Error e -> err lineno e
-            | Ok bs ->
-              let h = Sketch.Hist.of_buckets ~zero:(int "zero") bs in
-              Sketch.Hist.merge_into ~into:(hist_for x name) h;
-              go (lineno + 1) rest))
-        | Some "series" -> (
-          let x = get_t () in
-          match str "name" with
-          | None -> err lineno "series without a name"
-          | Some name -> (
-            let bucket =
-              match num "bucket" with Some w when w > 0. -> w | _ -> x.bucket
-            in
-            if bucket <> x.bucket then
-              err lineno
-                (Printf.sprintf "series bucket %g differs from registry %g"
-                   bucket x.bucket)
-            else
-              match unpack (Option.value ~default:"" (str "counts")) with
-              | Error e -> err lineno e
-              | Ok cs ->
-                let s = Sketch.Series.of_counts ~bucket cs in
-                Sketch.Series.merge_into ~into:(series_for x name) s;
-                go (lineno + 1) rest))
-        | Some k -> err lineno (Printf.sprintf "unknown line kind %S" k)
-        | None -> err lineno "line without a \"kind\" field"))
+      match Result.bind (Json.parse_line line) apply with
+      | Ok () -> go (lineno + 1) rest
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  go 1 lines
+  go 1 (String.split_on_char '\n' text)
 
 let load_jsonl path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -486,6 +486,84 @@ let test_metrics () =
   check Alcotest.(list (pair string int)) "sorted" [ ("a", 2); ("b", 5) ] (Metrics.to_list m)
 
 
+(* ---------- Json ---------- *)
+
+module Json = Rina_util.Json
+
+(* Random values whose strings and keys lean on the bytes the printer
+   escapes or passes through raw, and whose numbers come from every
+   constructor the writers use. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (3, printable);
+        (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\x7f'; '\xc3'; '\xa9'; '\xff' ]) ]
+  in
+  let str = string_size ~gen:byte (int_bound 8) in
+  let num =
+    oneof
+      [ map Json.int int; map2 Json.fixed (int_bound 6) float; map Json.float float ]
+  in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool; num;
+        map (fun s -> Json.Str s) str ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (depth - 1))));
+               (1,
+                map (fun l -> Json.Obj l)
+                  (list_size (int_bound 4) (pair str (self (depth - 1))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"json prints and parses back, both layouts"
+    (QCheck.make ~print:Json.to_string json_gen) (fun v ->
+      Json.parse (Json.to_string v) = Ok v && Json.parse (Json.pretty v) = Ok v)
+
+(* The artifact layout, on a value shaped like BENCH_chaos_recovery.json. *)
+let test_json_layout () =
+  let fault label at gap =
+    Json.Obj
+      [ ("label", Json.Str label); ("at_s", Json.fixed 1 at);
+        ("blackout_s", Option.fold ~none:Json.Null ~some:(Json.fixed 6) gap);
+        ("recovered", Json.Bool (gap <> None)) ]
+  in
+  let v =
+    Json.Obj
+      [ ("rina",
+         Json.Obj
+           [ ("delivered", Json.int 10001);
+             ("faults",
+              Json.Arr [ fault "flap-left" 8. (Some 3.167018); fault "crash-relay" 27. None ]);
+             ("gap_p50_ms", Json.fixed 3 0.509) ]);
+        ("t", Json.float 3.); ("empty", Json.Arr []) ]
+  in
+  check Alcotest.string "pretty"
+    "{\n\
+    \  \"rina\": {\n\
+    \    \"delivered\": 10001,\n\
+    \    \"faults\": [\n\
+    \      {\"label\": \"flap-left\", \"at_s\": 8.0, \"blackout_s\": 3.167018, \"recovered\": true},\n\
+    \      {\"label\": \"crash-relay\", \"at_s\": 27.0, \"blackout_s\": null, \"recovered\": false}\n\
+    \    ],\n\
+    \    \"gap_p50_ms\": 0.509\n\
+    \  },\n\
+    \  \"t\": 3,\n\
+    \  \"empty\": []\n\
+     }\n"
+    (Json.pretty v);
+  check Alcotest.string "compact"
+    "{\"rina\":{\"delivered\":10001,\"faults\":[{\"label\":\"flap-left\",\"at_s\":8.0,\
+     \"blackout_s\":3.167018,\"recovered\":true},{\"label\":\"crash-relay\",\"at_s\":27.0,\
+     \"blackout_s\":null,\"recovered\":false}],\"gap_p50_ms\":0.509},\"t\":3,\"empty\":[]}"
+    (Json.to_string v)
+
 (* ---------- Flight recorder ---------- *)
 
 module Flight = Rina_util.Flight
@@ -846,10 +924,11 @@ let test_telemetry_jsonl_roundtrip () =
     check Alcotest.int "snapshots survive" 2
       (List.length (Telemetry.snapshots t'))
 
-(* JSONL is the one serialisation of flight events and telemetry, so
-   both decoders must be total: arbitrary bytes, and valid exports
-   with random bytes overwritten or cut short, give [Ok] or [Error] —
-   never an exception. *)
+(* JSONL is the one serialisation of flight events and telemetry, and
+   Json.parse reads every artifact, so all three decoders must be
+   total: arbitrary bytes, valid exports and encodings with random
+   bytes overwritten or cut short, and nesting far past any stack
+   give [Ok] or [Error] — never an exception. *)
 let prop_jsonl_decoders_total =
   let open QCheck.Gen in
   (* bias overwrites toward the bytes the parsers branch on *)
@@ -871,14 +950,19 @@ let prop_jsonl_decoders_total =
     oneof
       [ string_size ~gen:char (int_bound 80);
         event_gen >>= (fun e -> mangle (Flight.event_to_json e));
-        mangle stats ]
+        mangle stats;
+        json_gen >>= (fun v -> mangle (Json.to_string v));
+        json_gen >>= (fun v -> mangle (Json.pretty v));
+        return (String.make 100_000 '[') ]
   in
   let total decode s =
     match decode s with Ok _ | Error _ -> true | exception _ -> false
   in
   QCheck.Test.make ~count:3000 ~name:"jsonl decoders never raise"
     (QCheck.make ~print:(Printf.sprintf "%S") input)
-    (fun s -> total Flight.event_of_json s && total Telemetry.of_jsonl s)
+    (fun s ->
+      total Flight.event_of_json s && total Telemetry.of_jsonl s
+      && total Json.parse s)
 
 let test_telemetry_merge () =
   let mk sent dropped lat =
@@ -1073,6 +1157,11 @@ let () =
           Alcotest.test_case "rejects bad args" `Quick
             test_backoff_rejects_bad_args;
           QCheck_alcotest.to_alcotest prop_backoff_delay_in_range;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "layout" `Quick test_json_layout;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "flight",
         [
