@@ -62,7 +62,7 @@ let bench_lpm_lookup =
 let bench_heap =
   Test.make ~name:"heap_push_pop_x100"
     (Staged.stage (fun () ->
-         let h = Rina_util.Heap.create () in
+         let h = Rina_util.Heap.create ~filler:0 in
          for i = 0 to 99 do
            Rina_util.Heap.push h (float_of_int ((i * 37) mod 100)) i
          done;

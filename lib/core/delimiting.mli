@@ -5,11 +5,17 @@
     Each fragment carries a 1-byte header with FIRST/LAST flags.  The
     reassembler relies on EFCP's in-order delivery for reliable flows;
     on unreliable flows a lost fragment makes it discard the partial
-    SDU when the next FIRST arrives (counted as [sdus_discarded]). *)
+    SDU when the next FIRST arrives (counted by {!discarded}).
 
-val fragment : mtu:int -> bytes -> bytes list
+    Fragments are {!Pdu.view}s, so an SDU's bytes are copied once on
+    each side of a rank: into the buffer that becomes the frame when it
+    is fragmented, and out of the received frames when it is
+    reassembled. *)
+
+val fragment : mtu:int -> bytes -> Pdu.view list
 (** Split an SDU into delimited fragments, each of length at most
-    [mtu] + {!overhead}.  The empty SDU yields one fragment.
+    [mtu] + {!overhead}, each in its own {!Pdu.with_headroom} buffer.
+    The empty SDU yields one fragment.
     @raise Invalid_argument if [mtu <= 0]. *)
 
 val overhead : int
@@ -19,10 +25,14 @@ type reassembler
 
 val create_reassembler : unit -> reassembler
 
-val push : reassembler -> bytes -> bytes option
+val push : reassembler -> Pdu.view -> bytes option
 (** Feed one delimited fragment (in delivery order); returns the
-    complete SDU when its LAST fragment arrives.
-    @raise Invalid_argument on a malformed fragment. *)
+    complete SDU, copied out of its fragments, when its LAST fragment
+    arrives.  The reassembler keeps the views of a partial SDU, so the
+    buffers they view must not change until then.  Total: a fragment
+    too short to hold the header is dropped and counted in
+    {!discarded}. *)
 
 val discarded : reassembler -> int
-(** SDUs dropped because a new SDU began mid-reassembly. *)
+(** SDUs dropped because a new SDU began mid-reassembly, plus
+    fragments dropped as malformed. *)

@@ -1,5 +1,5 @@
 type unacked = {
-  payload : bytes;
+  payload : Pdu.view;  (* the user-data field, in the buffer it was sent from *)
   mutable sent_at : float;
   mutable retries : int;
   mutable sacked : bool;
@@ -20,10 +20,11 @@ type t = {
   rank : int;  (* DIF rank, for flight-recorder events *)
   tx_span_key : int;  (* flow key of PDUs we send (remote end) *)
   rx_span_key : int;  (* flow key of PDUs we receive (this end) *)
+  dtp_header : Pdu.t;  (* this connection's DTP fields, payload empty *)
   send_pdu : Pdu.t -> int;
       (* returns the egress port id the PDU was striped onto, 0 when
          the caller does not track paths *)
-  deliver : bytes -> unit;
+  deliver : Pdu.view -> unit;
   on_error : string -> unit;
   metrics : Rina_util.Metrics.t;
   (* handles for the counters bumped per PDU *)
@@ -37,7 +38,7 @@ type t = {
   mutable snd_una : int;         (* lowest unacknowledged sequence *)
   mutable send_limit : int;      (* may send seq < send_limit (peer credit) *)
   retx : (int, unacked) Hashtbl.t;
-  backlog : bytes Queue.t;
+  backlog : Pdu.view Queue.t;
   mutable rto : float;
   mutable srtt : float;
   mutable rttvar : float;
@@ -63,7 +64,7 @@ type t = {
   mutable pace_timer : Rina_sim.Engine.handle option;
   (* --- receiver --- *)
   mutable rcv_next : int;
-  ooo : (int, bytes) Hashtbl.t;
+  ooo : (int, Pdu.view) Hashtbl.t;
   mutable highest_delivered : int;  (* for unreliable in-order flows *)
   mutable ack_timer : Rina_sim.Engine.handle option;
   mutable ecn_pending : bool;  (* echo the congestion mark on the next ack *)
@@ -99,6 +100,10 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
     rank;
     tx_span_key;
     rx_span_key;
+    dtp_header =
+      Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:Types.no_address
+        ~src_addr:Types.no_address ~dst_cep:remote_cep ~src_cep:local_cep ~qos_id
+        Bytes.empty;
     send_pdu;
     deliver;
     on_error;
@@ -189,8 +194,7 @@ let fail t reason =
 
 let dtp_pdu t seq payload =
   let flags = if seq = 1 then Pdu.flag_drf else 0 in
-  Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:Types.no_address ~src_addr:Types.no_address
-    ~dst_cep:t.remote_cep ~src_cep:t.local_cep ~qos_id:t.qos_id ~seq ~flags payload
+  { t.dtp_header with Pdu.seq; flags; payload }
 
 (* Forward declaration pattern for the timer/transmit recursion. *)
 let rec arm_rto_timer t =
@@ -246,7 +250,7 @@ and retransmit_seq t seq =
       u.retries <- u.retries + 1;
       u.sent_at <- Rina_sim.Engine.now t.engine;
       Rina_util.Metrics.incr t.metrics "pdus_rtx";
-      flight_tx t seq (Bytes.length u.payload) Flight.Retransmit;
+      flight_tx t seq u.payload.Pdu.len Flight.Retransmit;
       u.path <- t.send_pdu (dtp_pdu t seq u.payload)
     end
 
@@ -258,7 +262,7 @@ let transmit t payload =
       { payload; sent_at = Rina_sim.Engine.now t.engine; retries = 0;
         sacked = false; path = 0 };
   Rina_util.Metrics.bump t.pdus_sent;
-  flight_tx t seq (Bytes.length payload) Flight.Pdu_sent;
+  flight_tx t seq payload.Pdu.len Flight.Pdu_sent;
   let path = t.send_pdu (dtp_pdu t seq payload) in
   (match Hashtbl.find_opt t.retx seq with
   | Some u -> u.path <- path
@@ -422,7 +426,7 @@ let deliver_in_sequence t =
       Hashtbl.remove t.ooo seq;
       t.rcv_next <- t.rcv_next + 1;
       Rina_util.Metrics.bump t.delivered;
-      flight_rx t seq (Bytes.length payload) Flight.Pdu_recvd;
+      flight_rx t seq payload.Pdu.len Flight.Pdu_recvd;
       san_delivery t seq;
       t.deliver payload
     | None -> continue := false
@@ -453,13 +457,13 @@ let handle_dtp t (pdu : Pdu.t) =
     if pdu.Pdu.seq < t.rcv_next || Hashtbl.mem t.ooo pdu.Pdu.seq then begin
       Rina_util.Metrics.incr t.metrics "dup_rcvd";
       flight_rx t pdu.Pdu.seq
-        (Bytes.length pdu.Pdu.payload)
+        pdu.Pdu.payload.Pdu.len
         (Flight.Pdu_dropped Flight.R_dup)
     end
     else if pdu.Pdu.seq = t.rcv_next then begin
       t.rcv_next <- t.rcv_next + 1;
       Rina_util.Metrics.bump t.delivered;
-      flight_rx t pdu.Pdu.seq (Bytes.length pdu.Pdu.payload) Flight.Pdu_recvd;
+      flight_rx t pdu.Pdu.seq pdu.Pdu.payload.Pdu.len Flight.Pdu_recvd;
       san_delivery t pdu.Pdu.seq;
       t.deliver pdu.Pdu.payload;
       deliver_in_sequence t
@@ -477,13 +481,13 @@ let handle_dtp t (pdu : Pdu.t) =
              repair it once the buffer drains. *)
           Rina_util.Metrics.incr t.metrics "ooo_overflow";
           flight_rx t pdu.Pdu.seq
-            (Bytes.length pdu.Pdu.payload)
+            pdu.Pdu.payload.Pdu.len
             (Flight.Pdu_dropped Flight.R_reorder_overflow)
         end
       | Policy.Go_back_n | Policy.No_rtx ->
         Rina_util.Metrics.incr t.metrics "gbn_discards";
         flight_rx t pdu.Pdu.seq
-          (Bytes.length pdu.Pdu.payload)
+          pdu.Pdu.payload.Pdu.len
           (Flight.Pdu_dropped (Flight.R_other "gbn_discard"))
     end;
     (* Out-of-order arrivals trigger an immediate (duplicate) ack so the
@@ -495,7 +499,7 @@ let handle_dtp t (pdu : Pdu.t) =
     if t.in_order && pdu.Pdu.seq <= t.highest_delivered then begin
       Rina_util.Metrics.incr t.metrics "stale_dropped";
       flight_rx t pdu.Pdu.seq
-        (Bytes.length pdu.Pdu.payload)
+        pdu.Pdu.payload.Pdu.len
         (Flight.Pdu_dropped Flight.R_stale)
     end
     else if (not t.in_order) && dup_cache_hit t pdu.Pdu.seq then begin
@@ -503,13 +507,13 @@ let handle_dtp t (pdu : Pdu.t) =
          the only dedup an unordered unreliable flow has. *)
       Rina_util.Metrics.incr t.metrics "dup_suppressed";
       flight_rx t pdu.Pdu.seq
-        (Bytes.length pdu.Pdu.payload)
+        pdu.Pdu.payload.Pdu.len
         (Flight.Pdu_dropped Flight.R_dup)
     end
     else begin
       t.highest_delivered <- max t.highest_delivered pdu.Pdu.seq;
       Rina_util.Metrics.bump t.delivered;
-      flight_rx t pdu.Pdu.seq (Bytes.length pdu.Pdu.payload) Flight.Pdu_recvd;
+      flight_rx t pdu.Pdu.seq pdu.Pdu.payload.Pdu.len Flight.Pdu_recvd;
       san_delivery t pdu.Pdu.seq;
       t.deliver pdu.Pdu.payload
     end
@@ -537,11 +541,10 @@ let rtt_sample t sample =
    information is monotone truth (the reorder buffer only empties by
    delivering), so marks from stale acks are still correct. *)
 let apply_sack t (pdu : Pdu.t) =
-  let payload = pdu.Pdu.payload in
-  if t.config.Policy.sack_blocks > 0 && Bytes.length payload > 0 then begin
+  if t.config.Policy.sack_blocks > 0 && pdu.Pdu.payload.Pdu.len > 0 then begin
     let module R = Rina_util.Codec.Reader in
     match
-      (let r = R.create payload in
+      (let r = R.create (Pdu.bytes_of_view pdu.Pdu.payload) in
        let n = R.u8 r in
        let blocks = List.init n (fun _ ->
            let start = R.u32 r in

@@ -25,13 +25,14 @@ val create :
   ?span_keys:int * int ->
   ?rank:int ->
   send_pdu:(Pdu.t -> int) ->
-  deliver:(bytes -> unit) ->
+  deliver:(Pdu.view -> unit) ->
   on_error:(string -> unit) ->
   unit ->
   t
 (** [deliver] receives user-data fields in the order mandated by
-    [in_order]; [on_error] fires once if the flow is declared broken
-    (max retransmissions exceeded).
+    [in_order], as views into the frames that carried them (held in the
+    reorder buffer meanwhile, never copied); [on_error] fires once if
+    the flow is declared broken (max retransmissions exceeded).
 
     [send_pdu] returns the egress port id the PDU was striped onto (0
     when the caller does not track paths); EFCP tags each outstanding
@@ -44,10 +45,13 @@ val create :
     relays emit.  Defaults to the bare CEP ids, which only stays unique
     within one IPC process.  [rank] stamps events with the DIF rank. *)
 
-val send : t -> bytes -> unit
+val send : t -> Pdu.view -> unit
 (** Queue one user-data field (at most [config.mtu] bytes — the caller
     fragments first) for transmission; transparently buffered while
-    the window is closed. *)
+    the window is closed.  The view is kept until acknowledged, for
+    retransmission, so its bytes must not change; a
+    {!Pdu.with_headroom} view becomes the first transmission's frame
+    without a copy. *)
 
 val handle_pdu : t -> Pdu.t -> unit
 (** Process an incoming [Dtp] or [Ack] PDU belonging to this

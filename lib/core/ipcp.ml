@@ -520,7 +520,7 @@ and handle_hello t port_id (pdu : Pdu.t) =
   match Hashtbl.find_opt t.nports port_id with
   | None -> ()
   | Some np -> (
-    match decode_hello pdu.Pdu.payload with
+    match decode_hello (Pdu.bytes_of_view pdu.Pdu.payload) with
     | Error _ -> Metrics.incr t.metrics "bad_hello"
     | Ok (peer_name, peer_addr, token)
       when peer_addr > 0 && token <> hello_token t ~name:peer_name ~addr:peer_addr
@@ -832,8 +832,7 @@ let flow_of_state t fs =
         if Flight.enabled () then
           Flight.emit ~component:(flight_comp t) ~flow:fs.fs_local_cep
             ~rank:t.rank ~size:(Bytes.length sdu) (Flight.Custom "sdu");
-        List.iter (fun frag -> Efcp.send fs.fs_efcp frag)
-          (Delimiting.fragment ~mtu sdu));
+        List.iter (Efcp.send fs.fs_efcp) (Delimiting.fragment ~mtu sdu));
     set_on_receive = (fun f -> fs.fs_on_receive <- f);
     set_on_error = (fun f -> fs.fs_on_error <- f);
     close = (fun () -> close_flow_state t fs ~notify_peer:true);
@@ -1219,7 +1218,7 @@ let rec anti_entropy_tick t =
   end
 
 let handle_mgmt t from_port (pdu : Pdu.t) =
-  match Riep.decode pdu.Pdu.payload with
+  match Riep.decode (Pdu.bytes_of_view pdu.Pdu.payload) with
   | Error _ -> Metrics.incr t.metrics "bad_mgmt"
   | Ok msg -> (
     Metrics.incr t.metrics "mgmt_rx";

@@ -1,5 +1,16 @@
 type pdu_type = Dtp | Ack | Mgmt | Hello
 
+type view = { buf : bytes; off : int; len : int }
+
+let empty_view = { buf = Bytes.empty; off = 0; len = 0 }
+
+(* Most Acks carry no payload: they share one view instead of each
+   allocating its own. *)
+let view_of_bytes b =
+  if Bytes.length b = 0 then empty_view else { buf = b; off = 0; len = Bytes.length b }
+
+let bytes_of_view v = Bytes.sub v.buf v.off v.len
+
 type t = {
   pdu_type : pdu_type;
   dst_addr : Types.address;
@@ -12,7 +23,7 @@ type t = {
   window : int;
   ttl : int;
   flags : int;
-  payload : bytes;
+  payload : view;
 }
 
 let flag_drf = 1
@@ -37,7 +48,7 @@ let make ~pdu_type ~dst_addr ~src_addr ?(dst_cep = 0) ?(src_cep = 0) ?(qos_id = 
     window;
     ttl;
     flags;
-    payload;
+    payload = view_of_bytes payload;
   }
 
 let version = 1
@@ -73,7 +84,16 @@ let off_payload_len = 34
    flags + payload length prefix *)
 let header_size = 1 + 1 + (4 * 4) + 2 + 4 + 4 + 4 + 1 + 1 + 4
 
-let encoded_size t = header_size + Bytes.length t.payload
+let encoded_size t = header_size + t.payload.len
+
+(* A buffer laid out as the frame it will become: [header_size] bytes
+   of headroom, [len] bytes of payload, then room for the trailer.
+   Version 0 in the headroom marks it unclaimed; [encode_frame] claims
+   it by writing the PCI, whose version byte is never 0. *)
+let with_headroom len =
+  let buf = Bytes.create (header_size + len + Sdu_protection.overhead) in
+  Bytes.set_uint8 buf 0 0;
+  { buf; off = header_size; len }
 
 let check_u8 what v =
   if v < 0 || v > 0xFF then invalid_arg ("Pdu.encode: " ^ what ^ " out of range")
@@ -86,9 +106,9 @@ let check_u32 what v =
   if v < 0 || v > 0xFFFFFFFF then
     invalid_arg ("Pdu.encode: " ^ what ^ " out of range")
 
-(* Write the whole PDU into [b] starting at offset 0.  [b] may be
-   longer than [encoded_size] (room for an SDU-protection trailer). *)
-let write b t =
+(* Write the PCI into [b.(0 .. header_size-1)]; the payload goes
+   behind it, at [header_size]. *)
+let write_header b t =
   check_u32 "dst_addr" t.dst_addr;
   check_u32 "src_addr" t.src_addr;
   check_u32 "dst_cep" t.dst_cep;
@@ -111,32 +131,47 @@ let write b t =
   Bytes.set_int32_be b 28 (Int32.of_int t.window);
   Bytes.set_uint8 b ttl_offset t.ttl;
   Bytes.set_uint8 b 33 t.flags;
-  Bytes.set_int32_be b off_payload_len (Int32.of_int (Bytes.length t.payload));
-  Bytes.blit t.payload 0 b header_size (Bytes.length t.payload)
+  Bytes.set_int32_be b off_payload_len (Int32.of_int t.payload.len)
 
 let encode t =
   let b = Bytes.create (encoded_size t) in
-  write b t;
+  write_header b t;
+  Bytes.blit t.payload.buf t.payload.off b header_size t.payload.len;
   b
 
-(* Encode straight into a protected frame: one allocation for header +
-   payload + CRC trailer, where encode-then-protect costs two buffers
-   and an extra full copy. *)
+(* A payload built by [with_headroom] and not yet claimed becomes the
+   frame itself: the PCI and the CRC are written around it and nothing
+   is copied.  Any other payload, including a claimed one (a
+   retransmission, whose first copy relays may be rewriting while it
+   is still in flight), is copied into a fresh frame. *)
 let encode_frame t =
-  let n = encoded_size t in
-  let b = Bytes.create (n + Sdu_protection.overhead) in
-  write b t;
-  Bytes.set_int32_be b n (Int32.of_int (Sdu_protection.crc32_sub b ~pos:0 ~len:n));
+  let v = t.payload in
+  let n = header_size + v.len in
+  let b =
+    if
+      v.off = header_size
+      && Bytes.length v.buf = n + Sdu_protection.overhead
+      && Bytes.get_uint8 v.buf 0 = 0
+    then v.buf
+    else begin
+      let b = Bytes.create (n + Sdu_protection.overhead) in
+      Bytes.blit v.buf v.off b header_size v.len;
+      b
+    end
+  in
+  write_header b t;
+  Sdu_protection.seal b;
   b
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
 (* Decode the PDU occupying [b.(0 .. len-1)] — [b] itself may be a
    longer buffer (a protected frame whose trailer is excluded via
-   [len]).  [with_payload:false] skips the payload copy and leaves
-   [payload = Bytes.empty]: enough for every relay decision
-   (forwarding, classification, ingress filtering all read header
-   fields only), made explicit by the two wrappers below. *)
+   [len]).  The payload is a view into [b], never a copy.
+   [with_payload:false] leaves the empty view instead, which saves
+   allocating one: enough for every relay decision (forwarding,
+   classification, ingress filtering all read header fields only),
+   made explicit by the two wrappers below. *)
 let decode_at b ~len ~with_payload =
   if len < 1 then Error "truncated PDU: missing version byte"
   else
@@ -170,8 +205,8 @@ let decode_at b ~len ~with_payload =
                 ttl = Bytes.get_uint8 b ttl_offset;
                 flags = Bytes.get_uint8 b 33;
                 payload =
-                  (if with_payload then Bytes.sub b header_size plen
-                   else Bytes.empty);
+                  (if with_payload then { buf = b; off = header_size; len = plen }
+                   else empty_view);
               }
 
 let decode_sub b ~len = decode_at b ~len ~with_payload:true
@@ -186,7 +221,7 @@ let pp fmt t =
   in
   Format.fprintf fmt "%s %d->%d cep %d->%d seq=%d ack=%d w=%d len=%d" kind
     t.src_addr t.dst_addr t.src_cep t.dst_cep t.seq t.ack t.window
-    (Bytes.length t.payload)
+    t.payload.len
 
 (* Flow key for the flight recorder: the destination end of the
    connection identifies the flow, so the sender (which addressed the

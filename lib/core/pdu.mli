@@ -12,6 +12,29 @@ type pdu_type =
   | Mgmt   (** RIEP message for the IPC management task *)
   | Hello  (** neighbour-scope: sender identity for the receiving port *)
 
+(** [len] bytes at offset [off] of [buf]: a payload carried without
+    being copied out of the buffer that holds it.  A received PDU's
+    payload is a view into the frame it arrived in; a fragment built by
+    {!Delimiting.fragment} is a view into the buffer that becomes its
+    frame.  Views are read-only: the payload region of a buffer is
+    never written after it is filled (see {!Rina_sim.Chan.t}). *)
+type view = { buf : bytes; off : int; len : int }
+
+val empty_view : view
+
+val view_of_bytes : bytes -> view
+(** The whole byte string, not copied. *)
+
+val bytes_of_view : view -> bytes
+(** A fresh copy of the viewed bytes, for consumers that keep or parse
+    a payload (management, hellos, SACK blocks). *)
+
+val with_headroom : int -> view
+(** [with_headroom len] is a view of [len] unfilled bytes in a fresh
+    buffer that has {!header_size} bytes of headroom in front and
+    [Sdu_protection.overhead] bytes of tailroom behind: once filled, it
+    is the payload {!encode_frame} encodes in place. *)
+
 type t = {
   pdu_type : pdu_type;
   dst_addr : Types.address;  (** 0 = neighbour scope (this hop only) *)
@@ -24,7 +47,7 @@ type t = {
   window : int;   (** ACK: receive credit in PDUs *)
   ttl : int;
   flags : int;
-  payload : bytes;
+  payload : view;
 }
 
 val flag_drf : int
@@ -55,39 +78,46 @@ val make :
   ?flags:int ->
   bytes ->
   t
-(** Build a PDU; defaults: ceps 0, qos 0, seq/ack/window 0, ttl 32,
-    flags 0. *)
+(** Build a PDU whose payload views the whole byte string; defaults:
+    ceps 0, qos 0, seq/ack/window 0, ttl 32, flags 0. *)
 
 val encode : t -> bytes
 (** Wire form, including a version byte. *)
 
 val encode_frame : t -> bytes
-(** Wire form with the {!Sdu_protection} trailer already appended, in
-    a single allocation — what a sending EFCP hands to the RMT, valid
-    to put on an (N-1) channel as-is. *)
+(** Wire form with the {!Sdu_protection} trailer already appended —
+    what a sending EFCP hands to the RMT, valid to put on an (N-1)
+    channel as-is.  A payload from {!with_headroom} that was never
+    encoded becomes the frame: the PCI and the trailer are written
+    around it in place and its buffer is returned.  Every other payload,
+    including one already encoded once (a retransmission), is copied
+    into a fresh frame, because the first frame may still be in flight
+    while relays rewrite its header. *)
 
 val decode : bytes -> (t, string) result
 (** Parse a wire frame; [Error] describes the first malformation. *)
 
 val decode_sub : bytes -> len:int -> (t, string) result
 (** Like {!decode} but parses only the first [len] bytes of the
-    buffer, so a protected frame can be decoded in place without
-    copying the body out of it first. *)
+    buffer, so a protected frame is decoded in place.  The payload is a
+    view into the buffer, at {!header_size}: nothing is copied, and the
+    PDU keeps the frame alive for as long as it keeps the payload. *)
 
 val decode_header : bytes -> len:int -> (t, string) result
-(** Like {!decode_sub} but leaves [payload = Bytes.empty] instead of
-    copying it — sufficient for relay decisions, which read header
-    fields only. *)
+(** Like {!decode_sub} but leaves [payload = empty_view], which
+    allocates no view — sufficient for relay decisions, which read
+    header fields only. *)
 
 val header_size : int
 (** Bytes of overhead [encode] adds on top of the payload. *)
 
 val encoded_size : t -> int
-(** [header_size + Bytes.length payload]. *)
+(** [header_size + payload.len]. *)
 
 val ttl_offset : int
 (** Byte offset of the TTL field in the wire form — a relay decrements
-    it in place in a copied frame rather than re-encoding the PDU. *)
+    it in place, in the frame its channel handed it, rather than
+    re-encoding the PDU. *)
 
 val flags_offset : int
 (** Byte offset of the flags field, for in-place marking. *)

@@ -3,11 +3,14 @@ let num_classes = 8
 let queue_capacity = 256
 
 (* The data path carries encoded, SDU-protected frames end to end: a
-   PDU is serialised once (at [send]/[send_on_port]) and a relay hop
-   copies the frame, patches the TTL byte and re-seals the trailer —
-   it never re-encodes.  Header fields needed along the way are read
-   in place ([Pdu.decode_header], [Pdu.Peek]); the payload is copied
-   out only at the destination. *)
+   PDU is serialised once (at [send]/[send_on_port]), around its
+   payload when the payload has headroom, and a relay hop patches the
+   TTL byte and re-seals the trailer in the frame its channel handed
+   it — it neither re-encodes nor copies.  Header fields needed along
+   the way are read in place ([Pdu.decode_header], [Pdu.Peek]); at the
+   destination the payload goes up as a view into the frame.  The
+   ownership rule that makes this safe is documented on
+   [Rina_sim.Chan.t]. *)
 type port = {
   id : Types.port_id;
   chan : Rina_sim.Chan.t;
@@ -102,7 +105,7 @@ let flight_pdu t (pdu : Pdu.t) kind =
     Flight.emit_to r
       ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
       ~flow:pdu.Pdu.dst_cep ~rank:t.rank ~seq:pdu.Pdu.seq
-      ~size:(Pdu.header_size + Bytes.length pdu.Pdu.payload)
+      ~size:(Pdu.encoded_size pdu)
       ~span:(Pdu.span pdu) kind
 
 let flight_frame t frame kind =
@@ -277,8 +280,10 @@ let relay_or_deliver t from_port pdu =
         Some port_id)
   end
 
-(* A transit frame: copy, decrement the TTL byte in place, re-seal the
-   trailer.  No decode/encode round trip. *)
+(* A transit frame: decrement the TTL byte and re-seal the trailer, in
+   place.  No decode/encode round trip and no copy: the channel handed
+   this frame to this receiver alone, and header and trailer bytes are
+   the receiver's to rewrite. *)
 let relay_frame t ~hdr frame =
   let hdr = { hdr with Pdu.ttl = hdr.Pdu.ttl - 1 } in
   let drop () =
@@ -294,7 +299,6 @@ let relay_frame t ~hdr frame =
     | None -> drop ()
     | Some port ->
       Rina_util.Metrics.bump t.relayed;
-      let frame = Bytes.copy frame in
       Bytes.set_uint8 frame Pdu.ttl_offset hdr.Pdu.ttl;
       Sdu_protection.seal frame;
       enqueue t port ~hdr frame)
@@ -327,7 +331,7 @@ let on_frame t port_id frame =
       else begin
         let own = t.own_address () in
         if hdr.Pdu.dst_addr = own || hdr.Pdu.dst_addr = Types.no_address then (
-          (* Destination: the one place the payload is copied out. *)
+          (* Destination: the payload goes up as a view into the frame. *)
           match Pdu.decode_sub frame ~len:body_len with
           | Ok pdu -> deliver_up t (Some port_id) pdu
           | Error _ -> Rina_util.Metrics.incr t.metrics "decode_dropped")

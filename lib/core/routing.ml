@@ -114,13 +114,16 @@ let usable_neighbors t (lsa : Lsa.t) =
       | Some back -> List.exists (fun (a, _) -> a = lsa.Lsa.origin) back.Lsa.neighbors)
     lsa.Lsa.neighbors
 
+(* The heap's filler for the slots SPF's (node, first hop) entries vacate. *)
+let no_hop = (Types.no_address, Types.no_address)
+
 let spf t ~source =
   let result : next_hops = Hashtbl.create 32 in
   match Hashtbl.find_opt t.db source with
   | None -> result
   | Some _ ->
     (* Dijkstra; heap entries carry (node, first_hop on the path). *)
-    let heap = Rina_util.Heap.create () in
+    let heap = Rina_util.Heap.create ~filler:no_hop in
     let dist : (Types.address, float) Hashtbl.t = Hashtbl.create 32 in
     Hashtbl.replace dist source 0.;
     Rina_util.Heap.push heap 0. (source, Types.no_address);
@@ -169,7 +172,7 @@ let spf_multi t ~source =
   match Hashtbl.find_opt t.db source with
   | None -> result
   | Some _ ->
-    let heap = Rina_util.Heap.create () in
+    let heap = Rina_util.Heap.create ~filler:Types.no_address in
     let dist : (Types.address, float) Hashtbl.t = Hashtbl.create 32 in
     let fhs : (Types.address, Types.address list) Hashtbl.t =
       Hashtbl.create 32

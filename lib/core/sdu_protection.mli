@@ -21,8 +21,8 @@ val protect : bytes -> bytes
 
 val seal : bytes -> unit
 (** Recompute the CRC of a frame's body in place and store it in the
-    trailer — for frames edited after [protect] (e.g. a relay
-    decrementing the TTL in a copied frame). *)
+    trailer — for frames edited after they were sealed (e.g. a relay
+    decrementing the TTL in the frame it received). *)
 
 val verify : bytes -> bytes option
 (** Check and strip the trailer; [None] if too short or corrupt. *)

@@ -4,7 +4,17 @@
     unidirectional-receive byte pipe: wired link halves and wireless
     channels both present this interface, so the RINA shim IPC process
     is written once.  Watchers are notified on carrier up/down, which
-    is what drives multihoming failover and mobility handoff. *)
+    is what drives multihoming failover and mobility handoff.
+
+    Frames are passed, not copied, so one rule governs who may touch
+    them.  A channel hands each sent frame, as the same byte string, to
+    at most one receiver: links, radios and {!pair} never deliver one
+    frame twice, and a channel that duplicates or corrupts a frame (the
+    mangler) copies it first.  After [send], the sender may still read
+    the frame's payload region, because EFCP keeps it for
+    retransmission.  The receiver may rewrite the header and trailer
+    bytes (a relay's TTL, an ECN flag, the CRC).  No one writes the
+    payload region. *)
 
 type t = {
   send : bytes -> unit;

@@ -11,7 +11,12 @@
    and are flushed into the heap before any pop of an equal-or-later
    key, so the global order is exactly what a heap-only engine would
    produce; the wheel only changes where cancelled entries die (in
-   bulk, at slot flush or compaction, instead of one pop each). *)
+   bulk, at slot flush or compaction, instead of one pop each).
+
+   A handle is reachable from the engine only while it is resident:
+   every heap or wheel slot it vacates is overwritten with [vacant], so
+   a fired or cancelled event, and whatever its closure holds (often a
+   frame), can be collected at once. *)
 
 type lane = Default | Timer
 
@@ -19,7 +24,7 @@ type handle = {
   mutable cancelled : bool;
   mutable resident : bool;
   action : unit -> unit;
-  owner : t;
+  owner : t option;  (* [None] only for [vacant] *)
 }
 
 (* A wheel slot is a parallel-array bag (unboxed times, seqs, handles):
@@ -39,7 +44,10 @@ and t = {
   wheel : wslot array;
   mutable wheel_count : int;
   mutable wheel_min_slot : int;
+  self : t option;  (* the [owner] of this engine's handles *)
 }
+
+let vacant = { cancelled = true; resident = false; action = ignore; owner = None }
 
 let wheel_slots = 256
 
@@ -53,17 +61,21 @@ let wheel_granularity = 0.05
 let slot_of time = int_of_float (time /. wheel_granularity)
 
 let create () =
-  {
-    clock = 0.;
-    queue = Rina_util.Heap.create ();
-    executed = 0;
-    cancelled_resident = 0;
-    wheel =
-      Array.init wheel_slots (fun _ ->
-          { wtimes = Float.Array.create 0; wseqs = [||]; whandles = [||]; wlen = 0 });
-    wheel_count = 0;
-    wheel_min_slot = 0;
-  }
+  let rec t =
+    {
+      clock = 0.;
+      queue = Rina_util.Heap.create ~filler:vacant;
+      executed = 0;
+      cancelled_resident = 0;
+      wheel =
+        Array.init wheel_slots (fun _ ->
+            { wtimes = Float.Array.create 0; wseqs = [||]; whandles = [||]; wlen = 0 });
+      wheel_count = 0;
+      wheel_min_slot = 0;
+      self;
+    }
+  and self = Some t in
+  t
 
 let now t = t.clock
 
@@ -79,7 +91,7 @@ let add_wheel t s time h =
     Float.Array.blit sl.wtimes 0 wtimes 0 sl.wlen;
     let wseqs = Array.make ncap 0 in
     Array.blit sl.wseqs 0 wseqs 0 sl.wlen;
-    let whandles = Array.make ncap h in
+    let whandles = Array.make ncap vacant in
     Array.blit sl.whandles 0 whandles 0 sl.wlen;
     sl.wtimes <- wtimes;
     sl.wseqs <- wseqs;
@@ -94,7 +106,7 @@ let add_wheel t s time h =
 
 let schedule_at ?(lane = Default) t ~time f =
   let time = if time < t.clock then t.clock else time in
-  let h = { cancelled = false; resident = true; action = f; owner = t } in
+  let h = { cancelled = false; resident = true; action = f; owner = t.self } in
   (match lane with
   | Timer when time > t.clock ->
     let s = slot_of time in
@@ -143,23 +155,23 @@ let reap t =
             incr kept
           end
         done;
+        Array.fill sl.whandles !kept (sl.wlen - !kept) vacant;
         sl.wlen <- !kept
       end
     done;
   t.cancelled_resident <- 0
 
 let cancel h =
-  if h.resident && not h.cancelled then begin
+  match h.owner with
+  | Some t when h.resident && not h.cancelled ->
     h.cancelled <- true;
-    let t = h.owner in
     t.cancelled_resident <- t.cancelled_resident + 1;
     if
       t.cancelled_resident >= 64
       && 2 * t.cancelled_resident
          > Rina_util.Heap.length t.queue + t.wheel_count
     then reap t
-  end
-  else h.cancelled <- true
+  | Some _ | None -> h.cancelled <- true
 
 (* Move one slot's entries into the heap with their reserved sequence
    numbers; cancelled ones die here without ever touching the heap. *)
@@ -177,6 +189,7 @@ let flush_slot t s =
         ~key:(Float.Array.get sl.wtimes i)
         ~seq:sl.wseqs.(i) h
   done;
+  Array.fill sl.whandles 0 sl.wlen vacant;
   sl.wlen <- 0
 
 (* Advance to the first nonempty slot (cycling the index space is fine:

@@ -9,7 +9,11 @@
    of a node share a cache line or two of each array.  Both sifts move
    a hole instead of swapping: the entry being placed is held in locals
    and every level does one three-field move (one write barrier, on
-   [vals]) instead of a swap (two). *)
+   [vals]) instead of a swap (two).
+
+   Every slot of [vals] at or past [size] holds [filler], so a popped
+   or compacted entry is unreachable from the heap as soon as it
+   leaves it. *)
 
 type 'a t = {
   mutable keys : floatarray;
@@ -17,15 +21,17 @@ type 'a t = {
   mutable vals : 'a array;
   mutable size : int;
   mutable next_seq : int;
+  filler : 'a;
 }
 
-let create () =
+let create ~filler =
   {
     keys = Float.Array.create 0;
     seqs = [||];
     vals = [||];
     size = 0;
     next_seq = 0;
+    filler;
   }
 
 let length h = h.size
@@ -44,10 +50,7 @@ let[@inline] move h ~src ~dst =
   h.seqs.(dst) <- h.seqs.(src);
   h.vals.(dst) <- h.vals.(src)
 
-(* Single growth path: the value being inserted doubles as the fill
-   element, so growing from empty needs no reachable dummy and there is
-   no [vals.(0)] access to go out of bounds. *)
-let ensure_room h value =
+let ensure_room h =
   let cap = Array.length h.vals in
   if h.size = cap then begin
     let ncap = if cap = 0 then 16 else 2 * cap in
@@ -55,7 +58,7 @@ let ensure_room h value =
     Float.Array.blit h.keys 0 keys 0 h.size;
     let seqs = Array.make ncap 0 in
     Array.blit h.seqs 0 seqs 0 h.size;
-    let vals = Array.make ncap value in
+    let vals = Array.make ncap h.filler in
     Array.blit h.vals 0 vals 0 h.size;
     h.keys <- keys;
     h.seqs <- seqs;
@@ -87,7 +90,7 @@ let sift_up h start =
   end
 
 let push_raw h key seq value =
-  ensure_room h value;
+  ensure_room h;
   Float.Array.set h.keys h.size key;
   h.seqs.(h.size) <- seq;
   h.vals.(h.size) <- value;
@@ -156,7 +159,8 @@ let drop_min h =
   if h.size > 0 then begin
     move h ~src:h.size ~dst:0;
     sift_down_from h 0
-  end
+  end;
+  h.vals.(h.size) <- h.filler
 
 let pop h =
   if h.size = 0 then None
@@ -181,6 +185,7 @@ let compact h ~keep =
     end
   done;
   let removed = h.size - !kept in
+  Array.fill h.vals !kept removed h.filler;
   h.size <- !kept;
   (* The last parent is (size - 2) / 4, which rounds toward zero to 0
      for a heap of 0 or 1 entries: those have no parent to sift, and

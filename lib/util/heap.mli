@@ -15,8 +15,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
-(** Fresh empty heap. *)
+val create : filler:'a -> 'a t
+(** Fresh empty heap.  [filler] occupies every slot no entry holds, so
+    the heap keeps no removed entry reachable; it is never returned. *)
 
 val length : 'a t -> int
 (** Number of entries currently stored. *)

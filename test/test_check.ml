@@ -597,7 +597,7 @@ let test_sanitizer_efcp_lossy_transfer_clean () =
       sender_ref := Some sender;
       receiver_ref := Some receiver;
       for i = 1 to 100 do
-        Efcp.send sender (Bytes.of_string (Printf.sprintf "m%d" i))
+        Efcp.send sender (Pdu.view_of_bytes (Bytes.of_string (Printf.sprintf "m%d" i)))
       done;
       Engine.run ~until:30. engine;
       check Alcotest.int "all delivered despite loss" 100 !delivered;

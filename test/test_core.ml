@@ -30,6 +30,10 @@ let test_apn_roundtrip () =
 
 (* ---------- Pdu ---------- *)
 
+(* A decoded payload views the frame it came from; copy it out so that
+   [=] compares every header field and the payload bytes. *)
+let plain (p : Pdu.t) = { p with Pdu.payload = Pdu.view_of_bytes (Pdu.bytes_of_view p.Pdu.payload) }
+
 let test_pdu_roundtrip_all_types () =
   List.iter
     (fun pdu_type ->
@@ -41,7 +45,7 @@ let test_pdu_roundtrip_all_types () =
       in
       match Pdu.decode (Pdu.encode p) with
       | Ok q ->
-        Alcotest.(check bool) "equal" true (p = q);
+        Alcotest.(check bool) "equal" true (plain p = plain q);
         Alcotest.(check bool) "drf" true (Pdu.has_flag q Pdu.flag_drf);
         Alcotest.(check bool) "fin" true (Pdu.has_flag q Pdu.flag_fin)
       | Error e -> Alcotest.fail e)
@@ -66,6 +70,28 @@ let test_pdu_decode_garbage () =
   | Ok _ -> Alcotest.fail "accepted bad version"
   | Error _ -> ()
 
+(* A payload built with headroom becomes its own frame on the first
+   encode; encoding the same PDU again (a retransmission) yields a fresh
+   frame with the same bytes, and decoding yields a view into it. *)
+let test_pdu_encode_frame_in_place () =
+  let v = Pdu.with_headroom 5 in
+  Bytes.blit_string "hello" 0 v.Pdu.buf v.Pdu.off 5;
+  let p =
+    { (Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:3 ~src_addr:4 ~seq:7 Bytes.empty) with Pdu.payload = v }
+  in
+  let expected = Sdu.protect (Pdu.encode p) in
+  let first = Pdu.encode_frame p in
+  Alcotest.(check bool) "first encode is in place" true (first == v.Pdu.buf);
+  check Alcotest.bytes "first frame" expected first;
+  let again = Pdu.encode_frame p in
+  Alcotest.(check bool) "second encode is a fresh frame" true (again != first);
+  check Alcotest.bytes "second frame" expected again;
+  match Pdu.decode_sub again ~len:(Bytes.length again - Sdu.overhead) with
+  | Ok q ->
+    Alcotest.(check bool) "payload views the frame" true (q.Pdu.payload.Pdu.buf == again);
+    check Alcotest.bytes "payload" (Bytes.of_string "hello") (Pdu.bytes_of_view q.Pdu.payload)
+  | Error e -> Alcotest.fail e
+
 let pdu_gen =
   QCheck.Gen.(
     map
@@ -83,7 +109,7 @@ let pdu_gen =
 let prop_pdu_roundtrip =
   QCheck.Test.make ~name:"pdu encode/decode roundtrip" ~count:300
     (QCheck.make pdu_gen)
-    (fun p -> match Pdu.decode (Pdu.encode p) with Ok q -> p = q | Error _ -> false)
+    (fun p -> match Pdu.decode (Pdu.encode p) with Ok q -> plain p = plain q | Error _ -> false)
 
 (* ---------- Sdu_protection ---------- *)
 
@@ -421,7 +447,7 @@ let test_delimiting_basic () =
   List.iter
     (fun f ->
       Alcotest.(check bool) "within mtu+overhead" true
-        (Bytes.length f <= 1000 + Delimiting.overhead))
+        (f.Pdu.len <= 1000 + Delimiting.overhead))
     frags;
   let r = Delimiting.create_reassembler () in
   let out = List.filter_map (Delimiting.push r) frags in
@@ -458,6 +484,15 @@ let test_delimiting_middle_without_first_ignored () =
     Alcotest.(check bool) "middle alone yields nothing" true
       (Delimiting.push r middle = None)
   | _ -> Alcotest.fail "expected >2 fragments"
+
+let test_delimiting_empty_fragment_dropped () =
+  let r = Delimiting.create_reassembler () in
+  Alcotest.(check bool) "empty fragment yields nothing" true
+    (Delimiting.push r Pdu.empty_view = None);
+  check Alcotest.int "counted as discarded" 1 (Delimiting.discarded r);
+  match List.filter_map (Delimiting.push r) (Delimiting.fragment ~mtu:4 (Bytes.of_string "after")) with
+  | [ sdu ] -> check Alcotest.bytes "next SDU intact" (Bytes.of_string "after") sdu
+  | _ -> Alcotest.fail "expected one SDU"
 
 let prop_delimiting_roundtrip =
   QCheck.Test.make ~name:"delimit/reassemble roundtrip" ~count:200
@@ -690,13 +725,24 @@ let prop_wire_decoders_total =
     let rec go len = len > Bytes.length b || (total (decode ~len) b && go (len + 1)) in
     go 0
   in
+  (* One reassembler fed every prefix of the input, the empty one first,
+     then every suffix: arbitrary and empty fragments in one stream. *)
+  let reassembler_total b =
+    let r = Delimiting.create_reassembler () in
+    let push v = match Delimiting.push r v with Some _ | None -> true | exception _ -> false in
+    let n = Bytes.length b in
+    let rec prefixes len = len > n || (push { Pdu.buf = b; off = 0; len } && prefixes (len + 1)) in
+    let rec suffixes off = off > n || (push { Pdu.buf = b; off; len = n - off } && suffixes (off + 1)) in
+    prefixes 0 && suffixes 0
+  in
   QCheck.Test.make ~count:2000 ~name:"wire decoders never raise"
     (QCheck.make ~print:(fun b -> Printf.sprintf "%S" (Bytes.to_string b)) input)
     (fun b ->
       total_at_every_len (fun ~len b -> Pdu.decode_sub b ~len) b
       && total_at_every_len (fun ~len b -> Pdu.decode_header b ~len) b
       && total Riep.decode b
-      && total Routing.Lsa.decode b)
+      && total Routing.Lsa.decode b
+      && reassembler_total b)
 
 let () =
   Alcotest.run "rina_core"
@@ -707,6 +753,7 @@ let () =
           Alcotest.test_case "roundtrip all types" `Quick test_pdu_roundtrip_all_types;
           Alcotest.test_case "header size" `Quick test_pdu_header_size;
           Alcotest.test_case "decode garbage" `Quick test_pdu_decode_garbage;
+          Alcotest.test_case "encode_frame in place" `Quick test_pdu_encode_frame_in_place;
           QCheck_alcotest.to_alcotest prop_pdu_roundtrip;
         ] );
       ( "sdu_protection",
@@ -751,6 +798,7 @@ let () =
           Alcotest.test_case "empty sdu" `Quick test_delimiting_empty_sdu;
           Alcotest.test_case "discard on new first" `Quick test_delimiting_discard_on_new_first;
           Alcotest.test_case "middle without first" `Quick test_delimiting_middle_without_first_ignored;
+          Alcotest.test_case "empty fragment dropped" `Quick test_delimiting_empty_fragment_dropped;
           QCheck_alcotest.to_alcotest prop_delimiting_roundtrip;
         ] );
       ( "routing",

@@ -69,7 +69,7 @@ let make_harness ?(cfg = base_cfg) ?(rcv_cfg = base_cfg) ?(in_order = true)
   let receiver =
     Efcp.create engine ~config:rcv_cfg ~in_order ~local_cep:2 ~remote_cep:1 ~qos_id:1
       ~send_pdu:to_sender
-      ~deliver:(fun b -> delivered := Bytes.to_string b :: !delivered)
+      ~deliver:(fun v -> delivered := Bytes.to_string (Pdu.bytes_of_view v) :: !delivered)
       ~on_error:(fun _ -> ())
       ()
   in
@@ -79,7 +79,8 @@ let make_harness ?(cfg = base_cfg) ?(rcv_cfg = base_cfg) ?(in_order = true)
 
 let payloads n = List.init n (fun i -> Printf.sprintf "pdu-%03d" i)
 
-let send_all h msgs = List.iter (fun m -> Efcp.send h.sender (Bytes.of_string m)) msgs
+let send_all h msgs =
+  List.iter (fun m -> Efcp.send h.sender (Pdu.view_of_bytes (Bytes.of_string m))) msgs
 
 let run h seconds = Engine.run ~until:(Engine.now h.engine +. seconds) h.engine
 
@@ -207,7 +208,7 @@ let test_efcp_close_stops_everything () =
   Efcp.close h.sender;
   (* idempotent *)
   run h 5.;
-  Efcp.send h.sender (Bytes.of_string "after close");
+  Efcp.send h.sender (Pdu.view_of_bytes (Bytes.of_string "after close"));
   run h 1.;
   Alcotest.(check bool) "no error, no crash" true (!(h.sender_errors) = [])
 
@@ -289,12 +290,12 @@ let test_efcp_dup_cache_suppression () =
       Efcp.create engine ~config:cfg ~in_order:false ~local_cep:2 ~remote_cep:1
         ~qos_id:0
         ~send_pdu:(fun _ -> 0)
-        ~deliver:(fun b -> delivered := Bytes.to_string b :: !delivered)
+        ~deliver:(fun v -> delivered := Bytes.to_string (Pdu.bytes_of_view v) :: !delivered)
         ~on_error:(fun _ -> ())
         ()
     in
     receiver_ref := Some receiver;
-    List.iter (fun m -> Efcp.send sender (Bytes.of_string m)) (payloads 6);
+    List.iter (fun m -> Efcp.send sender (Pdu.view_of_bytes (Bytes.of_string m))) (payloads 6);
     Engine.run engine;
     (List.rev !delivered, Metrics.get (Efcp.metrics receiver) "dup_suppressed")
   in
@@ -359,14 +360,14 @@ let test_efcp_ecn_echo_and_backoff () =
   let receiver =
     Efcp.create engine ~config:cfg ~in_order:true ~local_cep:2 ~remote_cep:1
       ~qos_id:1 ~send_pdu:to_sender
-      ~deliver:(fun b -> delivered := Bytes.to_string b :: !delivered)
+      ~deliver:(fun v -> delivered := Bytes.to_string (Pdu.bytes_of_view v) :: !delivered)
       ~on_error:(fun _ -> ())
       ()
   in
   sender_ref := Some sender;
   receiver_ref := Some receiver;
   let msgs = payloads 48 in
-  List.iter (fun m -> Efcp.send sender (Bytes.of_string m)) msgs;
+  List.iter (fun m -> Efcp.send sender (Pdu.view_of_bytes (Bytes.of_string m))) msgs;
   Engine.run engine;
   let sm = Efcp.metrics sender and rm = Efcp.metrics receiver in
   check Alcotest.(list string) "all delivered in order" msgs (List.rev !delivered);

@@ -483,6 +483,113 @@ let test_stacked_dif_transfer () =
   Alcotest.(check bool) "lower flows allocated" true
     (Metrics.get (Ipcp.metrics la) "flows_allocated" >= 2)
 
+(* ---------- payload copies ---------- *)
+
+(* Open a reliable flow from [src] to [dst] and count what arrives. *)
+let open_counted_flow engine src dst =
+  let got = ref 0 in
+  Ipcp.register_app dst (Types.apn "copy-sink") ~on_flow:(fun flow ->
+      flow.Ipcp.set_on_receive (fun _ -> incr got));
+  Ipcp.register_app src (Types.apn "copy-src") ~on_flow:(fun _ -> ());
+  let flow = ref None in
+  Ipcp.allocate_flow src ~src:(Types.apn "copy-src") ~dst:(Types.apn "copy-sink")
+    ~qos_id:Qos.reliable.Qos.id ~on_result:(function
+    | Ok f -> flow := Some f
+    | Error e -> Alcotest.fail e);
+  wait engine 5.;
+  ((Option.get !flow).Ipcp.send, got)
+
+(* Bytes allocated while [n] SDUs of [size] bytes cross a fresh network
+   and are delivered.  The SDUs are allocated before measuring, and each
+   run covers the same stretch of virtual time, so two sizes differ only
+   in what each payload byte costs.  Full major collections bracket the
+   run so that [Gc.allocated_bytes] counts the minor heap exactly. *)
+let alloc_for_sdus build ~n ~size =
+  let engine, send, got = build () in
+  let sdus = List.init n (fun _ -> Bytes.make size 'p') in
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  List.iter send sdus;
+  wait engine 5.;
+  Gc.full_major ();
+  let after = Gc.allocated_bytes () in
+  check Alcotest.int (Printf.sprintf "%d B SDUs delivered" size) n !got;
+  after -. before
+
+(* Payload copies per SDU: the allocation slope between 200 B and
+   1200 B SDUs, in payloads.  Every SDU fits one fragment. *)
+let copies_per_sdu build =
+  let n = 200 in
+  let small = alloc_for_sdus build ~n ~size:200
+  and large = alloc_for_sdus build ~n ~size:1200 in
+  (large -. small) /. float_of_int (n * (1200 - 200))
+
+(* One rank, one relay: the SDU is copied into its frame when it is
+   fragmented and out of it when it is reassembled; encoding, relaying
+   and decoding copy nothing. *)
+let test_payload_copies_relay_line () =
+  let build () =
+    let net = Topo.line ~n:3 () in
+    let send, got = open_counted_flow net.Topo.engine net.Topo.nodes.(0) net.Topo.nodes.(2) in
+    (net.Topo.engine, send, got)
+  in
+  let copies = copies_per_sdu build in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f payload copies per SDU, at most 2.5" copies)
+    true (copies <= 2.5)
+
+(* Two ranks, no shims: each rank adds its fragment copy and its
+   reassembly copy, and nothing else. *)
+let test_payload_copies_two_ranks () =
+  let build () =
+    let engine = Engine.create () in
+    let rng = Rina_util.Prng.create 11 in
+    let lower = Dif.create engine "lower" in
+    let la = Dif.add_member lower ~name:"la" () in
+    let lb = Dif.add_member lower ~name:"lb" () in
+    let l = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.002 () in
+    Dif.connect lower la lb (Link.endpoint_a l, Link.endpoint_b l);
+    Dif.run_until_converged lower ();
+    let upper = Dif.create engine ~rank:1 "upper" in
+    let ua = Dif.add_member upper ~name:"ua" () in
+    let ub = Dif.add_member upper ~name:"ub" () in
+    Dif.stack_connect ~lower_a:la ~lower_b:lb ~upper_a:ua ~upper_b:ub ();
+    Dif.run_until_converged upper ~max_time:30. ();
+    let send, got = open_counted_flow engine ua ub in
+    (engine, send, got)
+  in
+  let copies = copies_per_sdu build in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f payload copies per SDU, at most 4.5" copies)
+    true (copies <= 4.5)
+
+(* An enrolled neighbour sends a Dtp PDU with a valid CRC and an empty
+   payload on an open flow.  The user-data field is too short to hold a
+   delimiting header, so the reassembler drops it; it must not raise
+   out of the channel that delivered the frame. *)
+let test_empty_dtp_payload_dropped () =
+  let engine = Engine.create () in
+  let dif = Dif.create engine "pair" in
+  let a = Dif.add_member dif ~name:"a" () in
+  let b = Dif.add_member dif ~name:"b" () in
+  let ca, cb = Chan.pair () in
+  Dif.connect dif a b (ca, cb);
+  Dif.run_until_converged dif ();
+  let _send, got = open_counted_flow engine a b in
+  let cep_of m =
+    match Ipcp.flow_stats m with
+    | [ (cep, _, _) ] -> cep
+    | _ -> Alcotest.fail "expected one open flow"
+  in
+  let frame =
+    Pdu.encode_frame
+      (Pdu.make ~pdu_type:Pdu.Dtp ~dst_addr:(Ipcp.address b) ~src_addr:(Ipcp.address a)
+         ~dst_cep:(cep_of b) ~src_cep:(cep_of a) ~seq:1 Bytes.empty)
+  in
+  ca.Chan.send frame;
+  wait engine 1.;
+  check Alcotest.int "nothing delivered" 0 !got
+
 (* ---------- security plumbing ---------- *)
 
 let test_unauthenticated_injection_dropped () =
@@ -890,6 +997,11 @@ let () =
             test_sticky_point_of_attachment;
         ] );
       ("recursion", [ Alcotest.test_case "stacked transfer" `Quick test_stacked_dif_transfer ]);
+      ( "payload copies",
+        [
+          Alcotest.test_case "relay line" `Quick test_payload_copies_relay_line;
+          Alcotest.test_case "two ranks" `Quick test_payload_copies_two_ranks;
+        ] );
       ( "chaos",
         [
           Alcotest.test_case "crash then restart: fresh address" `Quick
@@ -914,6 +1026,7 @@ let () =
       ( "security",
         [
           Alcotest.test_case "injection dropped" `Quick test_unauthenticated_injection_dropped;
+          Alcotest.test_case "empty dtp payload dropped" `Quick test_empty_dtp_payload_dropped;
           Alcotest.test_case "declarative policy drives DIF" `Quick test_policy_language_drives_dif;
           Alcotest.test_case "custom qos cubes" `Quick test_custom_qos_cubes;
         ] );

@@ -77,6 +77,38 @@ let test_engine_nested_scheduling () =
   check Alcotest.(list string) "nested" [ "outer"; "inner" ] (List.rev !log);
   check (Alcotest.float 1e-9) "time 2" 2. (Engine.now e)
 
+(* 64 events, each capturing its own 1400 B buffer, run to completion:
+   afterwards the engine must keep none of them reachable.  A vacated
+   heap or wheel slot that still pointed at a fired handle would keep
+   its closure, and the buffer, alive. *)
+let[@inline never] schedule_holding e lane weak i =
+  let buf = Bytes.make 1400 'x' in
+  Weak.set weak i (Some buf);
+  ignore
+    (Engine.schedule ~lane e ~delay:(0.01 *. float_of_int (i + 1)) (fun () ->
+         ignore (Sys.opaque_identity buf)))
+
+let buffers_kept_after_run lane =
+  let e = Engine.create () in
+  let weak = Weak.create 64 in
+  for i = 0 to 63 do
+    schedule_holding e lane weak i
+  done;
+  Engine.run e;
+  Gc.full_major ();
+  let kept = ref 0 in
+  for i = 0 to 63 do
+    if Weak.check weak i then incr kept
+  done;
+  check Alcotest.int "all fired" 64 (Engine.executed (Sys.opaque_identity e));
+  !kept
+
+let test_engine_drops_fired_events () =
+  check Alcotest.int "heap lane keeps no fired event" 0
+    (buffers_kept_after_run Engine.Default);
+  check Alcotest.int "timer lane keeps no fired event" 0
+    (buffers_kept_after_run Engine.Timer)
+
 let test_engine_step () =
   let e = Engine.create () in
   ignore (Engine.schedule e ~delay:1. (fun () -> ()));
@@ -1270,6 +1302,106 @@ let prop_multipath_failover =
       let log2, ok2 = run_failover_trial ~seed ~kill_at ~kill_for in
       ok1 && ok2 && List.map snd log1 = List.init 40 Fun.id && log1 = log2)
 
+(* ---------- frames are not changed in flight ---------- *)
+
+(* A checking interposer on both endpoints of a link.  Each direction
+   keeps the frames sent into it, copied at [send]; a frame delivered
+   out of it must equal one of them not matched yet.  A mismatch means
+   some holder wrote into a frame after handing it to the channel. *)
+let checked_link l violations =
+  let ab = Hashtbl.create 64 and ba = Hashtbl.create 64 in
+  let record sent frame =
+    let k = Bytes.to_string frame in
+    Hashtbl.replace sent k (1 + Option.value ~default:0 (Hashtbl.find_opt sent k))
+  in
+  let consume sent frame =
+    let k = Bytes.to_string frame in
+    match Hashtbl.find_opt sent k with
+    | Some n when n > 1 -> Hashtbl.replace sent k (n - 1)
+    | Some _ -> Hashtbl.remove sent k
+    | None -> incr violations
+  in
+  let wrap (c : Chan.t) ~out ~inn =
+    {
+      c with
+      Chan.send =
+        (fun frame ->
+          record out frame;
+          c.Chan.send frame);
+      set_receiver =
+        (fun f ->
+          c.Chan.set_receiver (fun frame ->
+              consume inn frame;
+              f frame));
+    }
+  in
+  (wrap (Link.endpoint_a l) ~out:ab ~inn:ba, wrap (Link.endpoint_b l) ~out:ba ~inn:ab)
+
+(* A 3-node line whose second hop is slow, so frames queue behind the
+   relay and spend long on its outgoing wire.  Both hops lose frames at
+   random once the flow is open, and a short go-back-N RTO then resends
+   every outstanding PDU, including the ones whose first copy is still
+   queued or on the wire.  The relay rewrites the TTL and marks ECN in
+   the frames it forwards. *)
+let run_inflight_trial ~seed ~loss =
+  let engine = Engine.create () in
+  let rng = Prng.create seed in
+  let policy =
+    {
+      Rina_core.Policy.default with
+      Rina_core.Policy.efcp =
+        {
+          Rina_core.Policy.default_efcp with
+          Rina_core.Policy.init_rto = 0.05;
+          min_rto = 0.01;
+          rtx_strategy = Rina_core.Policy.Go_back_n;
+          congestion_control = false;
+        };
+      congestion =
+        {
+          Rina_core.Policy.default_congestion with
+          Rina_core.Policy.mark_threshold = 3;
+          mark_probability = 0.5;
+        };
+    }
+  in
+  let dif = Dif.create engine ~policy "inflight" in
+  let a = Dif.add_member dif ~name:"a" () in
+  let b = Dif.add_member dif ~name:"b" () in
+  let c = Dif.add_member dif ~name:"c" () in
+  let violations = ref 0 in
+  let fast = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.001 () in
+  let slow = Link.create engine rng ~bit_rate:1_000_000. ~delay:0.005 () in
+  Dif.connect dif ~rate_a:10_000_000. ~rate_b:10_000_000. a b (checked_link fast violations);
+  Dif.connect dif ~rate_a:1_000_000. ~rate_b:1_000_000. b c (checked_link slow violations);
+  Dif.run_until_converged dif ();
+  Ipcp.register_app c (Types.apn "sink") ~on_flow:(fun _ -> ());
+  Ipcp.register_app a (Types.apn "src") ~on_flow:(fun _ -> ());
+  let flow = ref None in
+  Ipcp.allocate_flow a ~src:(Types.apn "src") ~dst:(Types.apn "sink")
+    ~qos_id:Rina_core.Qos.reliable.Rina_core.Qos.id ~on_result:(function
+    | Ok f -> flow := Some f
+    | Error _ -> ());
+  Engine.run ~until:(Engine.now engine +. 2.) engine;
+  List.iter (fun l -> Link.set_loss l (Loss.Bernoulli loss)) [ fast; slow ];
+  (match !flow with
+  | Some f ->
+    for i = 1 to 60 do
+      f.Ipcp.send (Bytes.make 1000 (Char.chr (i land 0xFF)))
+    done
+  | None -> ());
+  Engine.run ~until:(Engine.now engine +. 5.) engine;
+  (Option.is_some !flow, !violations)
+
+let prop_frames_unchanged_in_flight =
+  QCheck.Test.make ~name:"frames are not changed in flight" ~count:10
+    QCheck.(pair (int_range 0 100_000) (int_range 1 8))
+    (fun (seed, loss_pct) ->
+      let opened, violations =
+        run_inflight_trial ~seed ~loss:(float_of_int loss_pct /. 100.)
+      in
+      opened && violations = 0)
+
 let () =
   Alcotest.run "rina_sim"
     [
@@ -1282,6 +1414,7 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "drops fired events" `Quick test_engine_drops_fired_events;
         ] );
       ( "loss",
         [
@@ -1361,4 +1494,6 @@ let () =
             test_multipath_failover_and_recovery;
           QCheck_alcotest.to_alcotest prop_multipath_failover;
         ] );
+      ( "frames in flight",
+        [ QCheck_alcotest.to_alcotest prop_frames_unchanged_in_flight ] );
     ]

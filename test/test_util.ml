@@ -105,13 +105,13 @@ let prop_prng_uniformish =
 (* ---------- Heap ---------- *)
 
 let test_heap_empty () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check (option (pair (float 0.) int))) "pop none" None (Heap.pop h);
   Alcotest.(check (option (pair (float 0.) int))) "peek none" None (Heap.peek h)
 
 let test_heap_sorted_output () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   let keys = [ 5.; 1.; 4.; 1.5; 0.; 9.; 2. ] in
   List.iteri (fun i k -> Heap.push h k i) keys;
   let out = ref [] in
@@ -128,7 +128,7 @@ let test_heap_sorted_output () =
     "ascending" (List.sort compare keys) (List.rev !out)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   List.iter (fun v -> Heap.push h 1.0 v) [ 10; 20; 30; 40 ];
   let order =
     List.init 4 (fun _ -> match Heap.pop h with Some (_, v) -> v | None -> -1)
@@ -136,14 +136,14 @@ let test_heap_fifo_ties () =
   check Alcotest.(list int) "insertion order on equal keys" [ 10; 20; 30; 40 ] order
 
 let test_heap_peek_nondestructive () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:"" in
   Heap.push h 2. "b";
   Heap.push h 1. "a";
   Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a")) (Heap.peek h);
   check Alcotest.int "length unchanged" 2 (Heap.length h)
 
 let test_heap_clear () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 in
   for i = 1 to 10 do
     Heap.push h (float_of_int i) i
   done;
@@ -161,11 +161,11 @@ let test_heap_compact_small () =
     go []
   in
   let keep_all _ = true in
-  check Alcotest.int "fresh heap" 0 (Heap.compact (Heap.create ()) ~keep:keep_all);
+  check Alcotest.int "fresh heap" 0 (Heap.compact (Heap.create ~filler:0) ~keep:keep_all);
   List.iter
     (fun n ->
       let fill () =
-        let h = Heap.create () in
+        let h = Heap.create ~filler:0 in
         for i = n downto 1 do
           Heap.push h (float_of_int i) i
         done;
@@ -196,7 +196,7 @@ let test_heap_compact_small () =
 let test_heap_level_edges () =
   List.iter
     (fun n ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 in
       let entries = List.init n (fun i -> (float_of_int ((n - i) mod 3), i)) in
       List.iter (fun (k, i) -> Heap.push h k i) entries;
       let rec drain acc =
@@ -211,7 +211,7 @@ let prop_heap_sorts =
   QCheck.Test.make ~name:"heap sorts any float list" ~count:200
     QCheck.(list (float_bound_inclusive 1000.))
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 in
       List.iteri (fun i k -> Heap.push h k i) keys;
       let rec drain acc =
         match Heap.pop h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
@@ -236,7 +236,7 @@ let prop_heap_interleaved_compaction =
       let key () =
         if ties then float_of_int (Prng.int rng 3) else Prng.float rng 50.
       in
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 in
       let model = ref [] in
       (* live (key, seq) pairs *)
       let ok = ref true in
