@@ -1494,6 +1494,6 @@ let () =
             test_multipath_failover_and_recovery;
           QCheck_alcotest.to_alcotest prop_multipath_failover;
         ] );
-      ( "frames in flight",
+      ( "frames",
         [ QCheck_alcotest.to_alcotest prop_frames_unchanged_in_flight ] );
     ]
