@@ -93,7 +93,6 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
         mgmt_c.Rina_sim.Chan.set_receiver f);
     is_up = data_c.Rina_sim.Chan.is_up;
     on_carrier = data_c.Rina_sim.Chan.on_carrier;
-    stats = Rina_util.Metrics.create ();
   }
 
 let stack_connect ~lower_a ~lower_b ~upper_a ~upper_b ?(qos_id = Qos.reliable.Qos.id)

@@ -197,19 +197,24 @@ let decode_flow_req data =
     Ok { fr_src_app; fr_dst_app; fr_qos_id; fr_src_addr; fr_src_cep }
   with R.Decode_error msg -> Error msg
 
+(* ---------- the directory ---------- *)
+
+let dir_path apn = "/dir/" ^ Types.apn_to_string apn
+
+let in_dir path = String.starts_with ~prefix:"/dir/" path
+
+(* The replicated directory entries, sorted by path.  A prefix scan,
+   not [Rib.children]: directory paths are /dir/<name>/<instance> —
+   two levels below /dir — so a one-level listing would miss every
+   entry. *)
+let dir_entries t = List.filter (fun (path, _) -> in_dir path) (Rib.dump t.rib)
+
 (* Enrollment snapshot: address grant plus the member's replicated
-   state (directory + address pool + link-state DB). *)
+   state (directory + link-state DB). *)
 let encode_snapshot t ~granted =
   let w = W.create () in
   W.u32 w granted;
-  (* Prefix scan, not [Rib.children]: directory paths are
-     /dir/<name>/<instance> — two levels below /dir — so a one-level
-     listing would miss every entry. *)
-  let entries =
-    List.filter
-      (fun (path, _) -> String.starts_with ~prefix:"/dir/" path)
-      (Rib.dump t.rib)
-  in
+  let entries = dir_entries t in
   W.u16 w (List.length entries);
   List.iter
     (fun (path, v) ->
@@ -249,13 +254,16 @@ let nport_alive t np =
   np.np_chan.Chan.is_up ()
   && Engine.now t.engine -. np.np_last_hello <= t.policy.Policy.routing.Policy.dead_interval
 
+(* A live adjacency: a known peer behind a port that still lives. *)
+let adjacent t np = np.np_peer > 0 && nport_alive t np
+
 (* Live (neighbour, cost) pairs, one entry per distinct peer (cheapest
    point of attachment). *)
 let adjacency_set t =
   let best : (Types.address, float) Hashtbl.t = Hashtbl.create 8 in
   Hashtbl.iter
     (fun _ np ->
-      if np.np_peer > 0 && nport_alive t np then
+      if adjacent t np then
         match Hashtbl.find_opt best np.np_peer with
         | Some c when c <= np.np_cost -> ()
         | Some _ | None -> Hashtbl.replace best np.np_peer np.np_cost)
@@ -266,9 +274,7 @@ let adjacency_set t =
 (* [adjacency_set t <> []] without building the set: a flow-backed
    channel of an upper DIF asks this per PDU. *)
 let has_live_adjacency t =
-  Hashtbl.fold
-    (fun _ np live -> live || (np.np_peer > 0 && nport_alive t np))
-    t.nports false
+  Hashtbl.fold (fun _ np live -> live || adjacent t np) t.nports false
 
 (* No live sticky point of attachment to [peer]: choose the live port
    with the lowest id (port ids start at 1), accounting a local
@@ -323,43 +329,43 @@ let forward_single t (pdu : Pdu.t) =
 
 (* ---------- management PDU transmission ---------- *)
 
+(* The PDU carrying [msg], counted and recorded as sent. *)
 let mgmt_pdu t ~dst msg =
+  Metrics.incr t.metrics "mgmt_tx";
+  if Flight.enabled () then
+    Flight.emit ~component:(flight_comp t) ~rank:t.rank
+      (Flight.Custom ("riep_tx:" ^ Riep.trace_label msg));
   Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:dst ~src_addr:t.address
     ~ttl:t.policy.Policy.max_ttl (Riep.encode msg)
 
 let send_mgmt t ~dst msg =
-  Metrics.incr t.metrics "mgmt_tx";
-  if Flight.enabled () then
-    Flight.emit ~component:(flight_comp t) ~rank:t.rank
-      (Flight.Custom ("riep_tx:" ^ Riep.trace_label msg));
   ignore (Rmt.send t.rmt (mgmt_pdu t ~dst msg) : Types.port_id option)
 
 let send_mgmt_on_port t ~port msg =
-  Metrics.incr t.metrics "mgmt_tx";
-  if Flight.enabled () then
-    Flight.emit ~component:(flight_comp t) ~rank:t.rank
-      (Flight.Custom ("riep_tx:" ^ Riep.trace_label msg));
   Rmt.send_on_port t.rmt port (mgmt_pdu t ~dst:Types.no_address msg)
 
 let adjacent_ports t =
-  Hashtbl.fold
-    (fun _ np acc -> if np.np_peer > 0 && nport_alive t np then np :: acc else acc)
-    t.nports []
+  Hashtbl.fold (fun _ np acc -> if adjacent t np then np :: acc else acc) t.nports []
 
 (* ---------- flooding ---------- *)
 
-let flood_lsa t ?except_port lsa =
+(* Send [msg] to every live adjacency but [except_port] (the one it
+   came in on), bumping the [tally] counter once per copy. *)
+let flood t ?except_port ?tally msg =
   List.iter
     (fun np ->
-      if Some np.np_id <> except_port then begin
-        Metrics.incr t.metrics "lsa_tx";
-        send_mgmt_on_port t ~port:np.np_id
-          (Riep.make ~opcode:Riep.M_write ~obj_class:"lsa"
-             ~obj_name:(string_of_int lsa.Routing.Lsa.origin)
-             ~obj_value:(Rib.V_bytes (Routing.Lsa.encode lsa))
-             ())
-      end)
+      match except_port with
+      | Some p when p = np.np_id -> ()
+      | Some _ | None ->
+        (match tally with Some c -> Metrics.incr t.metrics c | None -> ());
+        send_mgmt_on_port t ~port:np.np_id msg)
     (adjacent_ports t)
+
+let lsa_msg lsa =
+  Riep.make ~opcode:Riep.M_write ~obj_class:"lsa"
+    ~obj_name:(string_of_int lsa.Routing.Lsa.origin)
+    ~obj_value:(Rib.V_bytes (Routing.Lsa.encode lsa))
+    ()
 
 (* Versioned RIB updates: floods are stamped with the (origin, version)
    pair the local store holds for the path, so replicas can reject
@@ -374,39 +380,15 @@ let rib_write_msg t path value =
     ~obj_value:value ~version ~origin ()
 
 let flood_rib_write t ?except_port path value =
-  List.iter
-    (fun np ->
-      if Some np.np_id <> except_port then begin
-        if String.starts_with ~prefix:"/dir/" path then
-          Metrics.incr t.metrics "dir_tx";
-        send_mgmt_on_port t ~port:np.np_id (rib_write_msg t path value)
-      end)
-    (adjacent_ports t)
+  flood t ?except_port
+    ?tally:(if in_dir path then Some "dir_tx" else None)
+    (rib_write_msg t path value)
 
 let flood_rib_delete t ?except_port path =
-  List.iter
-    (fun np ->
-      if Some np.np_id <> except_port then
-        send_mgmt_on_port t ~port:np.np_id
-          (Riep.make ~opcode:Riep.M_delete ~obj_class:"rib" ~obj_name:path ()))
-    (adjacent_ports t)
+  flood t ?except_port
+    (Riep.make ~opcode:Riep.M_delete ~obj_class:"rib" ~obj_name:path ())
 
-(* LSA withdrawal: flooded when an origin is declared dead (by the
-   dead-peer timeout) or aged out, so stale reachability does not
-   linger in every member's database until the heat death of the
-   simulation. *)
-let flood_lsa_delete t ?except_port origin =
-  List.iter
-    (fun np ->
-      if Some np.np_id <> except_port then begin
-        Metrics.incr t.metrics "lsa_withdraw_tx";
-        send_mgmt_on_port t ~port:np.np_id
-          (Riep.make ~opcode:Riep.M_delete ~obj_class:"lsa"
-             ~obj_name:(string_of_int origin) ())
-      end)
-    (adjacent_ports t)
-
-(* ---------- routing recomputation ---------- *)
+(* ---------- link-state origination and withdrawal ---------- *)
 
 let schedule_recompute t =
   if not t.recompute_scheduled then begin
@@ -419,6 +401,14 @@ let schedule_recompute t =
              t.ecmp_hops <- Routing.spf_multi t.lsdb ~source:t.address;
            Metrics.incr t.metrics "spf_runs"))
   end
+
+(* Our own LSA, under the next sequence number: installed locally and
+   flooded to every live adjacency. *)
+let originate_lsa t neighbors =
+  t.own_lsa_seq <- t.own_lsa_seq + 1;
+  let lsa = { Routing.Lsa.origin = t.address; seq = t.own_lsa_seq; neighbors } in
+  ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
+  flood t ~tally:"lsa_tx" (lsa_msg lsa)
 
 let rebuild_own_lsa t =
   if t.enrolled then begin
@@ -433,14 +423,24 @@ let rebuild_own_lsa t =
     end;
     if adj <> t.last_adjacency then begin
       t.last_adjacency <- adj;
-      t.own_lsa_seq <- t.own_lsa_seq + 1;
-      let lsa =
-        { Routing.Lsa.origin = t.address; seq = t.own_lsa_seq; neighbors = adj }
-      in
-      ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
-      flood_lsa t lsa;
+      originate_lsa t adj;
       schedule_recompute t
     end
+  end
+
+(* LSA withdrawal, when an origin is declared dead (by the dead-peer
+   timeout), aged out or withdrawn by a neighbour, so stale
+   reachability does not linger in every member's database until the
+   heat death of the simulation.  [withdraw] is idempotent, so the
+   flood terminates exactly like LSA flooding does: the second copy
+   finds nothing to remove and is not propagated. *)
+let withdraw_lsa t ?except_port ~tally origin =
+  if Routing.withdraw t.lsdb origin then begin
+    Metrics.incr t.metrics tally;
+    flood t ?except_port ~tally:"lsa_withdraw_tx"
+      (Riep.make ~opcode:Riep.M_delete ~obj_class:"lsa"
+         ~obj_name:(string_of_int origin) ());
+    schedule_recompute t
   end
 
 (* ---------- hello protocol ---------- *)
@@ -453,27 +453,19 @@ let send_hello t np =
 (* Database exchange on adjacency establishment: a freshly-risen
    adjacency may separate two parts of the DIF that hold different
    state (enrollment races, mobility re-attachment), so push our whole
-   LSDB, directory and address pool to the new peer. *)
+   LSDB and directory to the new peer. *)
 let sync_peer t np =
   if t.enrolled then begin
     List.iter
       (fun lsa ->
         Metrics.incr t.metrics "lsa_tx";
-        send_mgmt_on_port t ~port:np.np_id
-          (Riep.make ~opcode:Riep.M_write ~obj_class:"lsa"
-             ~obj_name:(string_of_int lsa.Routing.Lsa.origin)
-             ~obj_value:(Rib.V_bytes (Routing.Lsa.encode lsa))
-             ()))
+        send_mgmt_on_port t ~port:np.np_id (lsa_msg lsa))
       (Routing.all t.lsdb);
     List.iter
       (fun (path, v) ->
-        (* Prefix scan: /dir/<name>/<instance> is two levels deep, so
-           [Rib.children t.rib "/dir"] would list nothing. *)
-        if String.starts_with ~prefix:"/dir/" path then begin
-          Metrics.incr t.metrics "dir_tx";
-          send_mgmt_on_port t ~port:np.np_id (rib_write_msg t path v)
-        end)
-      (Rib.dump t.rib)
+        Metrics.incr t.metrics "dir_tx";
+        send_mgmt_on_port t ~port:np.np_id (rib_write_msg t path v))
+      (dir_entries t)
   end
 
 (* One M_connect attempt plus its timeout; on expiry, back off
@@ -619,6 +611,9 @@ let handle_addr_alloc t (msg : Riep.t) ~from_addr =
          ~obj_value:(Rib.V_int granted) ())
   end
 
+(* The reply to our address request.  Only an address the wire format
+   can carry is a grant: the reply may come from anyone on a port,
+   because neighbour-scope frames pass the ingress filter. *)
 let handle_addr_alloc_r t (msg : Riep.t) =
   match Hashtbl.find_opt t.pending_grants msg.Riep.invoke_id with
   | None -> ()
@@ -626,7 +621,7 @@ let handle_addr_alloc_r t (msg : Riep.t) =
     Hashtbl.remove t.pending_grants msg.Riep.invoke_id;
     Engine.cancel pg.pg_timeout;
     match msg.Riep.obj_value with
-    | Some (Rib.V_int granted) ->
+    | Some (Rib.V_int granted) when granted >= 1 && granted <= 0xFFFFFFFF ->
       finish_admission t pg.pg_port ~invoke:pg.pg_invoke ~granted
     | Some _ | None -> deny_admission t pg.pg_port ~invoke:pg.pg_invoke "allocation failed")
 
@@ -851,63 +846,56 @@ let acl_allows t ~src_app ~dst_app =
         String.equal s src_app.Types.ap_name && String.equal d dst_app.Types.ap_name)
       pairs
 
-let handle_flow_create t (msg : Riep.t) =
+(* The value of a successful flow response: the responder's cep. *)
+let cep_value cep =
+  let w = W.create () in
+  W.u32 w cep;
+  Rib.V_bytes (W.contents w)
+
+(* Answer a decoded flow request [fr] carried by [msg]. *)
+let accept_flow t (msg : Riep.t) fr =
   let reply ~result ~reason value =
-    match msg.Riep.obj_value with
-    | Some (Rib.V_bytes data) -> (
-      match decode_flow_req data with
-      | Error _ -> ()
-      | Ok fr ->
-        send_mgmt t ~dst:fr.fr_src_addr
-          (Riep.make ~opcode:Riep.M_create_r ~obj_class:"flow"
-             ~invoke_id:msg.Riep.invoke_id ~result ~result_reason:reason
-             ?obj_value:value ()))
-    | Some _ | None -> ()
+    send_mgmt t ~dst:fr.fr_src_addr
+      (Riep.make ~opcode:Riep.M_create_r ~obj_class:"flow"
+         ~invoke_id:msg.Riep.invoke_id ~result ~result_reason:reason
+         ?obj_value:value ())
   in
-  match msg.Riep.obj_value with
-  | Some (Rib.V_bytes data) -> (
-    match decode_flow_req data with
-    | Error _ -> Metrics.incr t.metrics "bad_flow_req"
-    | Ok fr -> (
-      match Hashtbl.find_opt t.apps (Types.apn_to_string fr.fr_dst_app) with
+  match Hashtbl.find_opt t.apps (Types.apn_to_string fr.fr_dst_app) with
+  | None ->
+    Metrics.incr t.metrics "alloc_no_app";
+    reply ~result:2 ~reason:"application not registered here" None
+  | Some reg ->
+    if not (acl_allows t ~src_app:fr.fr_src_app ~dst_app:fr.fr_dst_app) then begin
+      Metrics.incr t.metrics "alloc_denied_acl";
+      reply ~result:3 ~reason:"access denied" None
+    end
+    else begin
+      (* Idempotence against retransmitted requests: if this
+         (remote address, remote cep) already has a flow, repeat
+         the earlier answer instead of allocating a second one. *)
+      let existing =
+        Hashtbl.fold
+          (fun _ fs acc ->
+            if fs.fs_remote_addr = fr.fr_src_addr && fs.fs_remote_cep = fr.fr_src_cep
+            then Some fs
+            else acc)
+          t.flows None
+      in
+      match existing with
+      | Some fs -> reply ~result:0 ~reason:"" (Some (cep_value fs.fs_local_cep))
       | None ->
-        Metrics.incr t.metrics "alloc_no_app";
-        reply ~result:2 ~reason:"application not registered here" None
-      | Some reg ->
-        if not (acl_allows t ~src_app:fr.fr_src_app ~dst_app:fr.fr_dst_app) then begin
-          Metrics.incr t.metrics "alloc_denied_acl";
-          reply ~result:3 ~reason:"access denied" None
+        let max_pending =
+          t.policy.Policy.congestion.Policy.admission_max_pending
+        in
+        if max_pending > 0 && Hashtbl.length t.flows >= max_pending then begin
+          (* Admission control: a flash crowd queues at the requester
+             (deterministic backoff retry) instead of stampeding an
+             overloaded destination.  Result 4 = busy, retryable —
+             unlike 2/3, which are permanent. *)
+          Metrics.incr t.metrics "alloc_busy_rejected";
+          reply ~result:4 ~reason:"busy: admission limit reached" None
         end
         else begin
-          (* Idempotence against retransmitted requests: if this
-             (remote address, remote cep) already has a flow, repeat
-             the earlier answer instead of allocating a second one. *)
-          let existing =
-            Hashtbl.fold
-              (fun _ fs acc ->
-                if fs.fs_remote_addr = fr.fr_src_addr && fs.fs_remote_cep = fr.fr_src_cep
-                then Some fs
-                else acc)
-              t.flows None
-          in
-          match existing with
-          | Some fs ->
-            let w = W.create () in
-            W.u32 w fs.fs_local_cep;
-            reply ~result:0 ~reason:"" (Some (Rib.V_bytes (W.contents w)))
-          | None ->
-          let max_pending =
-            t.policy.Policy.congestion.Policy.admission_max_pending
-          in
-          if max_pending > 0 && Hashtbl.length t.flows >= max_pending then begin
-            (* Admission control: a flash crowd queues at the requester
-               (deterministic backoff retry) instead of stampeding an
-               overloaded destination.  Result 4 = busy, retryable —
-               unlike 2/3, which are permanent. *)
-            Metrics.incr t.metrics "alloc_busy_rejected";
-            reply ~result:4 ~reason:"busy: admission limit reached" None
-          end
-          else begin
           let local_cep = t.next_cep in
           t.next_cep <- t.next_cep + 1;
           let port = t.next_flow_port in
@@ -919,12 +907,17 @@ let handle_flow_create t (msg : Riep.t) =
               ~remote_app:fr.fr_src_app ~qos
           in
           Metrics.incr t.metrics "flows_accepted";
-          let w = W.create () in
-          W.u32 w local_cep;
-          reply ~result:0 ~reason:"" (Some (Rib.V_bytes (W.contents w)));
+          reply ~result:0 ~reason:"" (Some (cep_value local_cep));
           reg.ar_on_flow (flow_of_state t fs)
-          end
-        end))
+        end
+    end
+
+let handle_flow_create t (msg : Riep.t) =
+  match msg.Riep.obj_value with
+  | Some (Rib.V_bytes data) -> (
+    match decode_flow_req data with
+    | Ok fr -> accept_flow t msg fr
+    | Error _ -> Metrics.incr t.metrics "bad_flow_req")
   | Some _ | None -> Metrics.incr t.metrics "bad_flow_req"
 
 (* ---------- flow allocator: requester side ---------- *)
@@ -1018,38 +1011,22 @@ let handle_lsa t from_port (msg : Riep.t) =
     | Ok lsa ->
       if Routing.install ~now:(Engine.now t.engine) t.lsdb lsa then begin
         Metrics.incr t.metrics "lsa_rx_new";
-        flood_lsa t ?except_port:from_port lsa;
+        flood t ?except_port:from_port ~tally:"lsa_tx" (lsa_msg lsa);
         schedule_recompute t
       end)
   | Some _ | None -> Metrics.incr t.metrics "bad_lsa"
 
-(* Withdrawal flooding.  [withdraw] is idempotent, so the re-flood
-   terminates exactly like LSA flooding does: the second copy finds
-   nothing to remove and is not propagated.  A node receiving a
-   withdrawal of its *own* origin is alive by definition and defends
-   itself with a fresh, higher-sequence LSA. *)
+(* A node receiving a withdrawal of its *own* origin is alive by
+   definition and defends itself with a fresh, higher-sequence LSA. *)
 let handle_lsa_delete t from_port (msg : Riep.t) =
   match int_of_string_opt msg.Riep.obj_name with
   | None -> Metrics.incr t.metrics "bad_lsa"
   | Some origin ->
     if t.enrolled && origin = t.address then begin
       Metrics.incr t.metrics "lsa_defended";
-      t.own_lsa_seq <- t.own_lsa_seq + 1;
-      let lsa =
-        {
-          Routing.Lsa.origin = t.address;
-          seq = t.own_lsa_seq;
-          neighbors = t.last_adjacency;
-        }
-      in
-      ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
-      flood_lsa t lsa
+      originate_lsa t t.last_adjacency
     end
-    else if Routing.withdraw t.lsdb origin then begin
-      Metrics.incr t.metrics "lsa_withdrawn";
-      flood_lsa_delete t ?except_port:from_port origin;
-      schedule_recompute t
-    end
+    else withdraw_lsa t ?except_port:from_port ~tally:"lsa_withdrawn" origin
 
 (* ---------- keepalives / dead-peer detection ---------- *)
 
@@ -1058,13 +1035,12 @@ let touch_port t port_id =
   | Some np -> np.np_last_seen <- Engine.now t.engine
   | None -> ()
 
-let handle_keepalive t port_id (msg : Riep.t) =
+(* A keepalive or path probe: proof of life, answered in kind. *)
+let answer_probe t port_id (msg : Riep.t) =
   touch_port t port_id;
   send_mgmt_on_port t ~port:port_id
-    (Riep.make ~opcode:Riep.M_read_r ~obj_class:"keepalive"
+    (Riep.make ~opcode:Riep.M_read_r ~obj_class:msg.Riep.obj_class
        ~invoke_id:msg.Riep.invoke_id ())
-
-let handle_keepalive_r t port_id = touch_port t port_id
 
 (* ---------- multipath: path health probing and fast failover ---------- *)
 
@@ -1101,13 +1077,7 @@ let note_path_transition t np = function
         (Flight.Custom name);
     (match tr with Multipath.To_down -> failover_from t np | _ -> ())
 
-let handle_path_probe t port_id (msg : Riep.t) =
-  touch_port t port_id;
-  send_mgmt_on_port t ~port:port_id
-    (Riep.make ~opcode:Riep.M_read_r ~obj_class:"path-probe"
-       ~invoke_id:msg.Riep.invoke_id ())
-
-let handle_path_probe_r t port_id =
+let handle_path_probe_r t port_id (_ : Riep.t) =
   touch_port t port_id;
   match Hashtbl.find_opt t.nports port_id with
   | None -> ()
@@ -1117,32 +1087,28 @@ let handle_path_probe_r t port_id =
    stream is consumed per-port, so the order is part of the
    determinism contract), account misses, demote/revive paths, launch
    the next round of probes. *)
-let rec multipath_tick t =
-  (if t.up && t.enrolled then begin
-     let now = Engine.now t.engine in
-     let nps =
-       Hashtbl.fold (fun _ np acc -> np :: acc) t.nports []
-       |> List.sort (fun a b -> compare a.np_id b.np_id)
-     in
-     List.iter
-       (fun np ->
-         if np.np_peer > 0 && np.np_chan.Chan.is_up () then begin
-           let action, tr = Multipath.tick t.mpath np.np_id ~now in
-           note_path_transition t np tr;
-           match action with
-           | `Probe ->
-             Metrics.incr t.metrics "path_probe_tx";
-             send_mgmt_on_port t ~port:np.np_id
-               (Riep.make ~opcode:Riep.M_read ~obj_class:"path-probe"
-                  ~obj_name:(string_of_int np.np_id) ())
-           | `Wait -> ()
-         end)
-       nps
-   end);
-  ignore
-    (Engine.schedule ~lane:Engine.Timer t.engine
-       ~delay:t.policy.Policy.multipath.Policy.probe_interval (fun () ->
-         multipath_tick t))
+let multipath_tick t =
+  if t.up && t.enrolled then begin
+    let now = Engine.now t.engine in
+    let nps =
+      Hashtbl.fold (fun _ np acc -> np :: acc) t.nports []
+      |> List.sort (fun a b -> compare a.np_id b.np_id)
+    in
+    List.iter
+      (fun np ->
+        if np.np_peer > 0 && np.np_chan.Chan.is_up () then begin
+          let action, tr = Multipath.tick t.mpath np.np_id ~now in
+          note_path_transition t np tr;
+          match action with
+          | `Probe ->
+            Metrics.incr t.metrics "path_probe_tx";
+            send_mgmt_on_port t ~port:np.np_id
+              (Riep.make ~opcode:Riep.M_read ~obj_class:"path-probe"
+                 ~obj_name:(string_of_int np.np_id) ())
+          | `Wait -> ()
+        end)
+      nps
+  end
 
 (* Declare the peer behind [np] dead: tear down the local adjacency
    view and withdraw the peer's LSA DIF-wide (unless another live port
@@ -1163,34 +1129,26 @@ let declare_peer_dead t np =
       (fun _ other acc -> acc || (other.np_peer = dead && nport_alive t other))
       t.nports false
   in
-  if (not still_reachable) && Routing.withdraw t.lsdb dead then begin
-    Metrics.incr t.metrics "lsa_withdrawn";
-    flood_lsa_delete t dead;
-    schedule_recompute t
-  end
+  if not still_reachable then withdraw_lsa t ~tally:"lsa_withdrawn" dead
 
-let keepalive_interval t = t.policy.Policy.routing.Policy.keepalive_interval
-
-let rec keepalive_tick t =
-  (if t.up && t.enrolled then
-     let now = Engine.now t.engine in
-     let timeout = t.policy.Policy.routing.Policy.dead_peer_timeout in
-     Hashtbl.iter
-       (fun _ np ->
-         if np.np_peer > 0 && np.np_chan.Chan.is_up () then
-           if now -. np.np_last_seen > timeout then declare_peer_dead t np
-           else begin
-             if now -. np.np_last_seen > keepalive_interval t then
-               Metrics.incr t.metrics "keepalive_miss";
-             Metrics.incr t.metrics "keepalive_tx";
-             send_mgmt_on_port t ~port:np.np_id
-               (Riep.make ~opcode:Riep.M_read ~obj_class:"keepalive"
-                  ~obj_name:(string_of_int t.address) ())
-           end)
-       t.nports);
-  ignore
-    (Engine.schedule ~lane:Engine.Timer t.engine ~delay:(keepalive_interval t)
-       (fun () -> keepalive_tick t))
+let keepalive_tick t =
+  if t.up && t.enrolled then
+    let routing = t.policy.Policy.routing in
+    let now = Engine.now t.engine in
+    Hashtbl.iter
+      (fun _ np ->
+        if np.np_peer > 0 && np.np_chan.Chan.is_up () then
+          if now -. np.np_last_seen > routing.Policy.dead_peer_timeout then
+            declare_peer_dead t np
+          else begin
+            if now -. np.np_last_seen > routing.Policy.keepalive_interval then
+              Metrics.incr t.metrics "keepalive_miss";
+            Metrics.incr t.metrics "keepalive_tx";
+            send_mgmt_on_port t ~port:np.np_id
+              (Riep.make ~opcode:Riep.M_read ~obj_class:"keepalive"
+                 ~obj_name:(string_of_int t.address) ())
+          end)
+      t.nports
 
 (* Periodic anti-entropy: every tick, push the full versioned LSDB and
    directory to one adjacent peer, round-robin over ports sorted by id
@@ -1198,24 +1156,22 @@ let rec keepalive_tick t =
    this sweep guarantee reconvergence even when the heal-time flood was
    itself corrupted, because versioned state always flows from the
    newer replica to the older one eventually. *)
-let rec anti_entropy_tick t =
-  let interval = t.policy.Policy.routing.Policy.anti_entropy_interval in
-  if interval > 0. then begin
-    (if t.up && t.enrolled then
-       let ports =
-         List.sort (fun a b -> compare a.np_id b.np_id) (adjacent_ports t)
-       in
-       match ports with
-       | [] -> ()
-       | _ :: _ ->
-         let np = List.nth ports (t.ae_round mod List.length ports) in
-         t.ae_round <- t.ae_round + 1;
-         Metrics.incr t.metrics "anti_entropy_runs";
-         sync_peer t np);
-    ignore
-      (Engine.schedule ~lane:Engine.Timer t.engine ~delay:interval (fun () ->
-           anti_entropy_tick t))
-  end
+let anti_entropy_tick t =
+  if t.up && t.enrolled then
+    let ports = List.sort (fun a b -> compare a.np_id b.np_id) (adjacent_ports t) in
+    match ports with
+    | [] -> ()
+    | _ :: _ ->
+      let np = List.nth ports (t.ae_round mod List.length ports) in
+      t.ae_round <- t.ae_round + 1;
+      Metrics.incr t.metrics "anti_entropy_runs";
+      sync_peer t np
+
+(* Neighbour-scope exchanges (hellos, enrollment, keepalives and path
+   probes) concern the port they came in on; without one there is
+   nothing to answer. *)
+let on_port t from_port x handle =
+  match from_port with Some port -> handle t port x | None -> ()
 
 let handle_mgmt t from_port (pdu : Pdu.t) =
   match Riep.decode (Pdu.bytes_of_view pdu.Pdu.payload) with
@@ -1226,34 +1182,16 @@ let handle_mgmt t from_port (pdu : Pdu.t) =
       Flight.emit ~component:(flight_comp t) ~rank:t.rank
         (Flight.Custom ("riep_rx:" ^ Riep.trace_label msg));
     match (msg.Riep.opcode, msg.Riep.obj_class) with
-    | Riep.M_connect, "enrollment" -> (
-      match from_port with
-      | Some p -> handle_connect t p msg
-      | None -> ())
-    | Riep.M_connect_r, "enrollment" -> (
-      match from_port with
-      | Some p -> handle_connect_r t p msg
-      | None -> ())
+    | Riep.M_connect, "enrollment" -> on_port t from_port msg handle_connect
+    | Riep.M_connect_r, "enrollment" -> on_port t from_port msg handle_connect_r
     | Riep.M_write, "rib" -> handle_rib_write t from_port msg
     | Riep.M_delete, "rib" -> handle_rib_delete t from_port msg
     | Riep.M_write, "lsa" -> handle_lsa t from_port msg
     | Riep.M_delete, "lsa" -> handle_lsa_delete t from_port msg
-    | Riep.M_read, "keepalive" -> (
-      match from_port with
-      | Some p -> handle_keepalive t p msg
-      | None -> ())
-    | Riep.M_read_r, "keepalive" -> (
-      match from_port with
-      | Some p -> handle_keepalive_r t p
-      | None -> ())
-    | Riep.M_read, "path-probe" -> (
-      match from_port with
-      | Some p -> handle_path_probe t p msg
-      | None -> ())
-    | Riep.M_read_r, "path-probe" -> (
-      match from_port with
-      | Some p -> handle_path_probe_r t p
-      | None -> ())
+    | Riep.M_read, ("keepalive" | "path-probe") -> on_port t from_port msg answer_probe
+    | Riep.M_read_r, "keepalive" ->
+      on_port t from_port msg (fun t port _ -> touch_port t port)
+    | Riep.M_read_r, "path-probe" -> on_port t from_port msg handle_path_probe_r
     | Riep.M_read, "addr-alloc" -> handle_addr_alloc t msg ~from_addr:pdu.Pdu.src_addr
     | Riep.M_read_r, "addr-alloc" -> handle_addr_alloc_r t msg
     | Riep.M_create, "flow" -> handle_flow_create t msg
@@ -1268,10 +1206,7 @@ let handle_data t (pdu : Pdu.t) =
 
 let deliver_up t from_port (pdu : Pdu.t) =
   match pdu.Pdu.pdu_type with
-  | Pdu.Hello -> (
-    match from_port with
-    | Some p -> handle_hello t p pdu
-    | None -> ())
+  | Pdu.Hello -> on_port t from_port pdu handle_hello
   | Pdu.Mgmt -> handle_mgmt t from_port pdu
   | Pdu.Dtp | Pdu.Ack -> handle_data t pdu
 
@@ -1297,19 +1232,10 @@ let ingress_allowed t port_id (pdu : Pdu.t) =
    management PDUs. *)
 let refresh_state t =
   if t.enrolled then begin
-    t.own_lsa_seq <- t.own_lsa_seq + 1;
-    let lsa =
-      {
-        Routing.Lsa.origin = t.address;
-        seq = t.own_lsa_seq;
-        neighbors = t.last_adjacency;
-      }
-    in
-    ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
-    flood_lsa t lsa;
+    originate_lsa t t.last_adjacency;
     Hashtbl.iter
       (fun _ reg ->
-        let path = "/dir/" ^ Types.apn_to_string reg.ar_name in
+        let path = dir_path reg.ar_name in
         match Rib.read t.rib path with
         | Some v -> flood_rib_write t path v
         | None -> ())
@@ -1327,15 +1253,11 @@ let age_lsdb t =
   then
     List.iter
       (fun origin ->
-        if origin <> t.address && Routing.withdraw t.lsdb origin then begin
-          Metrics.incr t.metrics "lsa_aged_out";
-          flood_lsa_delete t origin;
-          schedule_recompute t
-        end)
+        if origin <> t.address then withdraw_lsa t ~tally:"lsa_aged_out" origin)
       (Routing.expired t.lsdb ~now:(Engine.now t.engine)
          ~max_age:r.Policy.lsa_max_age)
 
-let rec hello_tick t =
+let hello_tick t =
   if t.up then begin
     t.hello_ticks <- t.hello_ticks + 1;
     Hashtbl.iter
@@ -1346,11 +1268,22 @@ let rec hello_tick t =
     (let ticks = t.policy.Policy.routing.Policy.refresh_ticks in
      if ticks > 0 && t.hello_ticks mod ticks = 0 then refresh_state t);
     age_lsdb t
-  end;
-  ignore
-    (Engine.schedule ~lane:Engine.Timer t.engine
-       ~delay:t.policy.Policy.routing.Policy.hello_interval (fun () ->
-         hello_tick t))
+  end
+
+(* Run [tick t] every [interval] seconds of virtual time on the timer
+   lane, the first time one interval from now; a tick whose interval
+   is not positive is never armed.  Ticks keep running while the
+   process is down: their bodies check [t.up]. *)
+let every t interval tick =
+  if interval > 0. then begin
+    let rec arm () =
+      ignore (Engine.schedule ~lane:Engine.Timer t.engine ~delay:interval fire)
+    and fire () =
+      tick t;
+      arm ()
+    in
+    arm ()
+  end
 
 (* ---------- construction ---------- *)
 
@@ -1427,24 +1360,11 @@ let create engine ?(credentials = "") ?(qos_cubes = Qos.standard_cubes)
           match Qos.find t.qos_cubes pdu.Pdu.qos_id with
           | Some q -> min 6 q.Qos.priority
           | None -> 0)));
-  ignore
-    (Engine.schedule ~lane:Engine.Timer t.engine
-       ~delay:t.policy.Policy.routing.Policy.hello_interval (fun () ->
-         hello_tick t));
-  if keepalive_interval t > 0. then
-    ignore
-      (Engine.schedule ~lane:Engine.Timer t.engine
-         ~delay:(keepalive_interval t) (fun () -> keepalive_tick t));
-  (let ae = t.policy.Policy.routing.Policy.anti_entropy_interval in
-   if ae > 0. then
-     ignore
-       (Engine.schedule ~lane:Engine.Timer t.engine ~delay:ae (fun () ->
-            anti_entropy_tick t)));
-  (let mp = t.policy.Policy.multipath.Policy.probe_interval in
-   if mp > 0. then
-     ignore
-       (Engine.schedule ~lane:Engine.Timer t.engine ~delay:mp (fun () ->
-            multipath_tick t)));
+  let routing = policy.Policy.routing in
+  every t routing.Policy.hello_interval hello_tick;
+  every t routing.Policy.keepalive_interval keepalive_tick;
+  every t routing.Policy.anti_entropy_interval anti_entropy_tick;
+  every t policy.Policy.multipath.Policy.probe_interval multipath_tick;
   t
 
 let bootstrap t =
@@ -1485,59 +1405,48 @@ let bind_port t ?(cost = 1.0) ?rate chan =
   if chan.Chan.is_up () then send_hello t np;
   port_id
 
-let unbind_port t port_id =
-  (match Hashtbl.find_opt t.nports port_id with
-   | Some _ ->
-     Hashtbl.remove t.nports port_id;
-     Rmt.remove_port t.rmt port_id;
-     Multipath.forget t.mpath port_id;
-     rebuild_own_lsa t
-   | None -> ());
+let close_all_flows t ~notify_peer =
+  let flows = Hashtbl.fold (fun _ fs acc -> fs :: acc) t.flows [] in
+  List.iter (fun fs -> close_flow_state t fs ~notify_peer) flows
+
+(* Forget membership: address, enrollment, adjacencies and routes.
+   Ports survive physically; their management view is reset so that
+   hello-driven identity discovery (and a possible re-enrollment)
+   restarts from scratch. *)
+let forget_membership t =
+  t.enrolled <- false;
+  t.enroll_state <- E_none;
+  t.address <- Types.no_address;
+  t.last_adjacency <- [];
   Hashtbl.iter
-    (fun peer p -> if p = port_id then Hashtbl.remove t.chosen_poa peer)
-    (Hashtbl.copy t.chosen_poa)
+    (fun _ np ->
+      np.np_peer <- 0;
+      np.np_peer_name <- "")
+    t.nports;
+  t.next_hops <- Hashtbl.create 1;
+  t.ecmp_hops <- Hashtbl.create 1;
+  Hashtbl.reset t.chosen_poa;
+  Multipath.reset t.mpath
 
 let leave t =
   if t.enrolled then begin
     (* Withdraw every published name. *)
     Hashtbl.iter
-      (fun key _ ->
-        let path = "/dir/" ^ key in
+      (fun _ reg ->
+        let path = dir_path reg.ar_name in
         if Rib.delete t.rib path then flood_rib_delete t path)
       t.apps;
-    (* Close flows, notifying peers. *)
-    let flows = Hashtbl.fold (fun _ fs acc -> fs :: acc) t.flows [] in
-    List.iter (fun fs -> close_flow_state t fs ~notify_peer:true) flows;
+    close_all_flows t ~notify_peer:true;
     (* A final LSA with no neighbours: the two-way check then severs
        every edge to this node in everyone's SPF. *)
-    t.own_lsa_seq <- t.own_lsa_seq + 1;
-    let lsa =
-      { Routing.Lsa.origin = t.address; seq = t.own_lsa_seq; neighbors = [] }
-    in
-    ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
-    flood_lsa t lsa;
-    t.last_adjacency <- [];
+    originate_lsa t [];
     Metrics.incr t.metrics "left_dif";
-    t.enrolled <- false;
     t.auto_enroll <- false;
-    t.address <- Types.no_address;
-    t.enroll_state <- E_none;
-    (* Ports survive physically; reset their management view so that
-       hello-driven identity discovery (and a possible re-enrollment)
-       restarts from scratch. *)
-    Hashtbl.iter
-      (fun _ np ->
-        np.np_peer <- 0;
-        np.np_peer_name <- "")
-      t.nports;
-    t.next_hops <- Hashtbl.create 1;
-    t.ecmp_hops <- Hashtbl.create 1;
-    Hashtbl.reset t.chosen_poa;
-    Multipath.reset t.mpath
+    forget_membership t
   end
 
 let publish_app t apn =
-  let path = "/dir/" ^ Types.apn_to_string apn in
+  let path = dir_path apn in
   ignore (Rib.write_owned t.rib path (Rib.V_int t.address) ~origin:t.address);
   flood_rib_write t path (Rib.V_int t.address)
 
@@ -1553,28 +1462,15 @@ let crash t =
     Metrics.incr t.metrics "crashes";
     if Flight.enabled () then
       Flight.emit ~component:(flight_comp t) ~rank:t.rank (Flight.Custom "crash");
-    let flows = Hashtbl.fold (fun _ fs acc -> fs :: acc) t.flows [] in
-    List.iter (fun fs -> close_flow_state t fs ~notify_peer:false) flows;
+    close_all_flows t ~notify_peer:false;
     Hashtbl.iter (fun _ pa -> Engine.cancel pa.pa_timeout) t.pending;
     Hashtbl.reset t.pending;
     Hashtbl.iter (fun _ pg -> Engine.cancel pg.pg_timeout) t.pending_grants;
     Hashtbl.reset t.pending_grants;
     Rib.clear t.rib;
     Routing.clear t.lsdb;
-    t.enrolled <- false;
-    t.enroll_state <- E_none;
-    t.address <- Types.no_address;
     t.own_lsa_seq <- 0;
-    t.last_adjacency <- [];
-    t.next_hops <- Hashtbl.create 1;
-    t.ecmp_hops <- Hashtbl.create 1;
-    Hashtbl.reset t.chosen_poa;
-    Multipath.reset t.mpath;
-    Hashtbl.iter
-      (fun _ np ->
-        np.np_peer <- 0;
-        np.np_peer_name <- "")
-      t.nports;
+    forget_membership t;
     if t.was_attached then begin
       t.was_attached <- false;
       List.iter (fun f -> f false) t.isolation_watchers
@@ -1620,11 +1516,11 @@ let register_app t apn ~on_flow =
 let unregister_app t apn =
   Hashtbl.remove t.apps (Types.apn_to_string apn);
   if t.enrolled then begin
-    ignore (Rib.delete t.rib ("/dir/" ^ Types.apn_to_string apn));
-    flood_rib_delete t ("/dir/" ^ Types.apn_to_string apn)
+    ignore (Rib.delete t.rib (dir_path apn));
+    flood_rib_delete t (dir_path apn)
   end
 
-let resolve_name t apn = Rib.read_int t.rib ("/dir/" ^ Types.apn_to_string apn)
+let resolve_name t apn = Rib.read_int t.rib (dir_path apn)
 
 let registered_apps t =
   Hashtbl.fold (fun _ reg acc -> reg.ar_name :: acc) t.apps []
@@ -1739,7 +1635,6 @@ let chan_of_flow t (flow : flow) : Chan.t =
     set_receiver = flow.set_on_receive;
     is_up = (fun () -> has_live_adjacency t);
     on_carrier = (fun f -> t.isolation_watchers <- f :: t.isolation_watchers);
-    stats = Metrics.create ();
   }
 
 (* ---------- instrumentation ---------- *)
@@ -1758,7 +1653,7 @@ let neighbors t =
   let by_peer : (Types.address, Types.port_id list) Hashtbl.t = Hashtbl.create 8 in
   Hashtbl.iter
     (fun _ np ->
-      if np.np_peer > 0 && nport_alive t np then
+      if adjacent t np then
         Hashtbl.replace by_peer np.np_peer
           (np.np_id
            :: (match Hashtbl.find_opt by_peer np.np_peer with

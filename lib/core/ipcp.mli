@@ -69,9 +69,6 @@ val bind_port : t -> ?cost:float -> ?rate:float -> Rina_sim.Chan.t -> Types.port
     (default 1.0) is the routing metric of the adjacency; [rate]
     enables RMT shaping/scheduling on the port. *)
 
-val unbind_port : t -> Types.port_id -> unit
-(** Detach; the adjacency (if any) is torn down and flooded. *)
-
 val set_auto_enroll : t -> bool -> unit
 (** Whether seeing a member's hello triggers enrollment (default
     [true]; {!leave} clears it so a departure sticks). *)
@@ -129,9 +126,7 @@ val chan_of_flow : t -> flow -> Rina_sim.Chan.t
     still has any live point of attachment: when the node's last link
     in this DIF dies, local holders of flow-backed channels learn
     immediately (the system knows its own radios), while remote
-    failures are still detected by the upper DIF's hello timers.  The
-    channel's [stats] registry stays empty; the flow's own counters
-    are its [flow_metrics]. *)
+    failures are still detected by the upper DIF's hello timers. *)
 
 (* --- management / instrumentation (not part of the app-visible API) --- *)
 

@@ -5,20 +5,14 @@ type value =
   | V_bool of bool
   | V_bytes of bytes
 
-type event = Created | Updated | Deleted
-
-type watcher = { prefix : string; callback : event -> string -> value option -> unit }
-
 type t = {
   objects : (string, value) Hashtbl.t;
   versions : (string, int * int) Hashtbl.t;
       (* path -> (origin address, version); only paths written through
          the versioned API have entries *)
-  mutable watchers : watcher list;
 }
 
-let create () =
-  { objects = Hashtbl.create 64; versions = Hashtbl.create 64; watchers = [] }
+let create () = { objects = Hashtbl.create 64; versions = Hashtbl.create 64 }
 
 let value_equal a b =
   match (a, b) with
@@ -29,15 +23,9 @@ let value_equal a b =
   | V_bytes x, V_bytes y -> Bytes.equal x y
   | (V_str _ | V_int _ | V_float _ | V_bool _ | V_bytes _), _ -> false
 
-let notify t event path value =
-  List.iter
-    (fun w ->
-      if String.starts_with ~prefix:w.prefix path then w.callback event path value)
-    t.watchers
-
 (* Sanitizer hook: object names are absolute slash-separated paths.  A
    relative, empty or slash-doubled path would silently partition the
-   namespace ([children] and prefix watchers could never see it). *)
+   namespace ([children] and prefix scans could never see it). *)
 let write t path value =
   (if Rina_util.Invariant.enabled () then
      let len = String.length path in
@@ -47,11 +35,9 @@ let write t path value =
      if len = 0 || path.[0] <> '/' || path.[len - 1] = '/' || has_double 0 then
        Rina_util.Invariant.record ~code:"SAN_RIB_PATH"
          (Printf.sprintf "malformed RIB object name %S" path));
-  let event = if Hashtbl.mem t.objects path then Updated else Created in
   if Rina_util.Flight.enabled () then
     Rina_util.Flight.emit ~component:"rib" (Rina_util.Flight.Custom "rib_write");
-  Hashtbl.replace t.objects path value;
-  notify t event path (Some value)
+  Hashtbl.replace t.objects path value
 
 (* ---------- versioned writes (stale/duplicate rejection) ----------
 
@@ -109,7 +95,6 @@ let delete t path =
         (Rina_util.Flight.Custom "rib_delete");
     Hashtbl.remove t.objects path;
     Hashtbl.remove t.versions path;
-    notify t Deleted path None;
     true
   end
   else false
@@ -131,8 +116,6 @@ let children t prefix =
       else acc)
     t.objects []
   |> List.sort String.compare
-
-let subscribe t ~prefix callback = t.watchers <- { prefix; callback } :: t.watchers
 
 let clear t =
   Hashtbl.reset t.objects;

@@ -3,9 +3,7 @@
     Every IPC process keeps one: a tree of named objects populated and
     queried by the management task (directory entries, link-state
     advertisements, QoS cubes, address-allocation state...).  Object
-    names are slash-separated paths such as ["/dif/dir/appname"].
-    Watchers fire on create/write/delete, which is how the routing and
-    directory tasks react to RIEP updates without coupling to them. *)
+    names are slash-separated paths such as ["/dir/appname/1"]. *)
 
 type value =
   | V_str of string
@@ -13,8 +11,6 @@ type value =
   | V_float of float
   | V_bool of bool
   | V_bytes of bytes
-
-type event = Created | Updated | Deleted
 
 type t
 
@@ -54,8 +50,7 @@ val write_owned : t -> string -> value -> origin:int -> int * int
 val accept_remote :
   t -> string -> value -> origin:int -> ver:int -> remote_result
 (** Apply a versioned update received from a peer: installs it iff it
-    dominates the current version (watchers fire only when the value
-    changed). *)
+    dominates the current version. *)
 
 val read : t -> string -> value option
 
@@ -73,14 +68,8 @@ val children : t -> string -> string list
 (** [children t "/dif/dir"] lists full paths one level below the
     prefix, sorted. *)
 
-val subscribe : t -> prefix:string -> (event -> string -> value option -> unit) -> unit
-(** Watch every object at or below [prefix]; the callback receives the
-    event kind, the full path and the new value ([None] on delete). *)
-
 val clear : t -> unit
-(** Drop every object without firing watchers — the state loss of an
-    IPCP crash.  Subscriptions survive (they are re-populated by
-    re-enrollment). *)
+(** Drop every object — the state loss of an IPCP crash. *)
 
 val size : t -> int
 (** Number of objects stored. *)

@@ -10,13 +10,9 @@ let tag_of_dif dif =
 
 let wrap ~dif (chan : Rina_sim.Chan.t) : Rina_sim.Chan.t =
   let tag = tag_of_dif dif in
-  let stats = Rina_util.Metrics.create () in
-  let tx = Rina_util.Metrics.counter stats "tx"
-  and rx = Rina_util.Metrics.counter stats "rx" in
   {
     Rina_sim.Chan.send =
       (fun frame ->
-        Rina_util.Metrics.bump tx;
         let out = Bytes.create (4 + Bytes.length frame) in
         Bytes.set_int32_be out 0 (Int32.of_int tag);
         Bytes.blit frame 0 out 4 (Bytes.length frame);
@@ -27,12 +23,7 @@ let wrap ~dif (chan : Rina_sim.Chan.t) : Rina_sim.Chan.t =
             if
               Bytes.length frame >= 4
               && Int32.to_int (Bytes.get_int32_be frame 0) land 0xFFFFFFFF = tag
-            then begin
-              Rina_util.Metrics.bump rx;
-              f (Bytes.sub frame 4 (Bytes.length frame - 4))
-            end
-            else Rina_util.Metrics.incr stats "foreign_frames"));
+            then f (Bytes.sub frame 4 (Bytes.length frame - 4))));
     is_up = chan.Rina_sim.Chan.is_up;
     on_carrier = chan.Rina_sim.Chan.on_carrier;
-    stats;
   }

@@ -25,9 +25,6 @@ type t = {
   is_up : unit -> bool;  (** Current carrier state. *)
   on_carrier : (bool -> unit) -> unit;
       (** Add a carrier up/down watcher (multiple allowed). *)
-  stats : Rina_util.Metrics.t;
-      (** [tx], [rx], [dropped_loss], [dropped_queue], [dropped_down],
-          [tx_bytes], [rx_bytes]. *)
 }
 
 val null : unit -> t

@@ -302,7 +302,6 @@ let endpoint_a t : Chan.t =
     set_receiver = (fun f -> t.backward.receiver <- f);
     is_up = (fun () -> t.up);
     on_carrier = (fun f -> t.watchers <- f :: t.watchers);
-    stats = t.forward.stats;
   }
 
 let endpoint_b t : Chan.t =
@@ -311,7 +310,6 @@ let endpoint_b t : Chan.t =
     set_receiver = (fun f -> t.forward.receiver <- f);
     is_up = (fun () -> t.up);
     on_carrier = (fun f -> t.watchers <- f :: t.watchers);
-    stats = t.backward.stats;
   }
 
 let set_blackhole t b = t.blackhole <- b

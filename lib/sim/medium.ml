@@ -6,7 +6,6 @@ type radio = {
   range : float;
   edge_loss : float;
   comp : string;  (* flight-recorder component name *)
-  stats : Rina_util.Metrics.t;
   mutable receiver : bytes -> unit;
   mutable watchers : (bool -> unit) list;
   mutable was_up : bool;
@@ -81,18 +80,13 @@ let[@inline] flight_drop r reason size =
       (Rina_util.Flight.Pdu_dropped reason)
 
 let transmit t r frame =
-  let m = r.stats in
-  if not (radio_up r) then begin
-    flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame);
-    Rina_util.Metrics.incr m "dropped_down"
-  end
+  if not (radio_up r) then
+    flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame)
   else begin
     (let fr = Rina_util.Flight.cur () in
      if Rina_util.Flight.on fr then
        Rina_util.Flight.emit_to fr ~component:r.comp
          ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent);
-    Rina_util.Metrics.incr m "tx";
-    Rina_util.Metrics.add m "tx_bytes" (Bytes.length frame);
     let now = Engine.now t.engine in
     let start = Float.max now r.busy_until in
     let ser = float_of_int (8 * Bytes.length frame) /. t.bit_rate in
@@ -100,21 +94,15 @@ let transmit t r frame =
     let arrival = start +. ser +. t.base_delay in
     ignore
       (Engine.schedule_at t.engine ~time:arrival (fun () ->
-           if not (radio_up r) then begin
-             flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame);
-             Rina_util.Metrics.incr m "dropped_down"
-           end
-           else if Rina_util.Prng.bernoulli t.rng (loss_probability r) then begin
-             flight_drop r Rina_util.Flight.R_loss (Bytes.length frame);
-             Rina_util.Metrics.incr m "dropped_loss"
-           end
+           if not (radio_up r) then
+             flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame)
+           else if Rina_util.Prng.bernoulli t.rng (loss_probability r) then
+             flight_drop r Rina_util.Flight.R_loss (Bytes.length frame)
            else begin
              (let fr = Rina_util.Flight.cur () in
               if Rina_util.Flight.on fr then
                 Rina_util.Flight.emit_to fr ~component:r.comp
                   ~size:(Bytes.length frame) Rina_util.Flight.Pdu_recvd);
-             Rina_util.Metrics.incr m "rx";
-             Rina_util.Metrics.add m "rx_bytes" (Bytes.length frame);
              match peer_of t r with
              | Some peer -> peer.receiver frame
              | None -> r.receiver frame
@@ -130,7 +118,6 @@ let channel t ~local ~remote ~range ?(edge_loss = 0.3) () : Chan.t =
       range;
       edge_loss;
       comp = Printf.sprintf "radio.%d-%d" local.id remote.id;
-      stats = Rina_util.Metrics.create ();
       receiver = (fun _ -> ());
       watchers = [];
       was_up = false;
@@ -144,5 +131,4 @@ let channel t ~local ~remote ~range ?(edge_loss = 0.3) () : Chan.t =
     set_receiver = (fun f -> r.receiver <- f);
     is_up = (fun () -> radio_up r);
     on_carrier = (fun f -> r.watchers <- f :: r.watchers);
-    stats = r.stats;
   }

@@ -4,6 +4,8 @@
 module Engine = Rina_sim.Engine
 module Chan = Rina_sim.Chan
 module Pdu = Rina_core.Pdu
+module Riep = Rina_core.Riep
+module Rib = Rina_core.Rib
 module Link = Rina_sim.Link
 module Dif = Rina_core.Dif
 module Ipcp = Rina_core.Ipcp
@@ -782,6 +784,179 @@ let test_policy_language_drives_dif () =
       wait net.Topo.engine 10.;
       check Alcotest.int "stop-and-wait delivers" 10 sink.Workload.count)
 
+(* ---------- management-plane robustness ---------- *)
+
+(* Two members whose namespace manager (node 0) has crashed while node
+   1 admits a joiner: node 1's address request (invoke id 1) is still
+   pending, and node 0's end of the old wire is free to inject on. *)
+let pending_grant_net () =
+  let net = Topo.line ~seed:3 ~n:2 () in
+  let engine = net.Topo.engine in
+  wait engine 10.;
+  Ipcp.crash net.Topo.nodes.(0);
+  let joiner = Dif.add_member net.Topo.dif ~name:"joiner" () in
+  let l =
+    Link.create engine (Rina_util.Prng.create 9) ~bit_rate:10_000_000. ~delay:0.002 ()
+  in
+  Dif.connect net.Topo.dif net.Topo.nodes.(1) joiner (Link.endpoint_a l, Link.endpoint_b l);
+  wait engine 1.2;
+  (net, joiner)
+
+(* One management frame from node 0's end of the old wire:
+   neighbour-scope unless [dst] routes it. *)
+let inject net ?(dst = Types.no_address) msg =
+  (Link.endpoint_a net.Topo.links.(0)).Chan.send
+    (Pdu.encode_frame
+       (Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:dst ~src_addr:0 (Riep.encode msg)))
+
+let test_out_of_range_grant_denied () =
+  (* Neighbour-scope frames pass the ingress filter from any port, so
+     anyone on the wire can answer a pending address request.  A grant
+     outside the 32-bit address space must deny the joiner, as any
+     failed allocation does, not abort the simulation. *)
+  let net, joiner = pending_grant_net () in
+  let member = net.Topo.nodes.(1) in
+  let denied () = Metrics.get (Ipcp.metrics member) "enroll_denied" in
+  let before = denied () in
+  inject net
+    (Riep.make ~opcode:Riep.M_read_r ~obj_class:"addr-alloc" ~invoke_id:1
+       ~obj_value:(Rib.V_int (1 lsl 40)) ());
+  wait net.Topo.engine 0.5;
+  check Alcotest.int "joiner denied" (before + 1) (denied ());
+  Alcotest.(check bool) "joiner not enrolled" false (Ipcp.is_enrolled joiner)
+
+(* Every (opcode, class) pair the dispatcher handles, plus one it does
+   not. *)
+let dispatched =
+  Riep.
+    [
+      (M_connect, "enrollment"); (M_connect_r, "enrollment"); (M_write, "rib");
+      (M_delete, "rib"); (M_write, "lsa"); (M_delete, "lsa"); (M_read, "keepalive");
+      (M_read_r, "keepalive"); (M_read, "path-probe"); (M_read_r, "path-probe");
+      (M_read, "addr-alloc"); (M_read_r, "addr-alloc"); (M_create, "flow");
+      (M_create_r, "flow"); (M_delete, "flow"); (M_write, "no-such-class");
+    ]
+
+let gen_mgmt_msg =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        return None;
+        map
+          (fun n -> Some (Rib.V_int n))
+          (oneofl [ -1; 0; 1; 2; 3; 4; 1 lsl 40; max_int ]);
+        map (fun s -> Some (Rib.V_str s)) (string_size ~gen:printable (int_bound 6));
+        map (fun s -> Some (Rib.V_bytes (Bytes.of_string s))) (string_size (int_bound 24));
+        map (fun b -> Some (Rib.V_bool b)) bool;
+        map (fun f -> Some (Rib.V_float f)) float;
+      ]
+  in
+  let* opcode, obj_class = oneofl dispatched in
+  let* obj_name = oneofl [ "/dir/svc/1"; "7"; "joiner/1" ] in
+  let* invoke_id = int_range 0 3 in
+  let* result = int_range 0 4 in
+  let* version = int_range 0 2 in
+  let* origin = int_range 0 2 in
+  let* obj_value = value in
+  let+ routed = bool in
+  ( routed,
+    Riep.make ~opcode ~obj_class ~obj_name ?obj_value ~invoke_id ~result ~version
+      ~origin () )
+
+let prop_mgmt_never_raises =
+  let print msgs =
+    String.concat "\n"
+      (List.map
+         (fun (routed, m) ->
+           Format.asprintf "%s %a %a"
+             (if routed then "routed" else "neighbour")
+             Riep.pp m
+             (Format.pp_print_option Rib.pp_value)
+             m.Riep.obj_value)
+         msgs)
+  in
+  QCheck.Test.make ~name:"no management message raises" ~count:300
+    (QCheck.make ~print (QCheck.Gen.list_repeat 80 gen_mgmt_msg))
+    (fun msgs ->
+      let net, _ = pending_grant_net () in
+      let member = net.Topo.nodes.(1) in
+      Ipcp.allocate_flow member ~src:(Types.apn "client") ~dst:(Types.apn "svc")
+        ~qos_id:1 ~on_result:ignore;
+      List.iter
+        (fun (routed, msg) ->
+          inject net ?dst:(if routed then Some (Ipcp.address member) else None) msg;
+          wait net.Topo.engine 0.01)
+        msgs;
+      wait net.Topo.engine 2.;
+      true)
+
+(* The management plane's counters, summed over every member after a
+   script that exercises enrollment through a non-manager, directory
+   publication, flow allocation, anti-entropy, crash, restart and
+   departure.  A refactor of the management plane must leave every
+   total unchanged; a change of behaviour updates them on purpose. *)
+let test_mgmt_counters_pinned () =
+  let policy =
+    {
+      Policy.default with
+      Policy.routing =
+        { Policy.default.Policy.routing with Policy.anti_entropy_interval = 2.0 };
+    }
+  in
+  let net = Topo.line ~seed:4 ~policy ~n:4 () in
+  let engine = net.Topo.engine and nodes = net.Topo.nodes in
+  wait engine 10.;
+  let delivered = ref 0 in
+  Ipcp.register_app nodes.(3) (Types.apn "svc") ~on_flow:(fun f ->
+      f.Ipcp.set_on_receive (fun _ -> incr delivered));
+  wait engine 3.;
+  let joiner = Dif.add_member net.Topo.dif ~name:"joiner" () in
+  let l =
+    Link.create engine (Rina_util.Prng.create 9) ~bit_rate:10_000_000. ~delay:0.002 ()
+  in
+  Dif.connect net.Topo.dif nodes.(2) joiner (Link.endpoint_a l, Link.endpoint_b l);
+  wait engine 8.;
+  Ipcp.allocate_flow nodes.(0) ~src:(Types.apn "client") ~dst:(Types.apn "svc") ~qos_id:1
+    ~on_result:(function
+      | Ok f ->
+        for _ = 1 to 5 do
+          f.Ipcp.send (Bytes.make 100 'm')
+        done
+      | Error e -> Alcotest.fail e);
+  wait engine 3.;
+  Ipcp.crash nodes.(1);
+  wait engine 12.;
+  Ipcp.restart nodes.(1);
+  wait engine 12.;
+  Ipcp.leave nodes.(3);
+  wait engine 5.;
+  check Alcotest.int "delivered" 5 !delivered;
+  let totals = Hashtbl.create 32 in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (k, v) ->
+          Hashtbl.replace totals k
+            (v + Option.value ~default:0 (Hashtbl.find_opt totals k)))
+        (Metrics.to_list (Ipcp.metrics m)))
+    (Dif.members net.Topo.dif);
+  let got = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []) in
+  check
+    Alcotest.(list (pair string int))
+    "totals"
+    [
+      ("addr_granted", 3); ("alloc_requests", 1); ("anti_entropy_runs", 124);
+      ("crashes", 1); ("dir_tx", 97); ("enroll_accepted", 5); ("enroll_retries", 2);
+      ("enroll_timeout", 2); ("enrolled", 5); ("flows_accepted", 1);
+      ("flows_allocated", 1); ("grant_timeout", 2); ("keepalive_miss", 4);
+      ("keepalive_tx", 377); ("left_dif", 1); ("lsa_rx_new", 204); ("lsa_tx", 788);
+      ("lsa_withdraw_tx", 2); ("lsa_withdrawn", 4); ("mgmt_rx", 1594);
+      ("mgmt_tx", 1654); ("peer_declared_dead", 2); ("restarts", 1);
+      ("rib_dup_rejected", 89); ("spf_runs", 220);
+    ]
+    got
+
 (* ---------- chaos: crash, dead-peer detection, EFCP abort ---------- *)
 
 (* Tight detection timers so failure detection plays out in a few
@@ -1022,6 +1197,7 @@ let () =
             test_member_leave_withdraws_everything;
           Alcotest.test_case "leave then re-enroll" `Quick test_leave_then_reenroll;
           Alcotest.test_case "grant timeout then retry" `Quick test_grant_timeout_then_retry;
+          Alcotest.test_case "management counters pinned" `Quick test_mgmt_counters_pinned;
         ] );
       ( "security",
         [
@@ -1029,5 +1205,7 @@ let () =
           Alcotest.test_case "empty dtp payload dropped" `Quick test_empty_dtp_payload_dropped;
           Alcotest.test_case "declarative policy drives DIF" `Quick test_policy_language_drives_dif;
           Alcotest.test_case "custom qos cubes" `Quick test_custom_qos_cubes;
+          Alcotest.test_case "out-of-range grant denied" `Quick test_out_of_range_grant_denied;
+          QCheck_alcotest.to_alcotest prop_mgmt_never_raises;
         ] );
     ]

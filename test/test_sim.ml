@@ -169,9 +169,7 @@ let test_chan_pair () =
   a.Chan.send (Bytes.of_string "ping");
   b.Chan.send (Bytes.of_string "pong");
   check Alcotest.(list string) "b received" [ "ping" ] !got_b;
-  check Alcotest.(list string) "a received" [ "pong" ] !got_a;
-  check Alcotest.int "a tx" 1 (Rina_util.Metrics.get a.Chan.stats "tx");
-  check Alcotest.int "a rx" 1 (Rina_util.Metrics.get a.Chan.stats "rx")
+  check Alcotest.(list string) "a received" [ "pong" ] !got_a
 
 (* ---------- Link ---------- *)
 
