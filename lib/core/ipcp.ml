@@ -611,9 +611,9 @@ let handle_addr_alloc t (msg : Riep.t) ~from_addr =
          ~obj_value:(Rib.V_int granted) ())
   end
 
-(* The reply to our address request.  Only an address the wire format
-   can carry is a grant: the reply may come from anyone on a port,
-   because neighbour-scope frames pass the ingress filter. *)
+(* The reply to our address request, matched by invoke id.  It arrives
+   routed, so only a holder of the DIF's hello token can forge one; even
+   so, only an address the wire format can carry is a grant. *)
 let handle_addr_alloc_r t (msg : Riep.t) =
   match Hashtbl.find_opt t.pending_grants msg.Riep.invoke_id with
   | None -> ()
@@ -1173,6 +1173,15 @@ let anti_entropy_tick t =
 let on_port t from_port x handle =
   match from_port with Some port -> handle t port x | None -> ()
 
+(* The allocators' messages (address grants and flow set-up and
+   tear-down) are always sent routed, and the ingress filter admits a
+   routed frame only from a port whose peer sent a valid hello.  A
+   neighbour-scope one passes the filter from any port, so it can only
+   be forged. *)
+let routed t (pdu : Pdu.t) x handle =
+  if pdu.Pdu.dst_addr <> Types.no_address then handle t x
+  else Metrics.incr t.metrics "unrouted_alloc_dropped"
+
 let handle_mgmt t from_port (pdu : Pdu.t) =
   match Riep.decode (Pdu.bytes_of_view pdu.Pdu.payload) with
   | Error _ -> Metrics.incr t.metrics "bad_mgmt"
@@ -1192,11 +1201,12 @@ let handle_mgmt t from_port (pdu : Pdu.t) =
     | Riep.M_read_r, "keepalive" ->
       on_port t from_port msg (fun t port _ -> touch_port t port)
     | Riep.M_read_r, "path-probe" -> on_port t from_port msg handle_path_probe_r
-    | Riep.M_read, "addr-alloc" -> handle_addr_alloc t msg ~from_addr:pdu.Pdu.src_addr
-    | Riep.M_read_r, "addr-alloc" -> handle_addr_alloc_r t msg
-    | Riep.M_create, "flow" -> handle_flow_create t msg
-    | Riep.M_create_r, "flow" -> handle_flow_create_r t msg
-    | Riep.M_delete, "flow" -> handle_flow_delete t msg
+    | Riep.M_read, "addr-alloc" ->
+      routed t pdu msg (handle_addr_alloc ~from_addr:pdu.Pdu.src_addr)
+    | Riep.M_read_r, "addr-alloc" -> routed t pdu msg handle_addr_alloc_r
+    | Riep.M_create, "flow" -> routed t pdu msg handle_flow_create
+    | Riep.M_create_r, "flow" -> routed t pdu msg handle_flow_create_r
+    | Riep.M_delete, "flow" -> routed t pdu msg handle_flow_delete
     | _, _ -> Metrics.incr t.metrics "mgmt_unhandled")
 
 let handle_data t (pdu : Pdu.t) =

@@ -20,15 +20,37 @@ let tables =
       done;
       !c)
 
-(* Each 8-byte word is read as one little-endian [int64] that is only
-   split into [int] halves, so ocamlopt keeps it unboxed and a call
-   allocates nothing.  Keep it that way: reading the bytes through a
-   local closure instead allocates on every call. *)
+(* The carry-less-multiply fold of crc32_stubs.c: the CRC register
+   after [len] more bytes at [pos], for [len] a multiple of 16 and at
+   least 64.  It trusts the range, so only [crc32_sub] calls it. *)
+external fold :
+  bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rina_crc32_fold_byte" "rina_crc32_fold"
+[@@noalloc]
+
+external clmul_supported : unit -> bool = "rina_crc32_clmul_supported" [@@noalloc]
+
+(* The CPU is asked once, at initialisation, for the same reason the
+   tables are built eagerly. *)
+let clmul = clmul_supported ()
+
+(* A range of 64 bytes or more goes to the fold when the CPU has it,
+   all but its last [len mod 16] bytes.  The slicing loop does the rest:
+   that tail, short ranges and every range on other hosts.  Each 8-byte
+   word is read as one little-endian [int64] that is only split into
+   [int] halves, so ocamlopt keeps it unboxed and a call allocates
+   nothing.  Keep it that way: reading the bytes through a local
+   closure instead allocates on every call. *)
 let crc32_sub data ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length data - len then
     invalid_arg "Sdu_protection.crc32_sub";
   let crc = ref 0xFFFFFFFF in
   let i = ref pos in
+  if clmul && len >= 64 then begin
+    let folded = len land lnot 15 in
+    crc := fold data pos folded !crc;
+    i := pos + folded
+  end;
   let words_end = pos + (len land lnot 7) in
   while !i < words_end do
     let w = Bytes.get_int64_le data !i in

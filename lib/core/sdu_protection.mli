@@ -1,8 +1,13 @@
 (** SDU protection: integrity check appended to every frame a DIF hands
     to the layer below.
 
-    Implements CRC-32 (IEEE 802.3 polynomial, slicing-by-8: eight
-    table lookups per 8-byte word, bytewise for the tail).  A member
+    Implements CRC-32 (IEEE 802.3 polynomial) with two kernels that
+    give the same value.  On x86-64 CPUs with PCLMULQDQ, a range of 64
+    bytes or more is folded with carry-less multiplies in a C stub, 64
+    bytes at a time, down to a tail of 0-15 bytes.  A slicing-by-8 loop
+    (eight table lookups per 8-byte word, bytewise for the last 0-7
+    bytes) finishes that tail, and computes every shorter range and
+    every range on other hosts.  A member
     receiving a frame that fails the check drops it — this is also the
     first line of defence against the injection attack in experiment
     C2, since an attacker that is not a member does not even share the

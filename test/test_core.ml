@@ -118,8 +118,9 @@ let test_crc32_known_vector () =
   check Alcotest.int "crc32(123456789)" 0xCBF43926
     (Sdu.crc32 (Bytes.of_string "123456789"))
 
-(* Reference: the plain byte-at-a-time CRC-32 the slicing-by-8 kernel
-   must reproduce exactly. *)
+(* Reference: the plain byte-at-a-time CRC-32 that both kernels, the
+   carry-less-multiply fold and the slicing-by-8 loop, must reproduce
+   exactly. *)
 let crc32_bytewise =
   let table =
     Array.init 256 (fun n ->
@@ -138,12 +139,14 @@ let crc32_bytewise =
 
 let random_bytes rs n = Bytes.init n (fun _ -> Char.chr (Random.State.int rs 256))
 
-(* Every tail length (0-16 bytes, so 0-2 whole words plus 0-7 left
-   over) at every word misalignment. *)
+(* Every length 0-200 at every 16-byte misalignment: both sides of the
+   fold's 64-byte threshold, every 16-byte remainder it leaves to the
+   slicing loop (0-1 words plus 0-7 bytes), and one to three 64-byte
+   blocks. *)
 let test_crc32_short_lengths () =
   let rs = Random.State.make [| 13 |] in
-  for len = 0 to 16 do
-    for pos = 0 to 8 do
+  for len = 0 to 200 do
+    for pos = 0 to 15 do
       let b = random_bytes rs (pos + len + 3) in
       check Alcotest.int
         (Printf.sprintf "len %d pos %d" len pos)

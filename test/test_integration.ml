@@ -802,28 +802,75 @@ let pending_grant_net () =
   wait engine 1.2;
   (net, joiner)
 
-(* One management frame from node 0's end of the old wire:
-   neighbour-scope unless [dst] routes it. *)
-let inject net ?(dst = Types.no_address) msg =
-  (Link.endpoint_a net.Topo.links.(0)).Chan.send
-    (Pdu.encode_frame
-       (Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:dst ~src_addr:0 (Riep.encode msg)))
+(* A management frame: neighbour-scope unless [dst] routes it. *)
+let mgmt_frame ?(dst = Types.no_address) msg =
+  Pdu.encode_frame
+    (Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:dst ~src_addr:0 (Riep.encode msg))
+
+(* One management frame from node 0's end of the old wire. *)
+let inject net ?dst msg =
+  (Link.endpoint_a net.Topo.links.(0)).Chan.send (mgmt_frame ?dst msg)
 
 let test_out_of_range_grant_denied () =
-  (* Neighbour-scope frames pass the ingress filter from any port, so
-     anyone on the wire can answer a pending address request.  A grant
-     outside the 32-bit address space must deny the joiner, as any
-     failed allocation does, not abort the simulation. *)
+  (* Node 1's port to the crashed node 0 still has an authenticated
+     peer, so a routed reply from its end of the wire passes the ingress
+     filter.  A grant outside the 32-bit address space must deny the
+     joiner, as any failed allocation does, not abort the simulation. *)
   let net, joiner = pending_grant_net () in
   let member = net.Topo.nodes.(1) in
   let denied () = Metrics.get (Ipcp.metrics member) "enroll_denied" in
   let before = denied () in
-  inject net
+  inject net ~dst:(Ipcp.address member)
     (Riep.make ~opcode:Riep.M_read_r ~obj_class:"addr-alloc" ~invoke_id:1
        ~obj_value:(Rib.V_int (1 lsl 40)) ());
   wait net.Topo.engine 0.5;
   check Alcotest.int "joiner denied" (before + 1) (denied ());
   Alcotest.(check bool) "joiner not enrolled" false (Ipcp.is_enrolled joiner)
+
+let test_unrouted_grant_dropped () =
+  (* Neighbour-scope frames pass the ingress filter from any port, but
+     address grants are always routed: a neighbour-scope answer to the
+     pending request is a forgery and must not enrol the joiner. *)
+  let net, joiner = pending_grant_net () in
+  let member = net.Topo.nodes.(1) in
+  inject net
+    (Riep.make ~opcode:Riep.M_read_r ~obj_class:"addr-alloc" ~invoke_id:1
+       ~obj_value:(Rib.V_int 7) ());
+  wait net.Topo.engine 0.5;
+  Alcotest.(check bool) "joiner not enrolled" false (Ipcp.is_enrolled joiner);
+  check Alcotest.int "forgery counted" 1
+    (Metrics.get (Ipcp.metrics member) "unrouted_alloc_dropped")
+
+let test_stranger_cannot_close_flow () =
+  (* A fresh wire to node 1 whose far end never says hello: its
+     neighbour-scope flow deletions pass the ingress filter, and must not
+     close node 1's end of a live flow. *)
+  let net = Topo.line ~seed:3 ~n:2 () in
+  let engine = net.Topo.engine and member = net.Topo.nodes.(1) in
+  let sink = Workload.sink () in
+  match Scenario.open_flow net ~src:0 ~dst:1 ~qos_id:1 ~sink () with
+  | Error e -> Alcotest.fail e
+  | Ok (flow, _) ->
+    flow.Ipcp.send (Bytes.make 100 'a');
+    wait engine 1.;
+    check Alcotest.int "first SDU" 1 sink.Workload.count;
+    let l =
+      Link.create engine (Rina_util.Prng.create 13) ~bit_rate:1_000_000. ~delay:0.001 ()
+    in
+    ignore (Ipcp.bind_port member (Link.endpoint_b l));
+    List.iter
+      (fun (cep, _, _) ->
+        (Link.endpoint_a l).Chan.send
+          (mgmt_frame
+             (Riep.make ~opcode:Riep.M_delete ~obj_class:"flow"
+                ~obj_value:(Rib.V_int cep) ())))
+      (Ipcp.flow_stats member);
+    wait engine 1.;
+    for _ = 1 to 5 do
+      flow.Ipcp.send (Bytes.make 100 'b')
+    done;
+    wait engine 2.;
+    check Alcotest.int "every SDU" 6 sink.Workload.count
 
 (* Every (opcode, class) pair the dispatcher handles, plus one it does
    not. *)
@@ -1206,6 +1253,9 @@ let () =
           Alcotest.test_case "declarative policy drives DIF" `Quick test_policy_language_drives_dif;
           Alcotest.test_case "custom qos cubes" `Quick test_custom_qos_cubes;
           Alcotest.test_case "out-of-range grant denied" `Quick test_out_of_range_grant_denied;
+          Alcotest.test_case "unrouted grant dropped" `Quick test_unrouted_grant_dropped;
+          Alcotest.test_case "stranger cannot close a flow" `Quick
+            test_stranger_cannot_close_flow;
           QCheck_alcotest.to_alcotest prop_mgmt_never_raises;
         ] );
     ]
