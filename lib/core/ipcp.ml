@@ -99,6 +99,10 @@ type t = {
   mutable ecmp_hops : (Types.address, Types.address list * float) Hashtbl.t;
       (* equal-cost first hops per destination; maintained only while
          the multipath monitor is armed (policy probe_interval > 0) *)
+  mutable routes_version : int;
+  mutable routes_address : Types.address;
+      (* the LSDB's graph version and our address when [next_hops] was
+         computed; -1 when it never was *)
   mutable chosen_poa : (Types.address, Types.port_id) Hashtbl.t;
   mutable own_lsa_seq : int;
   mutable last_adjacency : (Types.address * float) list;
@@ -396,9 +400,17 @@ let schedule_recompute t =
     ignore
       (Engine.schedule t.engine ~delay:0. (fun () ->
            t.recompute_scheduled <- false;
-           t.next_hops <- Routing.spf t.lsdb ~source:t.address;
-           if Multipath.enabled t.mpath then
-             t.ecmp_hops <- Routing.spf_multi t.lsdb ~source:t.address;
+           (* A refresh re-floods an unchanged graph; the tables computed
+              from it still hold (RFC 2328 section 13.2). *)
+           let version = Routing.graph_version t.lsdb in
+           if version <> t.routes_version || t.address <> t.routes_address
+           then begin
+             t.routes_version <- version;
+             t.routes_address <- t.address;
+             t.next_hops <- Routing.spf t.lsdb ~source:t.address;
+             if Multipath.enabled t.mpath then
+               t.ecmp_hops <- Routing.spf_multi t.lsdb ~source:t.address
+           end;
            Metrics.incr t.metrics "spf_runs"))
   end
 
@@ -1344,6 +1356,8 @@ let create engine ?(credentials = "") ?(qos_cubes = Qos.standard_cubes)
           Rina_util.Prng.create
             (Hashtbl.hash (dif, Types.apn_to_string name, "ipcp-backoff"));
         ecmp_hops = Hashtbl.create 1;
+        routes_version = -1;
+        routes_address = Types.no_address;
         mpath =
           Multipath.create policy.Policy.multipath
             ~rng:
@@ -1389,6 +1403,8 @@ let bootstrap t =
   run_enrolled_hooks t
 
 let bind_port t ?(cost = 1.0) ?rate chan =
+  if not (Routing.valid_cost cost) then
+    invalid_arg "Ipcp.bind_port: cost must be finite and non-negative";
   let port_id = Rmt.add_port t.rmt ?rate chan in
   let np =
     {
@@ -1435,6 +1451,7 @@ let forget_membership t =
     t.nports;
   t.next_hops <- Hashtbl.create 1;
   t.ecmp_hops <- Hashtbl.create 1;
+  t.routes_version <- -1;
   Hashtbl.reset t.chosen_poa;
   Multipath.reset t.mpath
 

@@ -154,7 +154,15 @@ val path_health : t -> string list
     What [rina_stats] prints for multihomed processes. *)
 
 val rib : t -> Rib.t
+
 val metrics : t -> Rina_util.Metrics.t
+(** Management counters.  [spf_runs] counts route-recomputation events,
+    one per burst of accepted LSAs and adjacency changes.  An event that
+    finds the LSDB's graph ({!Routing.graph_version}) and this process's
+    address unchanged since the last computation keeps the previous
+    tables, so a refresh that re-floods unchanged neighbour lists costs
+    no Dijkstra. *)
+
 val rmt_metrics : t -> Rina_util.Metrics.t
 
 val rmt_queue_depth : t -> int

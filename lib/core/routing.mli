@@ -9,7 +9,14 @@
     Routes are computed over *node addresses* ("a route is a sequence
     of node addresses"); selecting the point of attachment to the next
     hop is the second step (Fig. 4) and lives with the RMT's port
-    choice, not here. *)
+    choice, not here.
+
+    Edge costs must be finite and non-negative ({!valid_cost}):
+    Dijkstra assumes it.  {!Lsa.decode} rejects any other cost, and
+    {!Ipcp.bind_port} refuses one. *)
+
+val valid_cost : float -> bool
+(** [true] for a finite, non-negative cost. *)
 
 module Lsa : sig
   type t = {
@@ -19,7 +26,11 @@ module Lsa : sig
   }
 
   val encode : t -> bytes
+
   val decode : bytes -> (t, string) result
+  (** [Error] on malformed bytes and on any cost that fails
+      {!valid_cost}. *)
+
   val pp : Format.formatter -> t -> unit
 end
 
@@ -33,6 +44,15 @@ val install : ?now:float -> t -> Lsa.t -> bool
     [now] (virtual time, default 0) stamps the entry for {!expired};
     a duplicate of the stored sequence number refreshes the stamp
     without reporting a change — the origin proved itself alive. *)
+
+val graph_version : t -> int
+(** Moves exactly when the graph SPF runs over changes: an origin
+    installed for the first time, an accepted LSA whose neighbour list
+    (addresses and costs, in order) differs from the stored one, a
+    {!withdraw} that removes an LSA, or a {!clear} of a non-empty
+    database.  A refresh (higher sequence number, same neighbours) and
+    a duplicate leave it alone, so a caller that recorded it at its
+    last {!spf} knows whether that result still holds. *)
 
 val withdraw : t -> Types.address -> bool
 (** Remove an origin's LSA entirely (member left or declared dead);
@@ -59,7 +79,11 @@ type next_hops = (Types.address, Types.address * float) Hashtbl.t
 val spf : t -> source:Types.address -> next_hops
 (** Dijkstra from [source].  An edge is used only if both endpoints
     advertise it (two-way check), which keeps transients loop-free.
-    The source itself does not appear in the result. *)
+    The source itself does not appear in the result.  Every call
+    computes afresh; reusing a table across calls is the caller's
+    decision, keyed on {!graph_version}.  It runs over a dense index of
+    the database's addresses that {!install}, {!withdraw} and {!clear}
+    keep current, not over the database itself. *)
 
 val spf_multi :
   t -> source:Types.address -> (Types.address, Types.address list * float) Hashtbl.t
@@ -71,3 +95,9 @@ val spf_multi :
 
 val size : t -> int
 (** Number of LSAs stored (per-node routing-state metric for C1). *)
+
+val index_size : t -> int
+(** Slots the dense index has handed out.  A slot is reused once no
+    installed LSA names its address and its own LSA is gone, so this
+    stays at the most addresses the database named at once, however
+    many come and go. *)

@@ -15,15 +15,17 @@
 
    A handle is reachable from the engine only while it is resident:
    every heap or wheel slot it vacates is overwritten with [vacant], so
-   a fired or cancelled event, and whatever its closure holds (often a
-   frame), can be collected at once. *)
+   a fired event, and whatever its closure holds (often a frame), can be
+   collected at once.  A cancelled event may stay resident until its
+   slot is flushed or reaped, so [cancel] swaps its closure for [ignore]
+   on the spot. *)
 
 type lane = Default | Timer
 
 type handle = {
   mutable cancelled : bool;
   mutable resident : bool;
-  action : unit -> unit;
+  mutable action : unit -> unit;
   owner : t option;  (* [None] only for [vacant] *)
 }
 
@@ -162,6 +164,7 @@ let reap t =
   t.cancelled_resident <- 0
 
 let cancel h =
+  h.action <- ignore;
   match h.owner with
   | Some t when h.resident && not h.cancelled ->
     h.cancelled <- true;

@@ -46,7 +46,9 @@ val schedule_at : ?lane:lane -> t -> time:float -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
 (** Prevent a pending event from firing; cancelling a fired or already
-    cancelled event is a no-op. *)
+    cancelled event is a no-op.  The event's closure, and whatever it
+    holds, is released at once, although the cancelled entry itself
+    may stay queued until it is reaped. *)
 
 val pending : t -> int
 (** Number of events still queued (including cancelled ones not yet

@@ -570,6 +570,19 @@ let test_routing_lsa_codec () =
   | Ok l' -> Alcotest.(check bool) "roundtrip" true (l = l')
   | Error e -> Alcotest.fail e
 
+let test_routing_lsa_costs () =
+  (* Dijkstra needs finite, non-negative weights: an LSA carrying any
+     other cost is malformed. *)
+  let decodes cost =
+    Result.is_ok (Routing.Lsa.decode (Routing.Lsa.encode (lsa 1 1 [ (2, 1.); (3, cost) ])))
+  in
+  List.iter
+    (fun c -> Alcotest.(check bool) (Printf.sprintf "%g rejected" c) false (decodes c))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ];
+  List.iter
+    (fun c -> Alcotest.(check bool) (Printf.sprintf "%g accepted" c) true (decodes c))
+    [ 0.; 0.25; 1.; 1e300 ]
+
 let prop_spf_paths_loop_free =
   (* On any connected random symmetric graph, hop-by-hop forwarding
      along each node's SPF next hops must reach every destination
@@ -613,6 +626,217 @@ let prop_spf_paths_loop_free =
         done
       done;
       !ok)
+
+(* The SPF that ran over the LSA table itself before the dense index:
+   Dijkstra with per-run hash tables, kept as the reference that
+   [Routing.spf] and [Routing.spf_multi] must reproduce bit for bit,
+   insertion order included. *)
+module Oracle = struct
+  let db_of r =
+    let db = Hashtbl.create 32 in
+    List.iter (fun (l : Routing.Lsa.t) -> Hashtbl.replace db l.Routing.Lsa.origin l) (Routing.all r);
+    db
+
+  let usable_neighbors db (lsa : Routing.Lsa.t) =
+    List.filter
+      (fun (b, _) ->
+        match Hashtbl.find_opt db b with
+        | None -> false
+        | Some back ->
+          List.exists (fun (a, _) -> a = lsa.Routing.Lsa.origin) back.Routing.Lsa.neighbors)
+      lsa.Routing.Lsa.neighbors
+
+  let spf r ~source =
+    let db = db_of r in
+    let result : Routing.next_hops = Hashtbl.create 32 in
+    match Hashtbl.find_opt db source with
+    | None -> result
+    | Some _ ->
+      let heap = Rina_util.Heap.create ~filler:(Types.no_address, Types.no_address) in
+      let dist : (Types.address, float) Hashtbl.t = Hashtbl.create 32 in
+      Hashtbl.replace dist source 0.;
+      Rina_util.Heap.push heap 0. (source, Types.no_address);
+      let finished : (Types.address, unit) Hashtbl.t = Hashtbl.create 32 in
+      let continue = ref true in
+      while !continue do
+        match Rina_util.Heap.pop heap with
+        | None -> continue := false
+        | Some (cost, (node, first_hop)) ->
+          if not (Hashtbl.mem finished node) then begin
+            Hashtbl.replace finished node ();
+            if node <> source then Hashtbl.replace result node (first_hop, cost);
+            match Hashtbl.find_opt db node with
+            | None -> ()
+            | Some lsa ->
+              List.iter
+                (fun (next, edge_cost) ->
+                  if not (Hashtbl.mem finished next) then begin
+                    let ncost = cost +. edge_cost in
+                    let better =
+                      match Hashtbl.find_opt dist next with
+                      | None -> true
+                      | Some d -> ncost < d
+                    in
+                    if better then begin
+                      Hashtbl.replace dist next ncost;
+                      let fh = if node = source then next else first_hop in
+                      Rina_util.Heap.push heap ncost (next, fh)
+                    end
+                  end)
+                (usable_neighbors db lsa)
+          end
+      done;
+      result
+
+  let spf_multi r ~source =
+    let db = db_of r in
+    let result : (Types.address, Types.address list * float) Hashtbl.t =
+      Hashtbl.create 32
+    in
+    match Hashtbl.find_opt db source with
+    | None -> result
+    | Some _ ->
+      let heap = Rina_util.Heap.create ~filler:Types.no_address in
+      let dist : (Types.address, float) Hashtbl.t = Hashtbl.create 32 in
+      let fhs : (Types.address, Types.address list) Hashtbl.t = Hashtbl.create 32 in
+      Hashtbl.replace dist source 0.;
+      Rina_util.Heap.push heap 0. source;
+      let finished : (Types.address, unit) Hashtbl.t = Hashtbl.create 32 in
+      let continue = ref true in
+      while !continue do
+        match Rina_util.Heap.pop heap with
+        | None -> continue := false
+        | Some (cost, node) ->
+          if not (Hashtbl.mem finished node) then begin
+            Hashtbl.replace finished node ();
+            if node <> source then
+              Hashtbl.replace result node
+                ( (match Hashtbl.find_opt fhs node with
+                  | Some l -> List.sort_uniq compare l
+                  | None -> []),
+                  cost );
+            match Hashtbl.find_opt db node with
+            | None -> ()
+            | Some lsa ->
+              List.iter
+                (fun (next, edge_cost) ->
+                  if not (Hashtbl.mem finished next) then begin
+                    let ncost = cost +. edge_cost in
+                    let nfh =
+                      if node = source then [ next ]
+                      else match Hashtbl.find_opt fhs node with Some l -> l | None -> []
+                    in
+                    match Hashtbl.find_opt dist next with
+                    | Some d when ncost > d -> ()
+                    | Some d when ncost = d ->
+                      let cur = match Hashtbl.find_opt fhs next with Some l -> l | None -> [] in
+                      Hashtbl.replace fhs next (List.sort_uniq compare (nfh @ cur))
+                    | Some _ | None ->
+                      Hashtbl.replace dist next ncost;
+                      Hashtbl.replace fhs next nfh;
+                      Rina_util.Heap.push heap ncost next
+                  end)
+                (usable_neighbors db lsa)
+          end
+      done;
+      result
+end
+
+(* One step of an LSDB history over origins 1..n; neighbours range over
+   1..n+2, so some are never origins. *)
+type lsdb_op =
+  | Install of int * int * (int * float) list  (* origin, seq offset, neighbours *)
+  | Refresh of int  (* same neighbours, next seq *)
+  | Withdraw of int
+  | Clear
+
+let pp_lsdb_op = function
+  | Install (o, d, ns) ->
+    Printf.sprintf "install %d seq%+d [%s]" o d
+      (String.concat "; " (List.map (fun (a, c) -> Printf.sprintf "%d/%g" a c) ns))
+  | Refresh o -> Printf.sprintf "refresh %d" o
+  | Withdraw o -> Printf.sprintf "withdraw %d" o
+  | Clear -> "clear"
+
+let prop_spf_matches_oracle =
+  let gen =
+    let open QCheck.Gen in
+    let* n = int_range 2 12 in
+    let origin = int_range 1 n in
+    (* Few distinct costs, zero included, so equal-cost ties are common. *)
+    let nbr = pair (int_range 1 (n + 2)) (oneofl [ 0.; 0.5; 1.; 1.; 1.; 2.; 3. ]) in
+    let op =
+      frequency
+        [
+          (8, map3 (fun o d ns -> Install (o, d, ns)) origin (int_range (-1) 2)
+                (list_size (int_bound 8) nbr));
+          (3, map (fun o -> Refresh o) origin);
+          (2, map (fun o -> Withdraw o) origin);
+          (1, return Clear);
+        ]
+    in
+    pair (return n) (list_size (int_range 1 30) op)
+  in
+  let print (n, ops) =
+    Printf.sprintf "n=%d\n%s" n (String.concat "\n" (List.map pp_lsdb_op ops))
+  in
+  let entries tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  let snapshot r =
+    List.sort compare
+      (List.map (fun (l : Routing.Lsa.t) -> (l.Routing.Lsa.origin, l.Routing.Lsa.neighbors)) (Routing.all r))
+  in
+  QCheck.Test.make ~name:"dense spf equals the reference; graph version exact" ~count:150
+    (QCheck.make ~print gen)
+    (fun (n, ops) ->
+      let r = Routing.create () in
+      let seq o = match Routing.lsa_of r o with Some l -> l.Routing.Lsa.seq | None -> 0 in
+      List.for_all
+        (fun op ->
+          let before = snapshot r and version = Routing.graph_version r in
+          (match op with
+          | Install (o, d, ns) -> ignore (Routing.install r (lsa o (seq o + d) ns))
+          | Refresh o -> (
+            match Routing.lsa_of r o with
+            | Some l -> ignore (Routing.install r { l with Routing.Lsa.seq = l.Routing.Lsa.seq + 1 })
+            | None -> ())
+          | Withdraw o -> ignore (Routing.withdraw r o)
+          | Clear -> Routing.clear r);
+          let moved = Routing.graph_version r <> version in
+          let changed = snapshot r <> before in
+          if moved <> changed then
+            QCheck.Test.fail_reportf "after %s: version moved %b, graph changed %b"
+              (pp_lsdb_op op) moved changed;
+          List.for_all
+            (fun source ->
+              entries (Routing.spf r ~source) = entries (Oracle.spf r ~source)
+              && entries (Routing.spf_multi r ~source) = entries (Oracle.spf_multi r ~source)
+              || QCheck.Test.fail_reportf "after %s: tables from %d differ" (pp_lsdb_op op) source)
+            (List.init (n + 3) Fun.id))
+        ops)
+
+let test_routing_index_bounded () =
+  (* A member that restarts takes a fresh address each time: its old
+     address stays named by its neighbour until that neighbour's next
+     LSA, and its own LSA is withdrawn.  The index must reuse those
+     slots rather than grow with every address ever seen. *)
+  let db = Routing.create () in
+  ignore (Routing.install db (lsa 1 1 [ (2, 1.) ]));
+  ignore (Routing.install db (lsa 2 1 [ (1, 1.) ]));
+  for i = 1 to 1000 do
+    let fresh = 1000 + i in
+    ignore (Routing.install db (lsa fresh 1 [ (1, 1.) ]));
+    ignore (Routing.install db (lsa 1 (i + 1) [ (2, 1.); (fresh, 1.) ]));
+    if i > 1 then ignore (Routing.withdraw db (fresh - 1))
+  done;
+  check Alcotest.int "three origins" 3 (Routing.size db);
+  check Alcotest.int "slots stay bounded" 4 (Routing.index_size db);
+  (match Hashtbl.find_opt (Routing.spf db ~source:2) 2000 with
+  | Some (hop, cost) ->
+    check Alcotest.int "latest address via 1" 1 hop;
+    check (Alcotest.float 0.) "two hops" 2. cost
+  | None -> Alcotest.fail "latest address unreachable");
+  Routing.clear db;
+  check Alcotest.int "clear empties the index" 0 (Routing.index_size db)
 
 let prop_policy_lang_roundtrip_random =
   (* Every key of the grammar, each with a value drawn within the bounds
@@ -795,6 +1019,9 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_routing_spf_disconnected;
           Alcotest.test_case "lsa codec" `Quick test_routing_lsa_codec;
           QCheck_alcotest.to_alcotest prop_spf_paths_loop_free;
+          Alcotest.test_case "lsa costs" `Quick test_routing_lsa_costs;
+          Alcotest.test_case "index bounded" `Quick test_routing_index_bounded;
+          QCheck_alcotest.to_alcotest prop_spf_matches_oracle;
         ] );
       ("shim", [ Alcotest.test_case "tag filtering" `Quick test_shim_tag_filtering ]);
       ("decoders", [ QCheck_alcotest.to_alcotest prop_wire_decoders_total ]);

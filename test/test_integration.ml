@@ -9,6 +9,7 @@ module Rib = Rina_core.Rib
 module Link = Rina_sim.Link
 module Dif = Rina_core.Dif
 module Ipcp = Rina_core.Ipcp
+module Routing = Rina_core.Routing
 module Types = Rina_core.Types
 module Policy = Rina_core.Policy
 module Qos = Rina_core.Qos
@@ -872,6 +873,36 @@ let test_stranger_cannot_close_flow () =
     wait engine 2.;
     check Alcotest.int "every SDU" 6 sink.Workload.count
 
+let test_negative_cost_lsa_rejected () =
+  (* Dijkstra assumes non-negative weights: an LSA whose edge costs -10
+     would pull routes through it.  A stranger's neighbour-scope LSA
+     write passes the ingress filter, so the decoder must refuse it, and
+     a port cannot be bound at such a cost either. *)
+  let net = Topo.line ~seed:3 ~n:3 () in
+  let engine = net.Topo.engine and member = net.Topo.nodes.(1) in
+  wait engine 10.;
+  let l =
+    Link.create engine (Rina_util.Prng.create 13) ~bit_rate:1_000_000. ~delay:0.001 ()
+  in
+  ignore (Ipcp.bind_port member (Link.endpoint_b l));
+  let stored = Ipcp.lsdb_size member in
+  let forged =
+    { Routing.Lsa.origin = 99; seq = 1; neighbors = [ (Ipcp.address member, -10.) ] }
+  in
+  (Link.endpoint_a l).Chan.send
+    (mgmt_frame
+       (Riep.make ~opcode:Riep.M_write ~obj_class:"lsa" ~obj_name:"99"
+          ~obj_value:(Rib.V_bytes (Routing.Lsa.encode forged)) ()));
+  wait engine 1.;
+  check Alcotest.int "counted" 1 (Metrics.get (Ipcp.metrics member) "bad_lsa");
+  check Alcotest.int "not installed" stored (Ipcp.lsdb_size member);
+  List.iter
+    (fun cost ->
+      Alcotest.check_raises (Printf.sprintf "port cost %g" cost)
+        (Invalid_argument "Ipcp.bind_port: cost must be finite and non-negative")
+        (fun () -> ignore (Ipcp.bind_port member ~cost (Link.endpoint_b l))))
+    [ -1.; Float.nan ]
+
 (* Every (opcode, class) pair the dispatcher handles, plus one it does
    not. *)
 let dispatched =
@@ -1257,5 +1288,7 @@ let () =
           Alcotest.test_case "stranger cannot close a flow" `Quick
             test_stranger_cannot_close_flow;
           QCheck_alcotest.to_alcotest prop_mgmt_never_raises;
+          Alcotest.test_case "negative-cost lsa rejected" `Quick
+            test_negative_cost_lsa_rejected;
         ] );
     ]

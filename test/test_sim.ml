@@ -77,37 +77,52 @@ let test_engine_nested_scheduling () =
   check Alcotest.(list string) "nested" [ "outer"; "inner" ] (List.rev !log);
   check (Alcotest.float 1e-9) "time 2" 2. (Engine.now e)
 
-(* 64 events, each capturing its own 1400 B buffer, run to completion:
-   afterwards the engine must keep none of them reachable.  A vacated
-   heap or wheel slot that still pointed at a fired handle would keep
-   its closure, and the buffer, alive. *)
-let[@inline never] schedule_holding e lane weak i =
+(* Events each capturing its own 1400 B buffer, afterwards none of
+   which the engine may keep reachable.  Fired: 64 run to completion; a
+   vacated heap or wheel slot that still pointed at a fired handle would
+   keep its closure, and the buffer, alive.  Cancelled: 40 at least 1 s
+   ahead are cancelled while one live event stays pending, too few to be
+   reaped, so their entries are still queued; a cancelled handle that
+   kept its closure would keep the buffer alive. *)
+let[@inline never] schedule_holding e lane weak i ~delay =
   let buf = Bytes.make 1400 'x' in
   Weak.set weak i (Some buf);
-  ignore
-    (Engine.schedule ~lane e ~delay:(0.01 *. float_of_int (i + 1)) (fun () ->
-         ignore (Sys.opaque_identity buf)))
+  Engine.schedule ~lane e ~delay (fun () -> ignore (Sys.opaque_identity buf))
 
-let buffers_kept_after_run lane =
+let buffers_kept lane ~cancelled =
   let e = Engine.create () in
-  let weak = Weak.create 64 in
-  for i = 0 to 63 do
-    schedule_holding e lane weak i
-  done;
-  Engine.run e;
+  let n = if cancelled then 40 else 64 in
+  let weak = Weak.create n in
+  let start = if cancelled then 1. else 0. in
+  let handles =
+    List.init n (fun i ->
+        schedule_holding e lane weak i ~delay:(start +. (0.01 *. float_of_int (i + 1))))
+  in
+  if cancelled then begin
+    ignore (Engine.schedule ~lane e ~delay:5. ignore);
+    List.iter Engine.cancel handles
+  end
+  else Engine.run e;
+  Gc.full_major ();
   Gc.full_major ();
   let kept = ref 0 in
-  for i = 0 to 63 do
+  for i = 0 to n - 1 do
     if Weak.check weak i then incr kept
   done;
-  check Alcotest.int "all fired" 64 (Engine.executed (Sys.opaque_identity e));
+  if cancelled then
+    check Alcotest.int "cancelled still queued" 41 (Engine.pending (Sys.opaque_identity e))
+  else check Alcotest.int "all fired" 64 (Engine.executed (Sys.opaque_identity e));
   !kept
 
 let test_engine_drops_fired_events () =
   check Alcotest.int "heap lane keeps no fired event" 0
-    (buffers_kept_after_run Engine.Default);
+    (buffers_kept Engine.Default ~cancelled:false);
   check Alcotest.int "timer lane keeps no fired event" 0
-    (buffers_kept_after_run Engine.Timer)
+    (buffers_kept Engine.Timer ~cancelled:false);
+  check Alcotest.int "heap lane keeps no cancelled closure" 0
+    (buffers_kept Engine.Default ~cancelled:true);
+  check Alcotest.int "timer lane keeps no cancelled closure" 0
+    (buffers_kept Engine.Timer ~cancelled:true)
 
 let test_engine_step () =
   let e = Engine.create () in
