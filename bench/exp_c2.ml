@@ -60,8 +60,7 @@ let rina_attacks () =
       Rina_sim.Chan.set_receiver =
         (fun f ->
           raw_chan.Rina_sim.Chan.set_receiver (fun frame ->
-              (if Bytes.length frame > 1 && Char.code (Bytes.get frame 1) = 3 then
-                 incr hellos_seen
+              (if Pdu.Peek.pdu_type frame = Some Pdu.Hello then incr hellos_seen
                else incr responses);
               f frame));
     }
@@ -85,10 +84,9 @@ let rina_attacks () =
       ~invoke_id:7 ()
   in
   raw_chan.Rina_sim.Chan.send
-    (Rina_core.Sdu_protection.protect
-       (Pdu.encode
-          (Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:0 ~src_addr:0
-             (Rina_core.Riep.encode m_connect))));
+    (Pdu.encode_frame
+       (Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:0 ~src_addr:0
+          (Rina_core.Riep.encode m_connect)));
   Engine.run ~until:(Engine.now engine +. 2.) engine;
   let enroll_denied = Rina_util.Metrics.get (Ipcp.metrics b) "enroll_denied" in
   let attacker_enrolled = Ipcp.is_enrolled attacker in
@@ -101,8 +99,7 @@ let rina_attacks () =
     Pdu.make ~pdu_type:Pdu.Hello ~dst_addr:0 ~src_addr:(Ipcp.address a)
       (Rina_util.Codec.Writer.contents w)
   in
-  att_chan.Rina_sim.Chan.send
-    (Rina_core.Sdu_protection.protect (Pdu.encode forged_hello));
+  att_chan.Rina_sim.Chan.send (Pdu.encode_frame forged_hello);
   Engine.run ~until:(Engine.now engine +. 2.) engine;
   let hello_rejected = Rina_util.Metrics.get (Ipcp.metrics b) "hello_rejected" in
   (* (c) inject well-formed data PDUs at B's address, scanning CEPs. *)
@@ -114,7 +111,7 @@ let rina_attacks () =
         ~src_addr:(Ipcp.address a) ~dst_cep:cep ~src_cep:99 ~seq:1
         (Bytes.of_string "malicious payload")
     in
-    att_chan.Rina_sim.Chan.send (Rina_core.Sdu_protection.protect (Pdu.encode pdu))
+    att_chan.Rina_sim.Chan.send (Pdu.encode_frame pdu)
   done;
   Engine.run ~until:(Engine.now engine +. 2.) engine;
   let injected_delivered = !received_legit - legit_before in

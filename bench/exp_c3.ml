@@ -60,10 +60,9 @@ let run_case ~scheduler ~sched_name ~bg_rate table =
     ~dst:(Rina_core.Types.apn "bg-sink")
     ~qos_id:Rina_core.Qos.best_effort.Rina_core.Qos.id
     ~on_result:(function Ok f -> flows := ("bg", f) :: !flows | Error _ -> ());
-  let deadline = Engine.now engine +. 20. in
-  while List.length !flows < 2 && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
+  (* Not Scenario.connect: the two allocations run at once. *)
+  Rina_exp.Scenario.drive_until engine ~timeout:20. (fun () ->
+      List.length !flows >= 2);
   match (List.assoc_opt "gold" !flows, List.assoc_opt "bg" !flows) with
   | Some gold, Some bg ->
     let t0 = Engine.now engine in

@@ -15,6 +15,7 @@ module Dif = Rina_core.Dif
 module Shim = Rina_core.Shim
 module Link = Rina_sim.Link
 module Table = Rina_util.Table
+module Scenario = Rina_exp.Scenario
 module Topo = Rina_exp.Topo
 module Workload = Rina_exp.Workload
 
@@ -23,7 +24,9 @@ let sdu_count = 200
 let sdu_size = 1000
 
 (* Build Fig. 2 exactly: link DIFs "left"/"right" over the two wires,
-   and the host-to-host DIF stacked on flows of those DIFs. *)
+   and the host-to-host DIF stacked on flows of those DIFs.  Not
+   Topo.link_dif: both link DIFs are wired before either converges,
+   and their members carry the figure's names. *)
 let build_stacked () =
   let engine = Engine.create () in
   let rng = Rina_util.Prng.create 23 in
@@ -56,21 +59,17 @@ let build_stacked () =
 let measure_stacked () =
   let engine, _top, t_h1, t_r, t_h2 = build_stacked () in
   let sink = Workload.sink () in
-  let dst_app = Rina_core.Types.apn "printer" in
-  Ipcp.register_app t_h2 dst_app ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          Workload.on_sdu sink ~now:(Engine.now engine) sdu));
-  let src_app = Rina_core.Types.apn "scanner" in
-  Ipcp.register_app t_h1 src_app ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow t_h1 ~src:src_app ~dst:dst_app ~qos_id:1 ~on_result:(fun r ->
-      result := Some r);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  match !result with
-  | Some (Ok flow) ->
+  let connected =
+    Scenario.connect engine
+      ~src:(t_h1, Rina_core.Types.apn "scanner")
+      ~dst:(t_h2, Rina_core.Types.apn "printer")
+      ~qos_id:1
+      ~on_flow:(fun flow ->
+        flow.Ipcp.set_on_receive (fun sdu ->
+            Workload.on_sdu sink ~now:(Engine.now engine) sdu))
+  in
+  match connected with
+  | Ok flow ->
     let t0 = Engine.now engine in
     Workload.bulk ~send:flow.Ipcp.send ~now:t0 ~count:sdu_count ~size:sdu_size;
     Engine.run ~until:(Engine.now engine +. 30.) engine;
@@ -78,12 +77,12 @@ let measure_stacked () =
       Rina_util.Metrics.get (Ipcp.rmt_metrics t_r) "relayed"
     in
     Some (sink, t0, relayed, Ipcp.is_enrolled t_r)
-  | Some (Error _) | None -> None
+  | Error _ -> None
 
 let measure_direct () =
   let net = Topo.line ~seed:23 ~bit_rate:10_000_000. ~delay:0.005 ~n:2 () in
   let sink = Workload.sink () in
-  match Rina_exp.Scenario.open_flow net ~src:0 ~dst:1 ~qos_id:1 ~sink () with
+  match Scenario.open_flow net ~src:0 ~dst:1 ~qos_id:1 ~sink () with
   | Error _ -> None
   | Ok (flow, _) ->
     let t0 = Engine.now net.Topo.engine in

@@ -20,10 +20,10 @@
 module Engine = Rina_sim.Engine
 module Ipcp = Rina_core.Ipcp
 module Dif = Rina_core.Dif
-module Shim = Rina_core.Shim
 module Link = Rina_sim.Link
 module Loss = Rina_sim.Loss
 module Table = Rina_util.Table
+module Topo = Rina_exp.Topo
 module Workload = Rina_exp.Workload
 
 let sdu_count = 250
@@ -39,15 +39,6 @@ let build ~wireless_loss ~scoped =
   let wire1 = Link.create engine rng ~bit_rate:50_000_000. ~delay:0.040 () in
   let wifi = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.001 ~loss:wireless_loss () in
   let wire2 = Link.create engine rng ~bit_rate:50_000_000. ~delay:0.040 () in
-  let link_dif ?policy name link =
-    let dif = Dif.create engine ?policy name in
-    let a = Dif.add_member dif ~name:(name ^ "-a") () in
-    let b = Dif.add_member dif ~name:(name ^ "-b") () in
-    Dif.connect dif a b
-      (Shim.wrap ~dif:name (Link.endpoint_a link), Shim.wrap ~dif:name (Link.endpoint_b link));
-    Dif.run_until_converged dif ();
-    (a, b)
-  in
   (* The wireless DIF's policies are tuned to its 2 ms loop: tight
      retransmission timers and link-layer-style persistence (it never
      declares the flow dead; carrier loss is the upper DIF's concern). *)
@@ -64,9 +55,10 @@ let build ~wireless_loss ~scoped =
         };
     }
   in
-  let w1a, w1b = link_dif "seg1" wire1 in
+  let link_dif = Topo.link_dif engine in
+  let w1a, w1b = link_dif ~policy:Rina_core.Policy.default "seg1" wire1 in
   let wfa, wfb = link_dif ~policy:wifi_policy "wifi" wifi in
-  let w2a, w2b = link_dif "seg2" wire2 in
+  let w2a, w2b = link_dif ~policy:Rina_core.Policy.default "seg2" wire2 in
   let top = Dif.create engine "host-to-host" in
   let h1 = Dif.add_member top ~name:"h1" () in
   let r1 = Dif.add_member top ~name:"r1" () in
@@ -86,20 +78,17 @@ let build ~wireless_loss ~scoped =
 let measure ~wireless_loss ~scoped =
   let engine, h1, h2, wifi_a = build ~wireless_loss ~scoped in
   let sink = Workload.sink () in
-  let dst = Rina_core.Types.apn "file-server" in
-  Ipcp.register_app h2 dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          Workload.on_sdu sink ~now:(Engine.now engine) sdu));
-  let src = Rina_core.Types.apn "file-client" in
-  Ipcp.register_app h1 src ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow h1 ~src ~dst ~qos_id:1 ~on_result:(fun r -> result := Some r);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  match !result with
-  | Some (Ok flow) ->
+  let connected =
+    Rina_exp.Scenario.connect engine
+      ~src:(h1, Rina_core.Types.apn "file-client")
+      ~dst:(h2, Rina_core.Types.apn "file-server")
+      ~qos_id:1
+      ~on_flow:(fun flow ->
+        flow.Ipcp.set_on_receive (fun sdu ->
+            Workload.on_sdu sink ~now:(Engine.now engine) sdu))
+  in
+  match connected with
+  | Ok flow ->
     let t0 = Engine.now engine in
     Workload.bulk ~send:flow.Ipcp.send ~now:t0 ~count:sdu_count ~size:sdu_size;
     Engine.run ~until:(t0 +. 120.) engine;
@@ -109,7 +98,7 @@ let measure ~wireless_loss ~scoped =
        minimum as local repair effort. *)
     let wifi_carried = Rina_util.Metrics.get (Ipcp.rmt_metrics wifi_a) "sent" in
     Some (sink, t0, e2e_rtx, wifi_carried)
-  | Some (Error _) | None -> None
+  | Error _ -> None
 
 let loss_cases =
   [

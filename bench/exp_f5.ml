@@ -142,67 +142,47 @@ let outage_of sink ~before_count ~before_maxseq =
    - RINA_STATS_POLICY=<ini>: policy spec whose [telemetry] section
      drives the sampling rate, ring bound and snapshot cadence (e.g.
      examples/policies/telemetry.ini); without it every event is kept
-     and no snapshots fire.
+     and no snapshots fire.  It is read only when one of the two
+     variables above is set, so a bad spec cannot fail a plain run.
    Either way, periodic probes sample the radio-link queues and H's
    EFCP window occupancy.  The returned closure finalises (save +
    detach); with neither variable set it is a no-op and tracing stays
    disabled. *)
 let maybe_obs w =
-  let trace_path = Sys.getenv_opt "RINA_TRACE" in
-  let stats_path = Sys.getenv_opt "RINA_STATS" in
-  if trace_path = None && stats_path = None then fun () -> ()
-  else begin
-    let policy =
-      match Sys.getenv_opt "RINA_STATS_POLICY" with
-      | None -> Rina_core.Policy.default
-      | Some path -> (
-        let text = In_channel.with_open_text path In_channel.input_all in
-        match Rina_core.Policy_lang.parse text with
-        | Ok p -> p
-        | Error msg ->
-          Printf.eprintf "f5: bad RINA_STATS_POLICY %s: %s\n%!" path msg;
-          exit 2)
-    in
-    let obs = Rina_exp.Obs.start ~policy w.engine in
-    let tr = obs.Rina_exp.Obs.trace in
-    let until = Engine.now w.engine +. 40. in
-    Rina_exp.Obs.snapshots obs ~until;
-    Rina_sim.Trace.probe tr ~name:"queue:b1-m" ~period:0.1 ~until (fun () ->
-        Link.queue_depth_a w.l_b1_m);
-    Rina_sim.Trace.probe tr ~name:"queue:b2-m" ~period:0.1 ~until (fun () ->
-        Link.queue_depth_a w.l_b2_m);
-    Rina_sim.Trace.probe tr ~name:"efcp:h-window" ~period:0.1 ~until (fun () ->
-        List.fold_left
-          (fun acc (_, in_flight, _) -> acc + in_flight)
-          0 (Ipcp.flow_stats w.h));
-    fun () ->
-      (match trace_path with
-      | Some path -> Rina_sim.Trace.save_jsonl tr path
-      | None -> ());
-      (match stats_path with
-      | Some path -> Rina_exp.Obs.write_stats obs path
-      | None -> ());
-      Rina_exp.Obs.stop obs
-  end
+  let policy () =
+    match Sys.getenv_opt "RINA_STATS_POLICY" with
+    | None -> Rina_core.Policy.default
+    | Some path -> (
+      let text = In_channel.with_open_text path In_channel.input_all in
+      match Rina_core.Policy_lang.parse text with
+      | Ok p -> p
+      | Error msg ->
+        Printf.eprintf "f5: bad RINA_STATS_POLICY %s: %s\n%!" path msg;
+        exit 2)
+  in
+  Rig.observe w.engine ~policy ~span:40.
+    [ ("queue:b1-m", 0.1, fun () -> Link.queue_depth_a w.l_b1_m);
+      ("queue:b2-m", 0.1, fun () -> Link.queue_depth_a w.l_b2_m);
+      ("efcp:h-window", 0.1, fun () ->
+          List.fold_left
+            (fun acc (_, in_flight, _) -> acc + in_flight)
+            0 (Ipcp.flow_stats w.h)) ]
 
 let run_rina table =
   let w = build () in
   let finish_trace = maybe_obs w in
   let sink = Workload.sink () in
-  let dst = Rina_core.Types.apn "mobile-app" in
-  Ipcp.register_app w.m_top dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          Workload.on_sdu sink ~now:(Engine.now w.engine) sdu));
-  let src = Rina_core.Types.apn "correspondent" in
-  Ipcp.register_app w.h src ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow w.h ~src ~dst ~qos_id:0 ~on_result:(fun r -> result := Some r);
-  let deadline = Engine.now w.engine +. 30. in
-  while !result = None && Engine.now w.engine < deadline do
-    Engine.run ~until:(Engine.now w.engine +. 0.05) w.engine
-  done;
-  (match !result with
-  | Some (Ok flow) ->
+  let connected =
+    Rina_exp.Scenario.connect w.engine
+      ~src:(w.h, Rina_core.Types.apn "correspondent")
+      ~dst:(w.m_top, Rina_core.Types.apn "mobile-app")
+      ~qos_id:0
+      ~on_flow:(fun flow ->
+        flow.Ipcp.set_on_receive (fun sdu ->
+            Workload.on_sdu sink ~now:(Engine.now w.engine) sdu))
+  in
+  (match connected with
+  | Ok flow ->
     let t0 = Engine.now w.engine in
     Workload.cbr w.engine ~send:flow.Ipcp.send ~rate:cbr_rate ~size:sdu_size
       ~until:(t0 +. 60.) ();
@@ -238,7 +218,7 @@ let run_rina table =
     Table.add_rowf table
       "RINA wide move (into another cell cluster) | %.0f ms | %d | %d in new cell DIF, %d in top DIF | yes"
       (1000. *. o2) lost2 bl2 top2
-  | Some (Error e) ->
+  | Error e ->
     if Sys.getenv_opt "F5_DEBUG" <> None then begin
       List.iter
         (fun m ->
@@ -259,8 +239,7 @@ let run_rina table =
           List.iter (fun s -> Printf.eprintf "   flow %s\n%!" s) (Ipcp.debug_flows m))
         (Dif.members w.bottom_right)
     end;
-    Table.add_rowf table "RINA mobility | FAILED: %s | - | - | -" e
-  | None -> Table.add_rowf table "RINA mobility | ALLOC HUNG | - | - | -");
+    Table.add_rowf table "RINA mobility | FAILED: %s | - | - | -" e);
   finish_trace ()
 
 (* --- Mobile-IP baseline --- *)

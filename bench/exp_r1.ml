@@ -34,15 +34,11 @@ module Link = Rina_sim.Link
 module Loss = Rina_sim.Loss
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
-module Flight = Rina_util.Flight
 module Json = Rina_util.Json
 module Stats = Rina_util.Stats
 module Table = Rina_util.Table
 module Ipcp = Rina_core.Ipcp
-module Dif = Rina_core.Dif
-module Shim = Rina_core.Shim
 module Types = Rina_core.Types
-module Topo = Rina_exp.Topo
 module Workload = Rina_exp.Workload
 module Report = Rina_check.Trace_report
 
@@ -89,47 +85,24 @@ type outcome = {
   gaps : Stats.t;
 }
 
-(* Inter-arrival gaps between consecutive deliveries. *)
+(* Inter-arrival gaps between consecutive deliveries (sorted times). *)
 let gap_stats times =
   let st = Stats.create () in
-  (match List.sort compare times with
-  | [] -> ()
-  | first :: rest ->
-    ignore
-      (List.fold_left
-         (fun prev t ->
-           Stats.add st (t -. prev);
-           t)
-         first rest));
+  for i = 1 to Array.length times - 1 do
+    Stats.add st (times.(i) -. times.(i - 1))
+  done;
   st
 
-(* ---------- RINA ---------- *)
+(* What a stack delivered, read from its trace: the deliveries of
+   [component] (at DIF [rank], if given) — its blackouts and gaps. *)
+let measure ~delivered ~component ~rank events =
+  {
+    delivered;
+    blackouts = Report.blackouts ~component ?rank events;
+    gaps = gap_stats (Report.deliveries ~component ?rank events);
+  }
 
-let build_rina () =
-  let engine = Engine.create () in
-  let rng = Rina_util.Prng.create 101 in
-  let wire_l = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.005 () in
-  let wire_r = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.005 () in
-  let link_dif name link =
-    let dif = Dif.create engine ~policy:tolerant_policy name in
-    let a = Dif.add_member dif ~name:(name ^ "-a") () in
-    let b = Dif.add_member dif ~name:(name ^ "-b") () in
-    Dif.connect dif a b
-      ( Shim.wrap ~dif:name (Link.endpoint_a link),
-        Shim.wrap ~dif:name (Link.endpoint_b link) );
-    Dif.run_until_converged dif ();
-    (a, b)
-  in
-  let la, lb = link_dif "left" wire_l in
-  let ra, rb = link_dif "right" wire_r in
-  let top = Dif.create engine ~policy:tolerant_policy ~rank:1 "relay" in
-  let h1 = Dif.add_member top ~name:"h1" () in
-  let r = Dif.add_member top ~name:"r" () in
-  let h2 = Dif.add_member top ~name:"h2" () in
-  Dif.stack_connect ~lower_a:la ~lower_b:lb ~upper_a:h1 ~upper_b:r ();
-  Dif.stack_connect ~lower_a:ra ~lower_b:rb ~upper_a:r ~upper_b:h2 ();
-  Dif.run_until_converged top ~max_time:90. ();
-  (engine, h1, r, h2, wire_l, wire_r)
+(* ---------- RINA ---------- *)
 
 let arm_link_faults plan ~t0 ~left ~right =
   List.iter
@@ -150,32 +123,31 @@ let crash_bounds =
   | None -> assert false
 
 let run_rina () =
-  let engine, h1, r, h2, wire_l, wire_r = build_rina () in
+  let w =
+    Rig.relay ~seed:101 ~delay:0.005 ~lower:tolerant_policy ~upper:tolerant_policy
+  in
+  let engine = w.Rig.engine in
   let tr = Trace.create engine in
   Trace.attach tr;
   let sink = Workload.sink () in
-  let dst = Types.apn "chaos-sink" in
-  Ipcp.register_app h2 dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          Workload.on_sdu sink ~now:(Engine.now engine) sdu));
-  let src = Types.apn "chaos-src" in
-  Ipcp.register_app h1 src ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow h1 ~src ~dst ~qos_id:1 ~on_result:(fun res ->
-      result := Some res);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  match !result with
-  | Some (Ok flow) ->
+  let connected =
+    Rina_exp.Scenario.connect engine
+      ~src:(w.Rig.h1, Types.apn "chaos-src")
+      ~dst:(w.Rig.h2, Types.apn "chaos-sink")
+      ~qos_id:1
+      ~on_flow:(fun flow ->
+        flow.Ipcp.set_on_receive (fun sdu ->
+            Workload.on_sdu sink ~now:(Engine.now engine) sdu))
+  in
+  match connected with
+  | Ok flow ->
     let t0 = Engine.now engine in
     let plan = Fault.create () in
-    arm_link_faults plan ~t0 ~left:wire_l ~right:wire_r;
+    arm_link_faults plan ~t0 ~left:w.Rig.wire_l ~right:w.Rig.wire_r;
     let ca, cb = crash_bounds in
     Fault.window plan ~at:(t0 +. ca) ~until:(t0 +. cb) ~label:"crash-relay"
-      ~apply:(fun () -> Ipcp.crash r)
-      ~heal:(fun () -> Ipcp.restart r);
+      ~apply:(fun () -> Ipcp.crash w.Rig.r)
+      ~heal:(fun () -> Ipcp.restart w.Rig.r);
     Fault.arm plan engine;
     Workload.cbr engine ~send:flow.Ipcp.send ~rate:cbr_rate ~size:sdu_size
       ~until:(t0 +. stream_len) ();
@@ -183,95 +155,40 @@ let run_rina () =
     let events = Trace.typed_events tr in
     (* RINA_TRACE=<file> additionally saves the RINA run's trace, so
        `rina_trace --faults <file>` reproduces the blackout table. *)
-    (match Sys.getenv_opt "RINA_TRACE" with
-    | Some path -> Trace.save_jsonl tr path
-    | None -> ());
+    Rig.save_trace tr;
     Trace.detach ();
     (* Deliveries that count are EFCP receptions in the host-to-host
        DIF (rank 1) — lower-DIF and management traffic would mask the
        blackout (hellos keep flowing on the surviving segment). *)
-    let kept =
-      List.filter
-        (fun (e : Flight.event) ->
-          match e.Flight.kind with
-          | Flight.Pdu_recvd ->
-            e.Flight.rank = 1 && String.equal e.Flight.component "efcp"
-          | _ -> true)
-        events
-    in
-    let times =
-      List.filter_map
-        (fun (e : Flight.event) ->
-          match e.Flight.kind with
-          | Flight.Pdu_recvd -> Some e.Flight.time
-          | _ -> None)
-        kept
-    in
     Ok
-      {
-        delivered = sink.Workload.count;
-        blackouts = Report.blackouts kept;
-        gaps = gap_stats times;
-      }
-  | Some (Error e) ->
+      (measure ~delivered:sink.Workload.count ~component:"efcp" ~rank:(Some 1)
+         events)
+  | Error e ->
     Trace.detach ();
     Error ("allocation failed: " ^ e)
-  | None ->
-    Trace.detach ();
-    Error "allocation hung"
 
 (* ---------- TCP/IP baseline ---------- *)
 
 let run_ip () =
-  let net =
-    Topo.ip_line ~seed:101 ~bit_rate:10_000_000. ~delay:0.005 ~routers:1 ()
-  in
-  let engine = net.Topo.ip_engine in
-  let tr = Trace.create engine in
-  Trace.attach tr;
-  let u_a = Tcpip.Udp.attach net.Topo.hosts.(0) in
-  let u_b = Tcpip.Udp.attach net.Topo.hosts.(1) in
-  let src_addr = Tcpip.Ip.addr_of_octets 10 1 0 1 in
-  let dst_addr = Tcpip.Ip.addr_of_octets 10 2 0 2 in
   let sink = Workload.sink () in
-  Tcpip.Udp.listen u_b ~port:9000 (fun ~src:_ ~sport:_ body ->
-      Workload.on_sdu sink ~now:(Engine.now engine) body);
-  let t0 = Engine.now engine in
-  let plan = Fault.create () in
-  let left = net.Topo.ip_links.(0) and right = net.Topo.ip_links.(1) in
-  arm_link_faults plan ~t0 ~left ~right;
-  (* Fail-stop of r0, seen from the network: both wires dead. *)
-  let ca, cb = crash_bounds in
-  Fault.window plan ~at:(t0 +. ca) ~until:(t0 +. cb) ~label:"crash-relay"
-    ~apply:(fun () ->
-      Link.set_up left false;
-      Link.set_up right false)
-    ~heal:(fun () ->
-      Link.set_up left true;
-      Link.set_up right true);
-  Fault.arm plan engine;
-  Workload.cbr engine
-    ~send:(fun sdu ->
-      Tcpip.Udp.send u_a ~src:src_addr ~dst:dst_addr ~sport:9000 ~dport:9000
-        sdu)
-    ~rate:cbr_rate ~size:sdu_size ~until:(t0 +. stream_len) ();
-  Engine.run ~until:(t0 +. stream_len +. drain) engine;
-  let events = Trace.typed_events tr in
-  Trace.detach ();
-  let times =
-    List.filter_map
-      (fun (e : Flight.event) ->
-        match e.Flight.kind with
-        | Flight.Pdu_recvd when String.equal e.Flight.component "udp:hostB" ->
-          Some e.Flight.time
-        | _ -> None)
-      events
+  let (), events =
+    Rig.udp_relay ~seed:101 ~stream_len ~drain
+      ~faults:(fun plan ~t0 ~left ~right ->
+        arm_link_faults plan ~t0 ~left ~right;
+        (* Fail-stop of r0, seen from the network: both wires dead. *)
+        let ca, cb = crash_bounds in
+        Fault.window plan ~at:(t0 +. ca) ~until:(t0 +. cb) ~label:"crash-relay"
+          ~apply:(fun () ->
+            Link.set_up left false;
+            Link.set_up right false)
+          ~heal:(fun () ->
+            Link.set_up left true;
+            Link.set_up right true))
+      ~stream:(fun engine ~send ~until ->
+        Workload.cbr engine ~send ~rate:cbr_rate ~size:sdu_size ~until ())
+      ~receive:(Workload.on_sdu sink)
   in
-  {
-    delivered = sink.Workload.count;
-    blackouts = Report.blackouts ~component:"udp:hostB" events;
-    gaps = gap_stats times;
-  }
+  measure ~delivered:sink.Workload.count ~component:"udp:hostB" ~rank:None events
 
 (* ---------- reporting ---------- *)
 

@@ -32,16 +32,12 @@ module Link = Rina_sim.Link
 module Mangle = Rina_sim.Mangle
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
-module Flight = Rina_util.Flight
 module Json = Rina_util.Json
 module Metrics = Rina_util.Metrics
 module Table = Rina_util.Table
 module Ipcp = Rina_core.Ipcp
-module Dif = Rina_core.Dif
-module Shim = Rina_core.Shim
 module Rib = Rina_core.Rib
 module Types = Rina_core.Types
-module Topo = Rina_exp.Topo
 module Workload = Rina_exp.Workload
 module Report = Rina_check.Trace_report
 
@@ -124,39 +120,6 @@ let adversarial_policy =
       };
   }
 
-(* Receiver-side adversarial accounting on top of Workload.sink:
-   exactly-once, in-order, uncorrupted — or counted. *)
-type adv_sink = {
-  base : Workload.sink;
-  seen : (int, unit) Hashtbl.t;
-  mutable last_seq : int;
-  mutable dup_deliveries : int;
-  mutable ooo_deliveries : int;
-  mutable corrupt_escaped : int;
-}
-
-let adv_sink () =
-  {
-    base = Workload.sink ();
-    seen = Hashtbl.create 4096;
-    last_seq = -1;
-    dup_deliveries = 0;
-    ooo_deliveries = 0;
-    corrupt_escaped = 0;
-  }
-
-let on_adv_sdu s ~now sdu =
-  Workload.on_sdu s.base ~now sdu;
-  match Workload.read_sealed sdu with
-  | Workload.Sealed_corrupt -> s.corrupt_escaped <- s.corrupt_escaped + 1
-  | Workload.Sealed_ok (_, seq) ->
-    if Hashtbl.mem s.seen seq then s.dup_deliveries <- s.dup_deliveries + 1
-    else begin
-      Hashtbl.replace s.seen seq ();
-      if seq < s.last_seq then s.ooo_deliveries <- s.ooo_deliveries + 1;
-      if seq > s.last_seq then s.last_seq <- seq
-    end
-
 (* CBR of sealed SDUs (Workload.cbr emits unsealed stamps). *)
 let sealed_cbr engine ~send ~until () =
   let interval = float_of_int (8 * sdu_size) /. cbr_rate in
@@ -187,32 +150,6 @@ type outcome = {
 
 (* ---------- RINA ---------- *)
 
-let build_rina () =
-  let engine = Engine.create () in
-  let rng = Rina_util.Prng.create 202 in
-  let wire_l = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.005 () in
-  let wire_r = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.005 () in
-  let link_dif name link =
-    let dif = Dif.create engine ~policy:adversarial_policy name in
-    let a = Dif.add_member dif ~name:(name ^ "-a") () in
-    let b = Dif.add_member dif ~name:(name ^ "-b") () in
-    Dif.connect dif a b
-      ( Shim.wrap ~dif:name (Link.endpoint_a link),
-        Shim.wrap ~dif:name (Link.endpoint_b link) );
-    Dif.run_until_converged dif ();
-    (a, b)
-  in
-  let la, lb = link_dif "left" wire_l in
-  let ra, rb = link_dif "right" wire_r in
-  let top = Dif.create engine ~policy:adversarial_policy ~rank:1 "relay" in
-  let h1 = Dif.add_member top ~name:"h1" () in
-  let r = Dif.add_member top ~name:"r" () in
-  let h2 = Dif.add_member top ~name:"h2" () in
-  Dif.stack_connect ~lower_a:la ~lower_b:lb ~upper_a:h1 ~upper_b:r ();
-  Dif.stack_connect ~lower_a:ra ~lower_b:rb ~upper_a:r ~upper_b:h2 ();
-  Dif.run_until_converged top ~max_time:90. ();
-  (engine, h1, r, h2, wire_l, wire_r)
-
 (* Poll the far side's RIB for the late app's directory entry; record
    the first time it is visible after the heal. *)
 let watch_reconvergence engine far ~heal_at seen_at =
@@ -225,35 +162,49 @@ let watch_reconvergence engine far ~heal_at seen_at =
   in
   poll ()
 
+(* What a stack delivered: the tally at its sink and the blackouts in
+   its trace. *)
+let measure (t : Rig.tally) ~sent ~rtx_pdus ~data_pdus ~blackouts ~reconvergence_s =
+  {
+    delivered = t.Rig.arrived;
+    sent;
+    dup_deliveries = t.Rig.dups;
+    ooo_deliveries = t.Rig.ooo;
+    corrupt_escaped = t.Rig.corrupt;
+    rtx_pdus;
+    data_pdus;
+    blackouts;
+    reconverged = reconvergence_s <> None;
+    reconvergence_s;
+  }
+
 let run_rina () =
-  let engine, h1, _r, h2, wire_l, wire_r = build_rina () in
+  let w =
+    Rig.relay ~seed:202 ~delay:0.005 ~lower:adversarial_policy
+      ~upper:adversarial_policy
+  in
+  let engine = w.Rig.engine in
   let tr = Trace.create engine in
   Trace.attach tr;
-  let sink = adv_sink () in
-  let dst = Types.apn "adv-sink" in
-  Ipcp.register_app h2 dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          on_adv_sdu sink ~now:(Engine.now engine) sdu));
-  let src = Types.apn "adv-src" in
-  Ipcp.register_app h1 src ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow h1 ~src ~dst ~qos_id:1 ~on_result:(fun res ->
-      result := Some res);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  match !result with
-  | Some (Ok flow) ->
+  let tally = Rig.tally () in
+  let connected =
+    Rina_exp.Scenario.connect engine
+      ~src:(w.Rig.h1, Types.apn "adv-src")
+      ~dst:(w.Rig.h2, Types.apn "adv-sink")
+      ~qos_id:1
+      ~on_flow:(fun flow -> flow.Ipcp.set_on_receive (Rig.count tally))
+  in
+  match connected with
+  | Ok flow ->
     let t0 = Engine.now engine in
-    Link.set_mangle wire_l base_mangle;
-    Link.set_mangle wire_r base_mangle;
+    Link.set_mangle w.Rig.wire_l base_mangle;
+    Link.set_mangle w.Rig.wire_r base_mangle;
     let plan = Fault.create () in
-    arm_mangle_faults plan ~t0 ~left:wire_l ~right:wire_r;
+    arm_mangle_faults plan ~t0 ~left:w.Rig.wire_l ~right:w.Rig.wire_r;
     Fault.arm plan engine;
     ignore
       (Engine.schedule engine ~delay:publish_at (fun () ->
-           Ipcp.register_app h1 (Types.apn late_app) ~on_flow:(fun _ -> ())));
+           Ipcp.register_app w.Rig.h1 (Types.apn late_app) ~on_flow:(fun _ -> ())));
     let heal_at =
       t0 +. List.assoc "partition-right" (List.map (fun (l, _, b) -> (l, b)) schedule)
     in
@@ -261,43 +212,21 @@ let run_rina () =
     ignore
       (Engine.schedule engine
          ~delay:(heal_at -. t0)
-         (fun () -> watch_reconvergence engine h2 ~heal_at seen_at));
+         (fun () -> watch_reconvergence engine w.Rig.h2 ~heal_at seen_at));
     let sent = sealed_cbr engine ~send:flow.Ipcp.send ~until:(t0 +. stream_len) () in
     Engine.run ~until:(t0 +. stream_len +. drain) engine;
     let events = Trace.typed_events tr in
-    (match Sys.getenv_opt "RINA_TRACE" with
-    | Some path -> Trace.save_jsonl tr path
-    | None -> ());
+    Rig.save_trace tr;
     Trace.detach ();
-    let kept =
-      List.filter
-        (fun (e : Flight.event) ->
-          match e.Flight.kind with
-          | Flight.Pdu_recvd ->
-            e.Flight.rank = 1 && String.equal e.Flight.component "efcp"
-          | _ -> true)
-        events
-    in
     let fm = flow.Ipcp.flow_metrics () in
     Ok
-      {
-        delivered = sink.base.Workload.count;
-        sent = !sent;
-        dup_deliveries = sink.dup_deliveries;
-        ooo_deliveries = sink.ooo_deliveries;
-        corrupt_escaped = sink.corrupt_escaped;
-        rtx_pdus = Metrics.get fm "pdus_rtx";
-        data_pdus = Metrics.get fm "pdus_sent";
-        blackouts = Report.blackouts kept;
-        reconverged = !seen_at <> None;
-        reconvergence_s = !seen_at;
-      }
-  | Some (Error e) ->
+      (measure tally ~sent:!sent ~rtx_pdus:(Metrics.get fm "pdus_rtx")
+         ~data_pdus:(Metrics.get fm "pdus_sent")
+         ~blackouts:(Report.blackouts ~component:"efcp" ~rank:1 events)
+         ~reconvergence_s:!seen_at)
+  | Error e ->
     Trace.detach ();
     Error ("allocation failed: " ^ e)
-  | None ->
-    Trace.detach ();
-    Error "allocation hung"
 
 (* ---------- TCP/IP baseline ---------- *)
 
@@ -306,50 +235,19 @@ let run_rina () =
    is DV routing reconvergence — probed via delivery resumption after
    the partition (there is no directory to probe). *)
 let run_ip () =
-  let net =
-    Topo.ip_line ~seed:202 ~bit_rate:10_000_000. ~delay:0.005 ~routers:1 ()
+  let tally = Rig.tally () in
+  let sent, events =
+    Rig.udp_relay ~seed:202 ~stream_len ~drain
+      ~faults:(fun plan ~t0 ~left ~right ->
+        Link.set_mangle left base_mangle;
+        Link.set_mangle right base_mangle;
+        arm_mangle_faults plan ~t0 ~left ~right)
+      ~stream:(fun engine ~send ~until -> sealed_cbr engine ~send ~until ())
+      ~receive:(fun ~now:_ sdu -> Rig.count tally sdu)
   in
-  let engine = net.Topo.ip_engine in
-  let tr = Trace.create engine in
-  Trace.attach tr;
-  let u_a = Tcpip.Udp.attach net.Topo.hosts.(0) in
-  let u_b = Tcpip.Udp.attach net.Topo.hosts.(1) in
-  let src_addr = Tcpip.Ip.addr_of_octets 10 1 0 1 in
-  let dst_addr = Tcpip.Ip.addr_of_octets 10 2 0 2 in
-  let sink = adv_sink () in
-  Tcpip.Udp.listen u_b ~port:9000 (fun ~src:_ ~sport:_ body ->
-      on_adv_sdu sink ~now:(Engine.now engine) body);
-  let t0 = Engine.now engine in
-  let left = net.Topo.ip_links.(0) and right = net.Topo.ip_links.(1) in
-  Link.set_mangle left base_mangle;
-  Link.set_mangle right base_mangle;
-  let plan = Fault.create () in
-  arm_mangle_faults plan ~t0 ~left ~right;
-  Fault.arm plan engine;
-  let sent =
-    sealed_cbr engine
-      ~send:(fun sdu ->
-        Tcpip.Udp.send u_a ~src:src_addr ~dst:dst_addr ~sport:9000 ~dport:9000
-          sdu)
-      ~until:(t0 +. stream_len) ()
-  in
-  Engine.run ~until:(t0 +. stream_len +. drain) engine;
-  let events = Trace.typed_events tr in
-  Trace.detach ();
   let blackouts = Report.blackouts ~component:"udp:hostB" events in
-  let partition_gap = Gate.blackout blackouts "partition-right" in
-  {
-    delivered = sink.base.Workload.count;
-    sent = !sent;
-    dup_deliveries = sink.dup_deliveries;
-    ooo_deliveries = sink.ooo_deliveries;
-    corrupt_escaped = sink.corrupt_escaped;
-    rtx_pdus = 0;
-    data_pdus = !sent;
-    blackouts;
-    reconverged = partition_gap <> None;
-    reconvergence_s = partition_gap;
-  }
+  measure tally ~sent:!sent ~rtx_pdus:0 ~data_pdus:!sent ~blackouts
+    ~reconvergence_s:(Gate.blackout blackouts "partition-right")
 
 (* ---------- reporting ---------- *)
 

@@ -38,10 +38,8 @@
       still completes, with zero corrupt SDUs escaping the CRCs. *)
 
 module Engine = Rina_sim.Engine
-module Link = Rina_sim.Link
 module Fault = Rina_sim.Fault
 module Trace = Rina_sim.Trace
-module Flight = Rina_util.Flight
 module Json = Rina_util.Json
 module Metrics = Rina_util.Metrics
 module Stats = Rina_util.Stats
@@ -49,10 +47,9 @@ module Table = Rina_util.Table
 module Prng = Rina_util.Prng
 module Policy = Rina_core.Policy
 module Ipcp = Rina_core.Ipcp
-module Dif = Rina_core.Dif
-module Shim = Rina_core.Shim
 module Types = Rina_core.Types
 module Qos = Rina_core.Qos
+module Scenario = Rina_exp.Scenario
 module Topo = Rina_exp.Topo
 module Workload = Rina_exp.Workload
 module Report = Rina_check.Trace_report
@@ -144,154 +141,42 @@ type incast_out = {
   ic_queue_hwm : int;
 }
 
-(* RINA_TRACE=<file> saves the incast run's flight-recorder trace
-   (rina_trace --drops shows the R_congestion breakdown, --queues the
-   hub occupancy timeline); RINA_STATS=<file> writes the telemetry
-   registry (rina_stats shows exact ecn_mark counts and the
-   probe:queue:hub occupancy distribution).  Neither variable set:
-   tracing stays disabled and the run is bit-for-bit the default. *)
-let maybe_obs engine hub =
-  let trace_path = Sys.getenv_opt "RINA_TRACE" in
-  let stats_path = Sys.getenv_opt "RINA_STATS" in
-  if trace_path = None && stats_path = None then fun () -> ()
-  else begin
-    let obs = Rina_exp.Obs.start engine in
-    let until = Engine.now engine +. 60. in
-    Rina_exp.Obs.snapshots obs ~until;
-    Rina_sim.Trace.probe obs.Rina_exp.Obs.trace ~name:"queue:hub" ~period:0.05
-      ~until (fun () -> Ipcp.rmt_queue_depth hub);
-    fun () ->
-      (match trace_path with
-      | Some path -> Rina_sim.Trace.save_jsonl obs.Rina_exp.Obs.trace path
-      | None -> ());
-      (match stats_path with
-      | Some path -> Rina_exp.Obs.write_stats obs path
-      | None -> ());
-      Rina_exp.Obs.stop obs
-  end
-
-let run_incast_rina () =
-  let net =
-    Topo.star ~seed:303 ~policy:congestion_policy ~bit_rate:bottleneck
-      ~delay:0.002 ~rate_limited:true ~leaves:(senders + 1) ()
-  in
-  let engine = net.Topo.engine in
-  let hub = net.Topo.nodes.(0) in
-  let finish_obs = maybe_obs engine hub in
-  let sink_node = net.Topo.nodes.(senders + 1) in
+(* One incast over either stack.  [listen deliver] opens the sink,
+   which hands every arriving SDU to [deliver]; [dial i k] opens
+   sender [i]'s flow and passes [k] its send function, or [None] if the
+   flow failed.  Once every dial has resolved (or 60 s have passed),
+   the run ends 2 s after the last flow completes (or 300 s).  The
+   RMT counters stay 0: a RINA caller reads them from its hub. *)
+let incast engine ~listen ~dial =
   let reg = Workload.fct () in
   let t_done = ref None in
-  let dst = Types.apn "incast-sink" in
-  Ipcp.register_app sink_node dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          let now = Engine.now engine in
-          Workload.on_flow_sdu reg ~now sdu;
-          if reg.Workload.completed = senders && !t_done = None then
-            t_done := Some now));
-  Topo.wait engine 3.0;
-  let flows = Array.make senders None in
-  let outstanding = ref 0 in
+  listen (fun sdu ->
+      let now = Engine.now engine in
+      Workload.on_flow_sdu reg ~now sdu;
+      if reg.Workload.completed = senders && !t_done = None then
+        t_done := Some now);
+  let sends = Array.make senders None in
+  let outstanding = ref senders in
   for i = 0 to senders - 1 do
-    let node = net.Topo.nodes.(i + 1) in
-    let src = Types.apn (Printf.sprintf "incast-src%d" i) in
-    Ipcp.register_app node src ~on_flow:(fun _ -> ());
-    incr outstanding;
-    Ipcp.allocate_flow node ~src ~dst ~qos_id:Qos.reliable.Qos.id
-      ~on_result:(fun res ->
+    dial i (fun send ->
         decr outstanding;
-        match res with Ok f -> flows.(i) <- Some f | Error _ -> ())
+        sends.(i) <- send)
   done;
-  let deadline = Engine.now engine +. 60. in
-  while !outstanding > 0 && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
+  Scenario.drive_until engine ~timeout:60. (fun () -> !outstanding = 0);
   (* The incast instant: every admitted sender dumps its whole flow at
      once. *)
   let t0 = Engine.now engine in
   let admitted = ref 0 in
   Array.iteri
-    (fun i fo ->
-      match fo with
-      | Some f ->
-        incr admitted;
-        Workload.flow_bulk reg ~send:f.Ipcp.send ~now:t0 ~flow:i
-          ~size:incast_flow_bytes ~sdu:sdu_size
-      | None -> ())
-    flows;
-  let deadline = t0 +. 300. in
-  while !t_done = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.25) engine
-  done;
+    (fun i ->
+      Option.iter (fun send ->
+          incr admitted;
+          Workload.flow_bulk reg ~send ~now:t0 ~flow:i ~size:incast_flow_bytes
+            ~sdu:sdu_size))
+    sends;
+  Scenario.drive_until engine ~step:0.25 ~timeout:300. (fun () -> !t_done <> None);
   Topo.wait engine 2.0;
-  finish_obs ();
-  let t1 = match !t_done with Some t -> t | None -> Engine.now engine in
-  let goodput = Workload.fct_goodput reg ~t0 ~t1 in
-  let rm = Ipcp.rmt_metrics hub in
-  {
-    ic_goodput = goodput;
-    ic_ratio = goodput /. bottleneck;
-    ic_admitted = !admitted;
-    ic_completed = reg.Workload.completed;
-    ic_corrupt = reg.Workload.fct_corrupt;
-    ic_p50 = ms reg.Workload.durations 50.;
-    ic_p99 = ms reg.Workload.durations 99.;
-    ic_max = 1000. *. Stats.max_value reg.Workload.durations;
-    ic_marked = Metrics.get rm "ecn_marked";
-    ic_cong_dropped = Metrics.get rm "congestion_dropped";
-    ic_queue_dropped = Metrics.get rm "queue_dropped";
-    ic_queue_hwm = Metrics.get rm "queue_hwm";
-  }
-
-let run_incast_tcp () =
-  let net =
-    Topo.ip_star ~seed:303 ~bit_rate:bottleneck ~delay:0.002
-      ~leaves:(senders + 1) ()
-  in
-  let engine = net.Topo.ip_engine in
-  let sink = net.Topo.hosts.(senders) in
-  let reg = Workload.fct () in
-  let t_done = ref None in
-  let ts = Tcpip.Tcp.attach sink in
-  Tcpip.Tcp.listen ts ~port:5001 ~on_accept:(fun conn ->
-      Tcpip.Tcp.set_on_receive conn (fun sdu ->
-          let now = Engine.now engine in
-          Workload.on_flow_sdu reg ~now sdu;
-          if reg.Workload.completed = senders && !t_done = None then
-            t_done := Some now));
-  let sink_addr = Tcpip.Ip.addr_of_octets 10 (senders + 1) 0 1 in
-  let conns = Array.make senders None in
-  let outstanding = ref 0 in
-  for i = 0 to senders - 1 do
-    let st = Tcpip.Tcp.attach net.Topo.hosts.(i) in
-    let src_addr = Tcpip.Ip.addr_of_octets 10 (i + 1) 0 1 in
-    incr outstanding;
-    Tcpip.Tcp.connect st ~src:src_addr ~dst:sink_addr ~dport:5001
-      ~on_result:(fun res ->
-        decr outstanding;
-        match res with Ok c -> conns.(i) <- Some c | Error _ -> ())
-  done;
-  let deadline = Engine.now engine +. 60. in
-  while !outstanding > 0 && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  let t0 = Engine.now engine in
-  let admitted = ref 0 in
-  Array.iteri
-    (fun i co ->
-      match co with
-      | Some c ->
-        incr admitted;
-        Workload.flow_bulk reg
-          ~send:(fun sdu -> Tcpip.Tcp.send c sdu)
-          ~now:t0 ~flow:i ~size:incast_flow_bytes ~sdu:sdu_size
-      | None -> ())
-    conns;
-  let deadline = t0 +. 300. in
-  while !t_done = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.25) engine
-  done;
-  Topo.wait engine 2.0;
-  let t1 = match !t_done with Some t -> t | None -> Engine.now engine in
+  let t1 = Option.value !t_done ~default:(Engine.now engine) in
   let goodput = Workload.fct_goodput reg ~t0 ~t1 in
   {
     ic_goodput = goodput;
@@ -307,6 +192,67 @@ let run_incast_tcp () =
     ic_queue_dropped = 0;
     ic_queue_hwm = 0;
   }
+
+(* A RINA flow's send function, or [None] if its allocation failed. *)
+let sender k = function Ok f -> k (Some f.Ipcp.send) | Error _ -> k None
+
+let run_incast_rina () =
+  let net =
+    Topo.star ~seed:303 ~policy:congestion_policy ~bit_rate:bottleneck
+      ~delay:0.002 ~rate_limited:true ~leaves:(senders + 1) ()
+  in
+  let engine = net.Topo.engine in
+  let hub = net.Topo.nodes.(0) in
+  (* RINA_TRACE=<file> saves this run's flight-recorder trace (rina_trace
+     --drops shows the R_congestion breakdown, --queues the hub
+     occupancy timeline); RINA_STATS=<file> writes its telemetry
+     registry (rina_stats shows exact ecn_mark counts and the
+     probe:queue:hub occupancy distribution). *)
+  let finish_obs =
+    Rig.observe engine ~policy:(fun () -> Policy.default) ~span:60.
+      [ ("queue:hub", 0.05, fun () -> Ipcp.rmt_queue_depth hub) ]
+  in
+  let dst = Types.apn "incast-sink" in
+  let out =
+    incast engine
+      ~listen:(fun deliver ->
+        Ipcp.register_app net.Topo.nodes.(senders + 1) dst ~on_flow:(fun flow ->
+            flow.Ipcp.set_on_receive deliver);
+        Topo.wait engine 3.0)
+      ~dial:(fun i k ->
+        let node = net.Topo.nodes.(i + 1) in
+        let src = Types.apn (Printf.sprintf "incast-src%d" i) in
+        Ipcp.register_app node src ~on_flow:(fun _ -> ());
+        Ipcp.allocate_flow node ~src ~dst ~qos_id:Qos.reliable.Qos.id
+          ~on_result:(sender k))
+  in
+  finish_obs ();
+  let rm = Ipcp.rmt_metrics hub in
+  {
+    out with
+    ic_marked = Metrics.get rm "ecn_marked";
+    ic_cong_dropped = Metrics.get rm "congestion_dropped";
+    ic_queue_dropped = Metrics.get rm "queue_dropped";
+    ic_queue_hwm = Metrics.get rm "queue_hwm";
+  }
+
+let run_incast_tcp () =
+  let net =
+    Topo.ip_star ~seed:303 ~bit_rate:bottleneck ~delay:0.002
+      ~leaves:(senders + 1) ()
+  in
+  let sink_addr = Tcpip.Ip.addr_of_octets 10 (senders + 1) 0 1 in
+  incast net.Topo.ip_engine
+    ~listen:(fun deliver ->
+      let ts = Tcpip.Tcp.attach net.Topo.hosts.(senders) in
+      Tcpip.Tcp.listen ts ~port:5001 ~on_accept:(fun conn ->
+          Tcpip.Tcp.set_on_receive conn deliver))
+    ~dial:(fun i k ->
+      let st = Tcpip.Tcp.attach net.Topo.hosts.(i) in
+      Tcpip.Tcp.connect st ~src:(Tcpip.Ip.addr_of_octets 10 (i + 1) 0 1)
+        ~dst:sink_addr ~dport:5001 ~on_result:(function
+        | Ok c -> k (Some (Tcpip.Tcp.send c))
+        | Error _ -> k None))
 
 (* ---------- scenarios 2 and 4: flash crowd (optionally with chaos) ---------- *)
 
@@ -327,6 +273,59 @@ type crowd_out = {
 
 let crowd_faults = [ ("partition-leaf", 1.5, 3.0); ("corrupt-sink", 3.5, 4.5) ]
 
+(* The sink closes each flow when its FIN lands, freeing the admission
+   slot for the next busy-rejected requester. *)
+let crowd_deliver engine reg ~close sdu =
+  Workload.on_flow_sdu reg ~now:(Engine.now engine) sdu;
+  match Workload.read_flow sdu with
+  | Some fs when fs.Workload.fs_fin -> close ()
+  | _ -> ()
+
+(* One flash crowd over either stack, from [t0]: Poisson arrivals for
+   [crowd_window] s, each a Pareto-sized flow that [dial i k] opens
+   from sender [i mod crowd_senders], passing [k] its send function or
+   [None].  The run ends 5 s after every arrival has resolved and
+   every admitted flow has completed (at most 120 s past the window).
+   The busy counters and blackouts stay empty: a RINA caller adds them. *)
+let crowd engine reg ~t0 ~dial =
+  let size_rng = Prng.create 909 in
+  let arrival_rng = Prng.create 808 in
+  let arrivals = ref 0 and admitted = ref 0 and failed = ref 0 in
+  Workload.poisson_arrivals engine arrival_rng ~rate:crowd_rate
+    ~until:(t0 +. crowd_window) (fun i ->
+      incr arrivals;
+      let size =
+        Workload.flow_size size_rng ~alpha:crowd_alpha ~xmin:crowd_xmin
+          ~cap:crowd_cap
+      in
+      dial i (function
+        | Some send ->
+          incr admitted;
+          Workload.flow_bulk reg ~send ~now:(Engine.now engine) ~flow:i ~size
+            ~sdu:sdu_size
+        | None -> incr failed));
+  let settled () =
+    Engine.now engine > t0 +. crowd_window +. 1.
+    && !admitted + !failed = !arrivals
+    && Workload.unfinished reg = []
+  in
+  Scenario.drive_until engine ~step:0.25 ~timeout:(crowd_window +. 120.) settled;
+  Topo.wait engine 5.0;
+  {
+    cr_arrivals = !arrivals;
+    cr_admitted = !admitted;
+    cr_failed = !failed;
+    cr_busy_retries = 0;
+    cr_busy_rejected = 0;
+    cr_completed = reg.Workload.completed;
+    cr_unfinished = List.length (Workload.unfinished reg);
+    cr_corrupt = reg.Workload.fct_corrupt;
+    cr_p50 = ms reg.Workload.durations 50.;
+    cr_p99 = ms reg.Workload.durations 99.;
+    cr_goodput = Workload.fct_goodput reg ~t0 ~t1:(Engine.now engine);
+    cr_blackouts = [];
+  }
+
 let run_crowd_rina ~chaos () =
   let net =
     Topo.star ~seed:404 ~policy:admission_policy ~bit_rate:bottleneck
@@ -338,15 +337,8 @@ let run_crowd_rina ~chaos () =
   (match tr with Some t -> Trace.attach t | None -> ());
   let reg = Workload.fct () in
   let dst = Types.apn "crowd-sink" in
-  (* The sink closes each flow when its FIN lands, freeing the
-     admission slot for the next busy-rejected requester. *)
   Ipcp.register_app sink_node dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          let now = Engine.now engine in
-          Workload.on_flow_sdu reg ~now sdu;
-          match Workload.read_flow sdu with
-          | Some fs when fs.Workload.fs_fin -> flow.Ipcp.close ()
-          | _ -> ()));
+      flow.Ipcp.set_on_receive (crowd_deliver engine reg ~close:flow.Ipcp.close));
   Topo.wait engine 3.0;
   let t0 = Engine.now engine in
   if chaos then begin
@@ -363,38 +355,14 @@ let run_crowd_rina ~chaos () =
       crowd_faults;
     Fault.arm plan engine
   end;
-  let size_rng = Prng.create 909 in
-  let arrival_rng = Prng.create 808 in
-  let arrivals = ref 0 and admitted = ref 0 and failed = ref 0 in
-  Workload.poisson_arrivals engine arrival_rng ~rate:crowd_rate
-    ~until:(t0 +. crowd_window) (fun i ->
-      incr arrivals;
-      let node = net.Topo.nodes.(1 + (i mod crowd_senders)) in
-      let src = Types.apn (Printf.sprintf "crowd%d" i) in
-      Ipcp.register_app node src ~on_flow:(fun _ -> ());
-      let size =
-        min crowd_cap
-          (int_of_float
-             (Prng.pareto size_rng ~alpha:crowd_alpha
-                ~xmin:(float_of_int crowd_xmin)))
-      in
-      Ipcp.allocate_flow node ~src ~dst ~qos_id:Qos.reliable.Qos.id
-        ~on_result:(function
-          | Ok f ->
-            incr admitted;
-            Workload.flow_bulk reg ~send:f.Ipcp.send ~now:(Engine.now engine)
-              ~flow:i ~size ~sdu:sdu_size
-          | Error _ -> incr failed));
-  let settled () =
-    Engine.now engine > t0 +. crowd_window +. 1.
-    && !admitted + !failed = !arrivals
-    && Workload.unfinished reg = []
+  let out =
+    crowd engine reg ~t0 ~dial:(fun i k ->
+        let node = net.Topo.nodes.(1 + (i mod crowd_senders)) in
+        let src = Types.apn (Printf.sprintf "crowd%d" i) in
+        Ipcp.register_app node src ~on_flow:(fun _ -> ());
+        Ipcp.allocate_flow node ~src ~dst ~qos_id:Qos.reliable.Qos.id
+          ~on_result:(sender k))
   in
-  let deadline = t0 +. crowd_window +. 120. in
-  while (not (settled ())) && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.25) engine
-  done;
-  Topo.wait engine 5.0;
   let blackouts =
     match tr with
     | None -> []
@@ -403,23 +371,10 @@ let run_crowd_rina ~chaos () =
       Trace.detach ();
       Report.blackouts events
   in
-  let busy_retries =
-    Array.fold_left
-      (fun acc n -> acc + Metrics.get (Ipcp.metrics n) "alloc_busy")
-      0 net.Topo.nodes
-  in
   {
-    cr_arrivals = !arrivals;
-    cr_admitted = !admitted;
-    cr_failed = !failed;
-    cr_busy_retries = busy_retries;
+    out with
+    cr_busy_retries = Scenario.sum_metric net "alloc_busy";
     cr_busy_rejected = Metrics.get (Ipcp.metrics sink_node) "alloc_busy_rejected";
-    cr_completed = reg.Workload.completed;
-    cr_unfinished = List.length (Workload.unfinished reg);
-    cr_corrupt = reg.Workload.fct_corrupt;
-    cr_p50 = ms reg.Workload.durations 50.;
-    cr_p99 = ms reg.Workload.durations 99.;
-    cr_goodput = Workload.fct_goodput reg ~t0 ~t1:(Engine.now engine);
     cr_blackouts = blackouts;
   }
 
@@ -432,67 +387,21 @@ let run_crowd_tcp () =
       ~leaves:(crowd_senders + 1) ()
   in
   let engine = net.Topo.ip_engine in
-  let sink = net.Topo.hosts.(crowd_senders) in
   let reg = Workload.fct () in
-  let ts = Tcpip.Tcp.attach sink in
+  let ts = Tcpip.Tcp.attach net.Topo.hosts.(crowd_senders) in
   Tcpip.Tcp.listen ts ~port:5001 ~on_accept:(fun conn ->
-      Tcpip.Tcp.set_on_receive conn (fun sdu ->
-          let now = Engine.now engine in
-          Workload.on_flow_sdu reg ~now sdu;
-          match Workload.read_flow sdu with
-          | Some fs when fs.Workload.fs_fin -> Tcpip.Tcp.close conn
-          | _ -> ()));
+      Tcpip.Tcp.set_on_receive conn
+        (crowd_deliver engine reg ~close:(fun () -> Tcpip.Tcp.close conn)));
   let sink_addr = Tcpip.Ip.addr_of_octets 10 (crowd_senders + 1) 0 1 in
   let stacks =
     Array.init crowd_senders (fun i -> Tcpip.Tcp.attach net.Topo.hosts.(i))
   in
-  let t0 = Engine.now engine in
-  let size_rng = Prng.create 909 in
-  let arrival_rng = Prng.create 808 in
-  let arrivals = ref 0 and admitted = ref 0 and failed = ref 0 in
-  Workload.poisson_arrivals engine arrival_rng ~rate:crowd_rate
-    ~until:(t0 +. crowd_window) (fun i ->
-      incr arrivals;
+  crowd engine reg ~t0:(Engine.now engine) ~dial:(fun i k ->
       let s = i mod crowd_senders in
-      let src_addr = Tcpip.Ip.addr_of_octets 10 (s + 1) 0 1 in
-      let size =
-        min crowd_cap
-          (int_of_float
-             (Prng.pareto size_rng ~alpha:crowd_alpha
-                ~xmin:(float_of_int crowd_xmin)))
-      in
-      Tcpip.Tcp.connect stacks.(s) ~src:src_addr ~dst:sink_addr ~dport:5001
-        ~on_result:(function
-          | Ok c ->
-            incr admitted;
-            Workload.flow_bulk reg
-              ~send:(fun sdu -> Tcpip.Tcp.send c sdu)
-              ~now:(Engine.now engine) ~flow:i ~size ~sdu:sdu_size
-          | Error _ -> incr failed));
-  let settled () =
-    Engine.now engine > t0 +. crowd_window +. 1.
-    && !admitted + !failed = !arrivals
-    && Workload.unfinished reg = []
-  in
-  let deadline = t0 +. crowd_window +. 120. in
-  while (not (settled ())) && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.25) engine
-  done;
-  Topo.wait engine 5.0;
-  {
-    cr_arrivals = !arrivals;
-    cr_admitted = !admitted;
-    cr_failed = !failed;
-    cr_busy_retries = 0;
-    cr_busy_rejected = 0;
-    cr_completed = reg.Workload.completed;
-    cr_unfinished = List.length (Workload.unfinished reg);
-    cr_corrupt = reg.Workload.fct_corrupt;
-    cr_p50 = ms reg.Workload.durations 50.;
-    cr_p99 = ms reg.Workload.durations 99.;
-    cr_goodput = Workload.fct_goodput reg ~t0 ~t1:(Engine.now engine);
-    cr_blackouts = [];
-  }
+      Tcpip.Tcp.connect stacks.(s) ~src:(Tcpip.Ip.addr_of_octets 10 (s + 1) 0 1)
+        ~dst:sink_addr ~dport:5001 ~on_result:(function
+        | Ok c -> k (Some (Tcpip.Tcp.send c))
+        | Error _ -> k None))
 
 (* ---------- scenario 3: push-back across the stack ---------- *)
 
@@ -534,47 +443,22 @@ let run_pushback ~pushback () =
       Policy.efcp = { lower_policy.Policy.efcp with Policy.window = 2048 };
     }
   in
-  let engine = Engine.create () in
-  let rng = Prng.create 505 in
-  let wire_l = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.05 () in
-  let wire_r = Link.create engine rng ~bit_rate:10_000_000. ~delay:0.05 () in
-  let link_dif name link =
-    let dif = Dif.create engine ~policy:lower_policy name in
-    let a = Dif.add_member dif ~name:(name ^ "-a") () in
-    let b = Dif.add_member dif ~name:(name ^ "-b") () in
-    Dif.connect dif a b
-      ( Shim.wrap ~dif:name (Link.endpoint_a link),
-        Shim.wrap ~dif:name (Link.endpoint_b link) );
-    Dif.run_until_converged dif ();
-    (a, b)
-  in
-  let la, lb = link_dif "left" wire_l in
-  let ra, rb = link_dif "right" wire_r in
-  let top = Dif.create engine ~policy:upper_policy ~rank:1 "relay" in
-  let h1 = Dif.add_member top ~name:"h1" () in
-  let r = Dif.add_member top ~name:"r" () in
-  let h2 = Dif.add_member top ~name:"h2" () in
-  Dif.stack_connect ~lower_a:la ~lower_b:lb ~upper_a:h1 ~upper_b:r ();
-  Dif.stack_connect ~lower_a:ra ~lower_b:rb ~upper_a:r ~upper_b:h2 ();
-  Dif.run_until_converged top ~max_time:90. ();
+  let w = Rig.relay ~seed:505 ~delay:0.05 ~lower:lower_policy ~upper:upper_policy in
+  let engine = w.Rig.engine in
   let sink = Workload.sink () in
   let rcv_metrics = ref None in
-  let dst = Types.apn "pb-sink" in
-  Ipcp.register_app h2 dst ~on_flow:(fun flow ->
-      rcv_metrics := Some flow.Ipcp.flow_metrics;
-      flow.Ipcp.set_on_receive (fun sdu ->
-          Workload.on_sdu sink ~now:(Engine.now engine) sdu));
-  let src = Types.apn "pb-src" in
-  Ipcp.register_app h1 src ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow h1 ~src ~dst ~qos_id:Qos.reliable.Qos.id
-    ~on_result:(fun res -> result := Some res);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  match !result with
-  | Some (Ok flow) ->
+  let connected =
+    Scenario.connect engine
+      ~src:(w.Rig.h1, Types.apn "pb-src")
+      ~dst:(w.Rig.h2, Types.apn "pb-sink")
+      ~qos_id:Qos.reliable.Qos.id
+      ~on_flow:(fun flow ->
+        rcv_metrics := Some flow.Ipcp.flow_metrics;
+        flow.Ipcp.set_on_receive (fun sdu ->
+            Workload.on_sdu sink ~now:(Engine.now engine) sdu))
+  in
+  match connected with
+  | Ok flow ->
     let t0 = Engine.now engine in
     let sent = (pushback_bytes + sdu_size - 1) / sdu_size in
     for seq = 0 to sent - 1 do
@@ -582,14 +466,15 @@ let run_pushback ~pushback () =
     done;
     (* Sample the lower-left data flow's backlog while the transfer
        drains through the window-limited lower flow: this is the
-       resource push-back is meant to protect. *)
+       resource push-back is meant to protect.  Not drive_until: that
+       tests before each step, which would add a sample at t0. *)
     let peak = ref 0 in
     let deadline = t0 +. 120. in
     while sink.Workload.count < sent && Engine.now engine < deadline do
       Engine.run ~until:(Engine.now engine +. 0.1) engine;
       List.iter
         (fun (_, _, backlog) -> if backlog > !peak then peak := backlog)
-        (Ipcp.flow_stats la)
+        (Ipcp.flow_stats w.Rig.left_h1)
     done;
     Topo.wait engine 2.0;
     let fm = flow.Ipcp.flow_metrics () in
@@ -603,7 +488,7 @@ let run_pushback ~pushback () =
       pb_ecn_backoffs = Metrics.get fm "ecn_backoffs";
       pb_peak_lower_backlog = !peak;
     }
-  | _ ->
+  | Error _ ->
     {
       pb_delivered = 0;
       pb_sent = 0;

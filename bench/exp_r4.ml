@@ -47,9 +47,10 @@ module Metrics = Rina_util.Metrics
 module Table = Rina_util.Table
 module Ipcp = Rina_core.Ipcp
 module Dif = Rina_core.Dif
-module Shim = Rina_core.Shim
 module Types = Rina_core.Types
 module Policy = Rina_core.Policy
+module Scenario = Rina_exp.Scenario
+module Topo = Rina_exp.Topo
 module Workload = Rina_exp.Workload
 module Report = Rina_check.Trace_report
 
@@ -117,16 +118,7 @@ let run_failover () =
     Link.create engine rng ~bit_rate:10_000_000. ~delay:0.002
       ~mangle:(Mangle.make ~corrupt:0.01 ()) ()
   in
-  let link_dif name link =
-    let dif = Dif.create engine ~policy:single_path_policy name in
-    let a = Dif.add_member dif ~name:(name ^ "-a") () in
-    let b = Dif.add_member dif ~name:(name ^ "-b") () in
-    Dif.connect dif a b
-      ( Shim.wrap ~dif:name (Link.endpoint_a link),
-        Shim.wrap ~dif:name (Link.endpoint_b link) );
-    Dif.run_until_converged dif ();
-    (a, b)
-  in
+  let link_dif = Topo.link_dif engine ~policy:single_path_policy in
   let l1a, l1b = link_dif "left1" wire_l1 in
   let l2a, l2b = link_dif "left2" wire_l2 in
   let ra, rb = link_dif "right" wire_r in
@@ -144,41 +136,18 @@ let run_failover () =
      telemetry registry: rina_stats then shows the exact path_up /
      path_suspect / path_down landmark counts and the handoff tally
      next to the drop timelines. *)
-  let telemetry =
-    match Sys.getenv_opt "RINA_STATS" with
-    | Some _ -> Some (Rina_util.Telemetry.create ())
-    | None -> None
+  let telemetry = Rig.stats_registry () in
+  Trace.attach ?telemetry tr;
+  let tally = Rig.tally () in
+  let connected =
+    Scenario.connect engine
+      ~src:(h1, Types.apn "mp-src")
+      ~dst:(h2, Types.apn "mp-sink")
+      ~qos_id:1
+      ~on_flow:(fun flow -> flow.Ipcp.set_on_receive (Rig.count tally))
   in
-  (match telemetry with
-  | Some t -> Trace.attach ~telemetry:t tr
-  | None -> Trace.attach tr);
-  let delivered = ref 0 and dups = ref 0 and ooo = ref 0 and corrupt = ref 0 in
-  let seen = Hashtbl.create 4096 in
-  let highest = ref (-1) in
-  let dst = Types.apn "mp-sink" in
-  Ipcp.register_app h2 dst ~on_flow:(fun flow ->
-      flow.Ipcp.set_on_receive (fun sdu ->
-          match Workload.read_sealed sdu with
-          | Workload.Sealed_corrupt -> incr corrupt
-          | Workload.Sealed_ok (_, seq) ->
-            if Hashtbl.mem seen seq then incr dups
-            else begin
-              Hashtbl.replace seen seq ();
-              incr delivered;
-              if seq < !highest then incr ooo;
-              if seq > !highest then highest := seq
-            end));
-  let src = Types.apn "mp-src" in
-  Ipcp.register_app h1 src ~on_flow:(fun _ -> ());
-  let result = ref None in
-  Ipcp.allocate_flow h1 ~src ~dst ~qos_id:1 ~on_result:(fun res ->
-      result := Some res);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
-  match !result with
-  | Some (Ok flow) ->
+  match connected with
+  | Ok flow ->
     let t0 = Engine.now engine in
     let plan = Fault.create () in
     let label1, a1, b1 = kill_one in
@@ -197,7 +166,8 @@ let run_failover () =
         Link.set_blackhole wire_l2 false);
     Fault.arm plan engine;
     (* sealed CBR: [Workload.cbr] stamps without the CRC trailer, so
-       schedule the stream by hand *)
+       schedule the stream by hand.  Not R2's sealed_cbr: this tick
+       sends before it tests the deadline, so it sends one SDU more. *)
     let interval = float_of_int (8 * sdu_size) /. cbr_rate in
     let sent = ref 0 in
     let rec tick () =
@@ -210,27 +180,10 @@ let run_failover () =
     in
     tick ();
     Engine.run ~until:(t0 +. stream_len +. drain) engine;
-    (match Sys.getenv_opt "RINA_TRACE" with
-    | Some path -> Trace.save_jsonl tr path
-    | None -> ());
-    (match (telemetry, Sys.getenv_opt "RINA_STATS") with
-    | Some t, Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (Rina_util.Telemetry.to_jsonl t))
-    | _ -> ());
+    Rig.save_trace tr;
+    Option.iter Rig.save_stats telemetry;
     let events = Trace.typed_events tr in
     Trace.detach ();
-    (* deliveries that count: rank-1 EFCP receptions (lower-DIF and
-       mgmt traffic would mask the blackout) *)
-    let kept =
-      List.filter
-        (fun (e : Flight.event) ->
-          match e.Flight.kind with
-          | Flight.Pdu_recvd ->
-            e.Flight.rank = 1 && String.equal e.Flight.component "efcp"
-          | _ -> true)
-        events
-    in
     let path_down_drops =
       List.length
         (List.filter
@@ -243,21 +196,20 @@ let run_failover () =
     Ok
       {
         fo_sent = !sent;
-        fo_delivered = !delivered;
-        fo_dups = !dups;
-        fo_ooo = !ooo;
-        fo_corrupt = !corrupt;
-        fo_blackouts = Report.blackouts kept;
+        fo_delivered = tally.Rig.fresh;
+        fo_dups = tally.Rig.dups;
+        fo_ooo = tally.Rig.ooo;
+        fo_corrupt = tally.Rig.corrupt;
+        (* deliveries that count: rank-1 EFCP receptions (lower-DIF and
+           mgmt traffic would mask the blackout) *)
+        fo_blackouts = Report.blackouts ~component:"efcp" ~rank:1 events;
         fo_path_down_drops = path_down_drops;
         fo_failovers = Metrics.get (Ipcp.metrics h1) "failovers";
         fo_repath_pdus = Metrics.get (Ipcp.metrics h1) "repath_pdus";
       }
-  | Some (Error e) ->
+  | Error e ->
     Trace.detach ();
     Error ("allocation failed: " ^ e)
-  | None ->
-    Trace.detach ();
-    Error "allocation hung"
 
 (* ---------- 2. striped vs single-path goodput ---------- *)
 
@@ -283,13 +235,12 @@ let run_striping ~policy =
   Ipcp.register_app b dst ~on_flow:(fun flow ->
       flow.Ipcp.set_on_receive (fun sdu ->
           Workload.on_sdu sink ~now:(Engine.now engine) sdu));
+  (* Not Scenario.connect: it registers the source app, and that
+     directory flood would change this run's numbers. *)
   let result = ref None in
   Ipcp.allocate_flow a ~src:(Types.apn "stripe-src") ~dst ~qos_id:1
     ~on_result:(fun res -> result := Some res);
-  let deadline = Engine.now engine +. 30. in
-  while !result = None && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
-  done;
+  Scenario.drive_until engine ~timeout:30. (fun () -> !result <> None);
   match !result with
   | Some (Ok flow) ->
     let t0 = Engine.now engine in
@@ -410,10 +361,7 @@ let run_mass_mobility () =
                      ()
                  | Error _ -> incr failed))))
     handsets;
-  let deadline = Engine.now engine +. 60. in
-  while !pending > 0 && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.1) engine
-  done;
+  Scenario.drive_until engine ~step:0.1 ~timeout:60. (fun () -> !pending = 0);
   let t0 = Engine.now engine in
   t_kill := t0 +. mob_kill_at;
   ignore

@@ -1,5 +1,5 @@
-(* M1 — bechamel micro-benchmarks of the core data structures and
-   codecs: per-operation costs underneath every experiment. *)
+(* M1 — bechamel micro-benchmarks of the core data structures and the
+   frame path: per-operation costs underneath every experiment. *)
 
 open Bechamel
 open Toolkit
@@ -8,24 +8,28 @@ let pdu =
   Rina_core.Pdu.make ~pdu_type:Rina_core.Pdu.Dtp ~dst_addr:42 ~src_addr:7
     ~dst_cep:3 ~src_cep:9 ~qos_id:1 ~seq:12345 (Bytes.make 1200 'x')
 
-let encoded = Rina_core.Pdu.encode pdu
+(* The frame path the stack runs: encode_frame writes PCI and CRC
+   trailer, verify_len checks the trailer, decode_sub parses in place. *)
+let frame = Rina_core.Pdu.encode_frame pdu
 
-let protected_frame = Rina_core.Sdu_protection.protect encoded
+let body_len = Bytes.length frame - Rina_core.Sdu_protection.overhead
 
-let bench_pdu_encode =
-  Test.make ~name:"pdu_encode_1200B" (Staged.stage (fun () -> Rina_core.Pdu.encode pdu))
+let bench_encode_frame =
+  Test.make ~name:"encode_frame_1200B"
+    (Staged.stage (fun () -> Rina_core.Pdu.encode_frame pdu))
 
-let bench_pdu_decode =
-  Test.make ~name:"pdu_decode_1200B"
-    (Staged.stage (fun () -> Rina_core.Pdu.decode encoded))
+let bench_decode_sub =
+  Test.make ~name:"decode_sub_1200B"
+    (Staged.stage (fun () -> Rina_core.Pdu.decode_sub frame ~len:body_len))
 
 let bench_crc32 =
   Test.make ~name:"crc32_1200B"
-    (Staged.stage (fun () -> Rina_core.Sdu_protection.crc32 encoded))
+    (Staged.stage (fun () ->
+         Rina_core.Sdu_protection.crc32_sub frame ~pos:0 ~len:body_len))
 
-let bench_sdu_verify =
-  Test.make ~name:"sdu_verify_1200B"
-    (Staged.stage (fun () -> Rina_core.Sdu_protection.verify protected_frame))
+let bench_verify_len =
+  Test.make ~name:"verify_len_1200B"
+    (Staged.stage (fun () -> Rina_core.Sdu_protection.verify_len frame))
 
 let lsdb =
   let db = Rina_core.Routing.create () in
@@ -96,10 +100,10 @@ let bench_rib =
 let benchmarks =
   Test.make_grouped ~name:"micro"
     [
-      bench_pdu_encode;
-      bench_pdu_decode;
+      bench_encode_frame;
+      bench_decode_sub;
       bench_crc32;
-      bench_sdu_verify;
+      bench_verify_len;
       bench_spf_100;
       bench_lpm_lookup;
       bench_heap;

@@ -1,8 +1,8 @@
 (* rina_stats — render telemetry stats files.
 
    Reads the canonical JSONL a Telemetry registry exports
-   (Rina_exp.Obs.write_stats, or any experiment run with
-   RINA_STATS=file set) and prints counters, the live snapshot series,
+   (Rina_util.Telemetry.to_jsonl, as written by any experiment run
+   with RINA_STATS=file set) and prints counters, the live snapshot series,
    histogram quantiles and per-series timelines.
 
      rina_stats run.stats.jsonl

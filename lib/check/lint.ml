@@ -108,15 +108,6 @@ let consistency (s : Policy_lang.scan) topo =
              drops the adjacency"
             dead hello)
          ~hint:"use dead_interval > 2 x hello_interval");
-  (* L110: flood damping at or above the hello period swallows refreshes. *)
-  if r.lsa_min_interval >= hello && hello > 0. then
-    emit
-      (Diag.warning ~line:(at [ routing "lsa_min_interval"; routing "hello_interval" ])
-         "L110"
-         (Printf.sprintf
-            "lsa_min_interval (%g s) is not below hello_interval (%g s): updates are \
-             damped behind the hello clock"
-            r.lsa_min_interval hello));
   (* L111: stop-and-wait plus delayed acks serialises every PDU behind
      the ack timer. *)
   if e.window = 1 && e.ack_delay > 0. then
@@ -335,8 +326,6 @@ let rules =
     Diag.rule ~code:"L108" ~severity:e "dead_interval not above hello_interval";
     Diag.rule ~code:"L109" ~severity:w
       "dead_interval within 2x hello_interval: one lost hello drops the adjacency";
-    Diag.rule ~code:"L110" ~severity:w
-      "lsa_min_interval not below hello_interval: updates damped behind the hello clock";
     Diag.rule ~code:"L111" ~severity:w
       "window = 1 with delayed acks adds the ack delay to every PDU's RTT";
     Diag.rule ~code:"L112" ~severity:e "keepalive_interval not below dead_peer_timeout";

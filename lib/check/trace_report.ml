@@ -73,14 +73,31 @@ let drop_breakdown events =
   |> List.sort (fun (ra, na) (rb, nb) ->
          if na <> nb then compare nb na else compare ra rb)
 
-(* ---------- delivery gap ---------- *)
+(* ---------- deliveries and the delivery gap ---------- *)
 
-(* Sort occurrence times, widest interval wins, strict comparison
-   keeps the earliest interval on ties — so duplicate timestamps and
-   out-of-order input give a deterministic answer. *)
-let gap_of_times times =
-  let arr = Array.of_list times in
-  Array.sort compare arr;
+let deliveries ?component ?rank events =
+  let keep (e : Flight.event) =
+    (match e.Flight.kind with Flight.Pdu_recvd -> true | _ -> false)
+    && (match rank with None -> true | Some r -> e.Flight.rank = r)
+    &&
+    match component with
+    | None -> true
+    | Some p -> String.starts_with ~prefix:p e.Flight.component
+  in
+  let times =
+    Array.of_list
+      (List.filter_map
+         (fun e -> if keep e then Some e.Flight.time else None)
+         events)
+  in
+  Array.sort compare times;
+  times
+
+(* Widest interval wins, strict comparison keeps the earliest interval
+   on ties — so duplicate timestamps and out-of-order input give a
+   deterministic answer. *)
+let delivery_gap ?component events =
+  let arr = deliveries ?component events in
   if Array.length arr < 2 then None
   else begin
     let best_gap = ref (arr.(1) -. arr.(0)) and best_start = ref arr.(0) in
@@ -93,21 +110,6 @@ let gap_of_times times =
     done;
     Some (!best_gap, !best_start)
   end
-
-let has_prefix ~prefix s = String.starts_with ~prefix s
-
-let delivery_gap ?component events =
-  let keep (e : Flight.event) =
-    (match e.Flight.kind with Flight.Pdu_recvd -> true | _ -> false)
-    &&
-    match component with
-    | None -> true
-    | Some p -> has_prefix ~prefix:p e.Flight.component
-  in
-  gap_of_times
-    (List.filter_map
-       (fun e -> if keep e then Some e.Flight.time else None)
-       events)
 
 (* ---------- per-fault blackout windows ---------- *)
 
@@ -124,21 +126,7 @@ let delivery_gap ?component events =
    ramp-up (no deliveries at or before the heal) is charged from its
    apply time to the first delivery. *)
 let blackouts ?component ?rank events =
-  let keep_recv (e : Flight.event) =
-    (match e.Flight.kind with Flight.Pdu_recvd -> true | _ -> false)
-    && (match rank with None -> true | Some r -> e.Flight.rank = r)
-    &&
-    match component with
-    | None -> true
-    | Some p -> String.starts_with ~prefix:p e.Flight.component
-  in
-  let recvs =
-    Array.of_list
-      (List.filter_map
-         (fun e -> if keep_recv e then Some e.Flight.time else None)
-         events)
-  in
-  Array.sort compare recvs;
+  let recvs = deliveries ?component ?rank events in
   let tagged prefix =
     let plen = String.length prefix in
     List.filter_map

@@ -18,6 +18,12 @@ val drop_breakdown : Rina_util.Flight.event list -> (string * int) list
 (** [Pdu_dropped] counts per reason, most frequent first (ties sorted
     by reason name). *)
 
+val deliveries :
+  ?component:string -> ?rank:int -> Rina_util.Flight.event list -> float array
+(** The times of the [Pdu_recvd] events, sorted — optionally only those
+    of components starting with [component] and of DIF rank [rank].
+    {!delivery_gap} and {!blackouts} measure these. *)
+
 val delivery_gap :
   ?component:string ->
   Rina_util.Flight.event list ->
@@ -25,9 +31,9 @@ val delivery_gap :
 (** Widest interval between consecutive [Pdu_recvd] events as
     [(gap, start_time)], optionally restricted to components starting
     with [component] — the handoff interruption window.  [None] with
-    fewer than two deliveries.  Delivery times are sorted first and
-    ties between equally wide gaps resolve to the earliest interval,
-    so duplicate timestamps yield a deterministic answer. *)
+    fewer than two deliveries.  Ties between equally wide gaps resolve
+    to the earliest interval, so duplicate timestamps yield a
+    deterministic answer. *)
 
 val blackouts :
   ?component:string ->
@@ -42,10 +48,10 @@ val blackouts :
     extend past the heal — that tail {e is} the recovery time.
     [gap = None] means delivery never resumed after [a] — an unbounded
     outage.  A fault with no deliveries before its heal is charged
-    from [a] to the first delivery.  [component] restricts the
-    deliveries considered, as in {!delivery_gap}; [rank] restricts
-    them to one DIF level (in a stacked run the lower DIFs keep
-    delivering management traffic through a higher-level outage). *)
+    from [a] to the first delivery.  [component] and [rank] restrict
+    the deliveries considered, as in {!deliveries} (in a stacked run
+    the lower DIFs keep delivering management traffic through a
+    higher-level outage). *)
 
 val queue_timeline :
   Rina_util.Flight.event list -> (string * (float * int) list) list

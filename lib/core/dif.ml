@@ -43,19 +43,16 @@ let connect _t ?cost ?rate_a ?rate_b a b (chan_a, chan_b) =
    data flow with the requested QoS, and a reliable management flow so
    that hellos, routing updates and enrollment can never be starved or
    lost behind a data backlog (one (N-1) flow per traffic class, as
-   the architecture intends).  The split keys on the PDU-type byte of
-   the upper DIF's wire format. *)
+   the architecture intends).  The split keys on the upper frame's PDU
+   type. *)
 let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
   let data_c = Ipcp.chan_of_flow owner data
   and mgmt_c = Ipcp.chan_of_flow owner mgmt in
   let pushback = (Ipcp.policy owner).Policy.congestion.Policy.pushback in
   let is_management frame =
-    (* frame = encoded PDU + CRC trailer; byte 0 version, byte 1 type
-       (2 = Mgmt, 3 = Hello). *)
-    Bytes.length frame > 1
-    &&
-    let ty = Char.code (Bytes.get frame 1) in
-    ty = 2 || ty = 3
+    match Pdu.Peek.pdu_type frame with
+    | Some (Pdu.Mgmt | Pdu.Hello) -> true
+    | Some (Pdu.Dtp | Pdu.Ack) | None -> false
   in
   {
     Rina_sim.Chan.send =

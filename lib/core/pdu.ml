@@ -56,11 +56,11 @@ let version = 1
 let type_code = function Dtp -> 0 | Ack -> 1 | Mgmt -> 2 | Hello -> 3
 
 let type_of_code = function
-  | 0 -> Ok Dtp
-  | 1 -> Ok Ack
-  | 2 -> Ok Mgmt
-  | 3 -> Ok Hello
-  | n -> Error (Printf.sprintf "unknown PDU type code %d" n)
+  | 0 -> Some Dtp
+  | 1 -> Some Ack
+  | 2 -> Some Mgmt
+  | 3 -> Some Hello
+  | _ -> None
 
 (* Fixed wire offsets (big-endian, same layout the codec-based encoder
    produced): version(0) type(1) dst_addr(2) src_addr(6) dst_cep(10)
@@ -180,8 +180,9 @@ let decode_at b ~len ~with_payload =
     else if len < 2 then Error "truncated PDU: missing type byte"
     else
       match type_of_code (Bytes.get_uint8 b 1) with
-      | Error _ as e -> e
-      | Ok pdu_type ->
+      | None ->
+        Error (Printf.sprintf "unknown PDU type code %d" (Bytes.get_uint8 b 1))
+      | Some pdu_type ->
         if len < header_size then Error "truncated PDU header"
         else
           let plen = get_u32 b off_payload_len in
@@ -247,6 +248,9 @@ module Peek = struct
   let seq b = get_u32 b off_seq
 
   let flags b = Bytes.get_uint8 b flags_offset
+
+  let pdu_type b =
+    if Bytes.length b < 2 then None else type_of_code (Bytes.get_uint8 b 1)
 
   let is_dtp b = Bytes.get_uint8 b 1 = 0
 

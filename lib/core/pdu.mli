@@ -82,7 +82,10 @@ val make :
     ceps 0, qos 0, seq/ack/window 0, ttl 32, flags 0. *)
 
 val encode : t -> bytes
-(** Wire form, including a version byte. *)
+(** Wire form, including a version byte.  No stack path calls this or
+    {!decode}: they are the reference the frame path is tested against
+    ([test_pdu_encode_frame_in_place] and the encode/decode round-trip
+    property). *)
 
 val encode_frame : t -> bytes
 (** Wire form with the {!Sdu_protection} trailer already appended —
@@ -132,6 +135,10 @@ module Peek : sig
   val seq : bytes -> int
 
   val flags : bytes -> int
+
+  val pdu_type : bytes -> pdu_type option
+  (** [None] for a frame too short to carry a type byte or with an
+      unknown type code; total on any bytes. *)
 
   val is_dtp : bytes -> bool
 

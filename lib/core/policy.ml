@@ -19,7 +19,6 @@ type scheduler = Fifo | Priority_queueing | Drr of int
 type routing = {
   hello_interval : float;
   dead_interval : float;
-  lsa_min_interval : float;
   refresh_ticks : int;
   keepalive_interval : float;
   dead_peer_timeout : float;
@@ -95,7 +94,6 @@ let default_routing =
   {
     hello_interval = 1.0;
     dead_interval = 3.5;
-    lsa_min_interval = 0.05;
     refresh_ticks = 5;
     keepalive_interval = 1.0;
     dead_peer_timeout = 3.5;

@@ -44,7 +44,6 @@ type scheduler =
 type routing = {
   hello_interval : float;  (** neighbour liveness probe period, s *)
   dead_interval : float;   (** missed-hello window before adjacency loss *)
-  lsa_min_interval : float;  (** flood damping: min gap between own LSAs *)
   refresh_ticks : int;
       (** re-flood own LSA + directory every this many hello ticks
           (anti-entropy against lost management PDUs); 0 disables *)

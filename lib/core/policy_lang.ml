@@ -145,9 +145,6 @@ let table =
           float "dead_interval"
             (fun r -> r.dead_interval)
             (fun r dead_interval -> { r with dead_interval });
-          float "lsa_min_interval"
-            (fun r -> r.lsa_min_interval)
-            (fun r lsa_min_interval -> { r with lsa_min_interval });
           int "refresh_ticks"
             (fun r -> r.refresh_ticks)
             (fun r refresh_ticks -> { r with refresh_ticks });

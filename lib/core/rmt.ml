@@ -247,15 +247,16 @@ let drop_unroutable t pdu =
   Rina_util.Metrics.incr t.metrics
     (if reason = Flight.R_path_down then "path_down_dropped" else "no_route")
 
-(* Locally originated PDUs ([send]): route, then encode exactly once —
-   the frame the destination verifies is the one built here.  Returns
-   the egress port when the PDU was actually queued on one ([None] for
+(* Locally originated PDUs: route, then encode exactly once — the
+   frame the destination verifies is the one built here.  Returns the
+   egress port when the PDU was actually queued on one ([None] for
    local delivery and every drop) — EFCP tags outstanding PDUs with it
-   so failover can re-stripe exactly the stranded ones. *)
-let relay_or_deliver t from_port pdu =
+   so failover can re-stripe exactly the stranded ones.  Transit
+   frames take [relay_frame] instead. *)
+let send t pdu =
   let own = t.own_address () in
   if pdu.Pdu.dst_addr = own || pdu.Pdu.dst_addr = Types.no_address then begin
-    deliver_up t from_port pdu;
+    deliver_up t None pdu;
     None
   end
   else if pdu.Pdu.ttl <= 1 then begin
@@ -275,7 +276,6 @@ let relay_or_deliver t from_port pdu =
         drop_unroutable t pdu;
         None
       | Some port ->
-        if Option.is_some from_port then Rina_util.Metrics.bump t.relayed;
         enqueue t port ~hdr:pdu (Pdu.encode_frame pdu);
         Some port_id)
   end
@@ -371,8 +371,6 @@ let remove_port t port_id =
 
 let ports t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.ports [] |> List.sort compare
-
-let send t pdu = relay_or_deliver t None pdu
 
 let send_on_port t port_id pdu =
   match Hashtbl.find_opt t.ports port_id with

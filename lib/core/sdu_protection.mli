@@ -22,7 +22,10 @@ val crc32_sub : bytes -> pos:int -> len:int -> int
     range of the byte string. *)
 
 val protect : bytes -> bytes
-(** Append the 4-byte big-endian CRC. *)
+(** Append the 4-byte big-endian CRC.  No stack path calls this or
+    {!verify}: frames are sealed by [Pdu.encode_frame] and checked by
+    {!verify_len}, and tests use these two as the reference for that
+    path. *)
 
 val seal : bytes -> unit
 (** Recompute the CRC of a frame's body in place and store it in the

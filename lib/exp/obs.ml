@@ -44,8 +44,4 @@ let snapshots t ~until =
   if t.config.Policy.snapshot_interval > 0. then
     Trace.snapshots t.trace ~interval:t.config.Policy.snapshot_interval ~until
 
-let write_stats t path =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Telemetry.to_jsonl t.telemetry))
-
 let stop t = Trace.close t.trace

@@ -9,7 +9,8 @@
       let obs = Obs.start ~policy engine in
       Obs.snapshots obs ~until:600.;
       (* ... run the experiment ... *)
-      Obs.write_stats obs "run.stats.jsonl";
+      Out_channel.with_open_text "run.stats.jsonl" (fun oc ->
+          Out_channel.output_string oc (Telemetry.to_jsonl obs.telemetry));
       Obs.stop obs
     ]}
     The stats file renders with [rina_stats] (text or [--json]). *)
@@ -34,10 +35,6 @@ val start : ?policy:Rina_core.Policy.t -> ?stream:string -> Rina_sim.Engine.t ->
 val snapshots : t -> until:float -> unit
 (** Schedule the periodic snapshot timer if the policy asked for one
     ([snapshot_interval > 0]); no-op otherwise. *)
-
-val write_stats : t -> string -> unit
-(** Write the registry's canonical JSONL ({!Rina_util.Telemetry.to_jsonl})
-    to a file for [rina_stats]. *)
 
 val stop : t -> unit
 (** Flush/close any streaming sink and detach the recorder. *)

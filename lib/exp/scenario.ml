@@ -2,38 +2,36 @@ module Engine = Rina_sim.Engine
 module Ipcp = Rina_core.Ipcp
 module Types = Rina_core.Types
 
-let drive_until engine ~timeout cond =
+let drive_until engine ?(step = 0.05) ~timeout cond =
   let deadline = Engine.now engine +. timeout in
   while (not (cond ())) && Engine.now engine < deadline do
-    Engine.run ~until:(Engine.now engine +. 0.05) engine
+    Engine.run ~until:(Engine.now engine +. step) engine
   done
 
-let allocate (net : Topo.rina_net) ~src ~dst_app ~qos_id k =
+let connect engine ~src:(src, src_app) ~dst:(dst, dst_app) ~qos_id ~on_flow =
+  Ipcp.register_app dst dst_app ~on_flow;
+  Ipcp.register_app src src_app ~on_flow:(fun _ -> ());
   let result = ref None in
-  let src_app = Types.apn (Printf.sprintf "client-n%d" src) in
-  Ipcp.register_app net.Topo.nodes.(src) src_app ~on_flow:(fun _ -> ());
-  Ipcp.allocate_flow net.Topo.nodes.(src) ~src:src_app ~dst:dst_app ~qos_id
-    ~on_result:(fun r -> result := Some r);
-  drive_until net.Topo.engine ~timeout:30. (fun () -> !result <> None);
-  match !result with
-  | Some r -> k r
-  | None -> k (Error "allocation never resolved (engine starved)")
+  Ipcp.allocate_flow src ~src:src_app ~dst:dst_app ~qos_id ~on_result:(fun r ->
+      result := Some r);
+  drive_until engine ~timeout:30. (fun () -> !result <> None);
+  Option.value !result ~default:(Error "allocation never resolved")
 
 let open_flow (net : Topo.rina_net) ~src ~dst ~qos_id ?sink () =
-  let dst_app = Types.apn (Printf.sprintf "sink-n%d" dst) in
-  Ipcp.register_app net.Topo.nodes.(dst) dst_app ~on_flow:(fun flow ->
-      match sink with
-      | Some s ->
+  let engine = net.Topo.engine in
+  let on_flow (flow : Ipcp.flow) =
+    Option.iter
+      (fun s ->
         flow.Ipcp.set_on_receive (fun sdu ->
-            Workload.on_sdu s ~now:(Engine.now net.Topo.engine) sdu)
-      | None -> ());
-  let t0 = Engine.now net.Topo.engine in
-  let out = ref (Error "not resolved") in
-  allocate net ~src ~dst_app ~qos_id (fun r ->
-      match r with
-      | Ok flow -> out := Ok (flow, Engine.now net.Topo.engine -. t0)
-      | Error e -> out := Error e);
-  !out
+            Workload.on_sdu s ~now:(Engine.now engine) sdu))
+      sink
+  in
+  let t0 = Engine.now engine in
+  connect engine
+    ~src:(net.Topo.nodes.(src), Types.apn (Printf.sprintf "client-n%d" src))
+    ~dst:(net.Topo.nodes.(dst), Types.apn (Printf.sprintf "sink-n%d" dst))
+    ~qos_id ~on_flow
+  |> Result.map (fun flow -> (flow, Engine.now engine -. t0))
 
 (* ---------- chaos hooks ----------
 
@@ -45,30 +43,13 @@ let open_flow (net : Topo.rina_net) ~src ~dst ~qos_id ?sink () =
    frame already in flight toward it on an incident link — including
    mangler holdbacks — must die (R_endpoint_crash) rather than arrive
    at the restarted process with its fresh address. *)
-let void_links_toward (net : Topo.rina_net) node =
+let crash_ipcp (net : Topo.rina_net) node =
+  Ipcp.crash net.Topo.nodes.(node);
   Array.iteri
     (fun i (a, b) ->
       if a = node then Rina_sim.Link.crash_endpoint net.Topo.links.(i) `A
       else if b = node then Rina_sim.Link.crash_endpoint net.Topo.links.(i) `B)
     net.Topo.edges
-
-let crash_ipcp net node =
-  Ipcp.crash net.Topo.nodes.(node);
-  void_links_toward net node
-
-let crash_node (net : Topo.rina_net) plan ~at ~node =
-  Rina_sim.Fault.inject plan ~at ~label:(Printf.sprintf "crash-n%d" node)
-    (fun () -> crash_ipcp net node)
-
-let restart_node (net : Topo.rina_net) plan ~at ~node =
-  Rina_sim.Fault.heal_at plan ~at ~label:(Printf.sprintf "crash-n%d" node)
-    (fun () -> Ipcp.restart net.Topo.nodes.(node))
-
-let crash_window (net : Topo.rina_net) plan ~at ~until ~node =
-  Rina_sim.Fault.window plan ~at ~until
-    ~label:(Printf.sprintf "crash-n%d" node)
-    ~apply:(fun () -> crash_ipcp net node)
-    ~heal:(fun () -> Ipcp.restart net.Topo.nodes.(node))
 
 let straddling_links (net : Topo.rina_net) ~group =
   let inside = Array.make (Array.length net.Topo.nodes) false in

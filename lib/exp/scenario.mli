@@ -1,6 +1,25 @@
 (** Scenario plumbing: synchronous-looking wrappers that drive the
     virtual clock until an asynchronous operation completes. *)
 
+val drive_until :
+  Rina_sim.Engine.t -> ?step:float -> timeout:float -> (unit -> bool) -> unit
+(** Run the engine [step] seconds at a time (default 0.05) until the
+    condition holds or [timeout] seconds of virtual time have passed.
+    The condition is tested before every step, so a condition that
+    already holds runs nothing. *)
+
+val connect :
+  Rina_sim.Engine.t ->
+  src:Rina_core.Ipcp.t * Rina_core.Types.apn ->
+  dst:Rina_core.Ipcp.t * Rina_core.Types.apn ->
+  qos_id:Rina_core.Types.qos_id ->
+  on_flow:(Rina_core.Ipcp.flow -> unit) ->
+  (Rina_core.Ipcp.flow, string) result
+(** Register the destination application (its accepted flows go to
+    [on_flow]), then the source application, allocate a flow from the
+    source to the destination name and drive the engine every 0.05 s
+    until the allocation resolves, for at most 30 s of virtual time. *)
+
 val open_flow :
   Topo.rina_net ->
   src:int ->
@@ -9,49 +28,17 @@ val open_flow :
   ?sink:Workload.sink ->
   unit ->
   (Rina_core.Ipcp.flow * float, string) result
-(** Register an echo-less sink app on node [dst], allocate a flow from
-    node [src] and drive the engine until the allocation resolves.
-    Returns the flow and the allocation latency (s).  If [sink] is
-    given, every SDU arriving at [dst] is accounted there. *)
-
-val allocate :
-  Topo.rina_net ->
-  src:int ->
-  dst_app:Rina_core.Types.apn ->
-  qos_id:Rina_core.Types.qos_id ->
-  ((Rina_core.Ipcp.flow, string) result -> unit) ->
-  unit
-(** Raw allocation from node [src] towards an already-registered
-    application name; drives the engine until the callback fires. *)
+(** {!connect} an app [client-n<src>] on node [src] to an app
+    [sink-n<dst>] on node [dst].  Returns the flow and the allocation
+    latency (s).  If [sink] is given, every SDU arriving at [dst] is
+    accounted there. *)
 
 (** {1 Chaos hooks}
 
-    Node- and topology-level fault closures for a
-    {!Rina_sim.Fault.t} plan — the layer glue the fault module itself
-    deliberately lacks.  All of them only {e record} steps; nothing
-    happens until the plan is armed on the engine. *)
-
-val void_links_toward : Topo.rina_net -> int -> unit
-(** Kill every frame currently in flight toward node [node] on its
-    incident links ({!Rina_sim.Link.crash_endpoint}) — including
-    mangler holdbacks — so a later restart with a fresh address never
-    receives pre-crash traffic.  Called by the crash hooks below;
-    exposed for hand-built crash closures. *)
-
-val crash_node : Topo.rina_net -> Rina_sim.Fault.t -> at:float -> node:int -> unit
-(** Schedule a fail-stop crash ({!Rina_core.Ipcp.crash}) of node
-    [node] at virtual time [at]; frames already in flight toward the
-    node die with [R_endpoint_crash] ({!void_links_toward}).  Crashing
-    node 0 (the DIF's founding member, which runs address allocation)
-    prevents later re-enrollments — chaos plans normally protect it. *)
-
-val restart_node : Topo.rina_net -> Rina_sim.Fault.t -> at:float -> node:int -> unit
-(** Schedule the matching {!Rina_core.Ipcp.restart} (recorded as a
-    heal of ["crash-n<node>"]). *)
-
-val crash_window :
-  Topo.rina_net -> Rina_sim.Fault.t -> at:float -> until:float -> node:int -> unit
-(** Crash at [at], restart at [until]. *)
+    Node- and topology-level fault closures for a {!Rina_sim.Fault.t}
+    plan — the layer glue the fault module itself deliberately lacks.
+    They only {e record} steps; nothing happens until the plan is armed
+    on the engine. *)
 
 val straddling_links : Topo.rina_net -> group:int list -> Rina_sim.Link.t list
 (** The links with exactly one endpoint in [group] (node indexes) —

@@ -85,6 +85,15 @@ let random_graph ?seed ?policy ?(bit_rate = 10_000_000.) ?(delay = 0.002) ~n
   Dif.run_until_converged net.dif ~max_time:(30. +. (2. *. float_of_int n)) ();
   net
 
+let link_dif engine ~policy name link =
+  let dif = Dif.create engine ~policy name in
+  let a = Dif.add_member dif ~name:(name ^ "-a") () in
+  let b = Dif.add_member dif ~name:(name ^ "-b") () in
+  let shim chan = Rina_core.Shim.wrap ~dif:name chan in
+  Dif.connect dif a b (shim (Link.endpoint_a link), shim (Link.endpoint_b link));
+  Dif.run_until_converged dif ();
+  (a, b)
+
 (* ---------- TCP/IP topologies ---------- *)
 
 type ip_net = {

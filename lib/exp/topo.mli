@@ -57,6 +57,18 @@ val random_graph :
     until the average degree reaches [degree].  Used by the
     scalability sweep (C1). *)
 
+val link_dif :
+  Rina_sim.Engine.t ->
+  policy:Rina_core.Policy.t ->
+  string ->
+  Rina_sim.Link.t ->
+  Rina_core.Ipcp.t * Rina_core.Ipcp.t
+(** [link_dif engine ~policy name link]: a converged two-member DIF
+    [name] over one wire, each port wrapped by {!Rina_core.Shim.wrap}.
+    Returns its members [<name>-a] (on the wire's A end) and
+    [<name>-b] — the lower rank a stacked DIF rides on
+    ({!Rina_core.Dif.stack_connect}). *)
+
 (** A TCP/IP scenario's pieces. *)
 type ip_net = {
   ip_engine : Rina_sim.Engine.t;

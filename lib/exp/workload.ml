@@ -155,9 +155,8 @@ let flow_bulk reg ~send ~now ~flow ~size ~sdu =
     send (stamp_flow ~now ~flow ~seq ~fin:(seq = count - 1) ~size:sdu)
   done
 
-let flow_sizes rng ~alpha ~xmin ~cap ~n =
-  Array.init n (fun _ ->
-      min cap (int_of_float (Rina_util.Prng.pareto rng ~alpha ~xmin:(float_of_int xmin))))
+let flow_size rng ~alpha ~xmin ~cap =
+  min cap (int_of_float (Rina_util.Prng.pareto rng ~alpha ~xmin:(float_of_int xmin)))
 
 let poisson_arrivals engine rng ~rate ~until f =
   if rate <= 0. then invalid_arg "Workload.poisson_arrivals: rate must be positive";

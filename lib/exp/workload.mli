@@ -82,9 +82,8 @@ val flow_bulk :
     FIN-marked — one short flow of an incast or flash-crowd workload.
     @raise Invalid_argument if [sdu <= 0]. *)
 
-val flow_sizes :
-  Rina_util.Prng.t -> alpha:float -> xmin:int -> cap:int -> n:int -> int array
-(** [n] heavy-tailed ({!Rina_util.Prng.pareto}) flow sizes in bytes,
+val flow_size : Rina_util.Prng.t -> alpha:float -> xmin:int -> cap:int -> int
+(** One heavy-tailed ({!Rina_util.Prng.pareto}) flow size in bytes,
     clamped to [cap] — mice and elephants. *)
 
 val poisson_arrivals :

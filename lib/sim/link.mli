@@ -86,8 +86,8 @@ val crash_endpoint : t -> [ `A | `B ] -> unit
     (metric [dropped_crash]) instead of [R_link_down]; conservation
     still balances.  The opposite direction and the carrier state are
     untouched (no watcher fires — a crash is not a carrier event).
-    [Rina_exp.Scenario.crash_node] calls this for every link incident
-    to the crashed node. *)
+    A node crash in [Rina_exp.Scenario.random_plan] calls this for
+    every link incident to the crashed node. *)
 
 val is_up : t -> bool
 

@@ -163,10 +163,6 @@ let test_l109_dead_within_two_hellos () =
   (* below one hello it is L108's problem, not L109's *)
   silent "L109" "[routing]\nhello_interval = 2.0\ndead_interval = 1.0\n"
 
-let test_l110_lsa_damping () =
-  fires "L110" "[routing]\nlsa_min_interval = 2.0\nhello_interval = 1.0\n";
-  silent "L110" "[routing]\nlsa_min_interval = 0.05\nhello_interval = 1.0\n"
-
 let test_l111_stop_and_wait_delayed_acks () =
   fires "L111" "[efcp]\nwindow = 1\nack_delay = 0.02\n";
   silent "L111" "[efcp]\nwindow = 1\n";
@@ -379,7 +375,6 @@ let random_policy rng =
       {
         Policy.hello_interval = milli rng 100 9999;
         dead_interval = milli rng 100 19999;
-        lsa_min_interval = milli rng 1 999;
         refresh_ticks = 1 + Prng.int rng 50;
         keepalive_interval = (if Prng.bool rng then 0. else milli rng 100 9999);
         dead_peer_timeout = milli rng 100 19999;
@@ -681,7 +676,6 @@ let () =
           Alcotest.test_case "L107 secret without password" `Quick test_l107_secret_without_password;
           Alcotest.test_case "L108 dead vs hello" `Quick test_l108_dead_not_above_hello;
           Alcotest.test_case "L109 dead within 2 hellos" `Quick test_l109_dead_within_two_hellos;
-          Alcotest.test_case "L110 lsa damping" `Quick test_l110_lsa_damping;
           Alcotest.test_case "L111 stop-and-wait delayed acks" `Quick test_l111_stop_and_wait_delayed_acks;
           Alcotest.test_case "L112 keepalive vs dead peer" `Quick test_l112_keepalive_vs_dead_peer;
           Alcotest.test_case "L113 zero-retry enrollment" `Quick test_l113_zero_retry_enrollment;

@@ -99,7 +99,84 @@ let test_ip_line_builds () =
       Alcotest.(check bool) "table covers subnets" true (Tcpip.Node.table_size r >= 3))
     net.Topo.routers
 
+let test_link_dif_members () =
+  let engine = Engine.create () in
+  let rng = Rina_util.Prng.create 3 in
+  let link = Rina_sim.Link.create engine rng ~bit_rate:10_000_000. ~delay:0.002 () in
+  let a, b = Topo.link_dif engine ~policy:Rina_core.Policy.default "wire" link in
+  check Alcotest.string "first member" "wire-a" (Ipcp.name a).Rina_core.Types.ap_name;
+  check Alcotest.string "second member" "wire-b" (Ipcp.name b).Rina_core.Types.ap_name;
+  Alcotest.(check bool) "both enrolled" true (Ipcp.is_enrolled a && Ipcp.is_enrolled b);
+  check Alcotest.(list int) "adjacent over the one wire" [ Ipcp.address b ]
+    (List.map fst (Ipcp.neighbors a))
+
 (* ---------- Scenario ---------- *)
+
+let test_drive_until () =
+  let engine = Engine.create () in
+  let fired = ref false in
+  ignore (Engine.schedule engine ~delay:1.02 (fun () -> fired := true));
+  let tests = ref 0 in
+  Scenario.drive_until engine ~step:0.25 ~timeout:10. (fun () ->
+      incr tests;
+      !fired);
+  check (Alcotest.float 0.) "first 0.25 s step past the event" 1.25 (Engine.now engine);
+  check Alcotest.int "tested before every step" 6 !tests;
+  Scenario.drive_until engine ~timeout:10. (fun () -> true);
+  check (Alcotest.float 0.) "a condition that holds runs nothing" 1.25
+    (Engine.now engine);
+  let tests = ref 0 in
+  Scenario.drive_until engine ~timeout:2. (fun () ->
+      incr tests;
+      false);
+  let now = Engine.now engine in
+  Alcotest.(check bool)
+    (Printf.sprintf "stops at the timeout (%g)" now)
+    true
+    (now >= 3.25 && now < 3.3);
+  Alcotest.(check bool)
+    (Printf.sprintf "0.05 s steps by default (%d tests)" !tests)
+    true
+    (!tests >= 40 && !tests <= 42)
+
+let test_connect_registered () =
+  let net = Topo.line ~n:3 () in
+  let engine = net.Topo.engine in
+  let got = ref 0 in
+  match
+    Scenario.connect engine
+      ~src:(net.Topo.nodes.(0), Rina_core.Types.apn "alice")
+      ~dst:(net.Topo.nodes.(2), Rina_core.Types.apn "bob")
+      ~qos_id:1
+      ~on_flow:(fun flow -> flow.Ipcp.set_on_receive (fun _ -> incr got))
+  with
+  | Error e -> Alcotest.fail e
+  | Ok flow ->
+    flow.Ipcp.send (Bytes.of_string "hello");
+    Topo.wait engine 1.;
+    check Alcotest.int "destination's on_flow receives" 1 !got;
+    Alcotest.(check bool) "both apps registered" true
+      (Ipcp.registered_apps net.Topo.nodes.(0) = [ Rina_core.Types.apn "alice" ]
+      && Ipcp.registered_apps net.Topo.nodes.(2) = [ Rina_core.Types.apn "bob" ])
+
+let test_connect_unregistered () =
+  let net = Topo.line ~n:3 () in
+  let engine = net.Topo.engine in
+  (* a member that never enrolls never publishes the name *)
+  let offline = Rina_core.Dif.add_member net.Topo.dif ~name:"offline" () in
+  let t0 = Engine.now engine in
+  match
+    Scenario.connect engine
+      ~src:(net.Topo.nodes.(0), Rina_core.Types.apn "alice")
+      ~dst:(offline, Rina_core.Types.apn "ghost")
+      ~qos_id:1 ~on_flow:ignore
+  with
+  | Ok _ -> Alcotest.fail "allocated to an unpublished name"
+  | Error e ->
+    Alcotest.(check bool) ("name not found: " ^ e) true
+      (String.starts_with ~prefix:"destination name not found" e);
+    Alcotest.(check bool) "within 30 s of virtual time" true
+      (Engine.now engine -. t0 < 30.)
 
 let test_scenario_open_flow_and_metrics () =
   let net = Topo.line ~n:3 () in
@@ -281,6 +358,7 @@ let () =
           Alcotest.test_case "star converges" `Quick test_star_converges;
           Alcotest.test_case "random graph connected" `Quick test_random_graph_connected;
           Alcotest.test_case "ip line builds" `Quick test_ip_line_builds;
+          Alcotest.test_case "link dif members" `Quick test_link_dif_members;
         ] );
       ( "scenario",
         [
@@ -289,6 +367,9 @@ let () =
             test_random_plan_replays_identically;
           Alcotest.test_case "straddling links" `Quick
             test_straddling_links_on_line;
+          Alcotest.test_case "drive until" `Quick test_drive_until;
+          Alcotest.test_case "connect registered apps" `Quick test_connect_registered;
+          Alcotest.test_case "connect unregistered name" `Quick test_connect_unregistered;
         ] );
       ( "par",
         [

@@ -106,9 +106,13 @@ let test_large_sdu_fragmentation () =
 
 let test_unknown_name_fails () =
   let net = Topo.line ~n:2 () in
+  let node = net.Topo.nodes.(0) in
+  let src = Types.apn "client-n0" in
+  Ipcp.register_app node src ~on_flow:(fun _ -> ());
   let result = ref None in
-  Scenario.allocate net ~src:0 ~dst_app:(Types.apn "nobody-home") ~qos_id:0 (fun r ->
-      result := Some r);
+  Ipcp.allocate_flow node ~src ~dst:(Types.apn "nobody-home") ~qos_id:0
+    ~on_result:(fun r -> result := Some r);
+  Scenario.drive_until net.Topo.engine ~timeout:30. (fun () -> !result <> None);
   match !result with
   | Some (Error e) ->
     Alcotest.(check bool) "mentions the name" true
@@ -1048,7 +1052,6 @@ let chaos_policy =
       {
         Policy.hello_interval = 0.2;
         dead_interval = 0.7;
-        lsa_min_interval = 0.02;
         refresh_ticks = 2;
         keepalive_interval = 0.25;
         dead_peer_timeout = 0.8;
