@@ -1,17 +1,18 @@
 (** 4-ary min-heap keyed by a float priority, with stable tie-breaking.
 
-    The discrete-event engine needs: O(log n) insert / pop-min, and
-    deterministic ordering when two events share the same timestamp
-    (ties are broken by insertion order — each push consumes one
-    monotonically increasing sequence number).  Entries carry an
-    arbitrary payload.  Pops follow the (key, seq) order exactly, so
-    the arity of the tree is invisible to callers: only its cost
-    shows.
+    Users need O(log n) insert / pop-min and deterministic ordering
+    when two entries share a key (ties are broken by insertion order —
+    each push consumes one monotonically increasing sequence number):
+    routing's shortest-path runs, and the discrete-event engine's
+    overflow, which holds the events past its calendar's horizon.
+    Entries carry an arbitrary payload.  Pops follow the (key, seq)
+    order exactly, so the arity of the tree is invisible to callers:
+    only its cost shows.
 
-    Two access styles coexist: the boxed {!pop}/{!peek} (convenient for
-    Dijkstra-style uses) and the unboxed {!top_key}/{!top_value}/
-    {!drop_min} trio the event loop uses to avoid allocating an option
-    and a tuple per event. *)
+    Two access styles coexist: the boxed {!pop}/{!peek} and the
+    {!top_key}/{!top_value}/{!drop_min} trio, which allocates no option
+    or tuple.  Called from another module in a build with [-opaque]
+    (dune's dev profile), {!top_key} still returns a boxed float. *)
 
 type 'a t
 
@@ -35,9 +36,11 @@ val reserve_seq : 'a t -> int
     {!push_with_seq}. *)
 
 val push_with_seq : 'a t -> key:float -> seq:int -> 'a -> unit
-(** Insert with an explicit sequence number previously obtained from
-    {!reserve_seq}.  The internal counter is advanced past [seq] if
-    needed, so later {!push}es still get fresh numbers. *)
+(** Insert with an explicit sequence number: one obtained from
+    {!reserve_seq}, or one from the caller's own counter (the engine's
+    overflow keeps the seq its calendar gave each event).  The internal
+    counter is advanced past [seq] if needed, so later {!push}es still
+    get fresh numbers. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum entry, or [None] if empty.  Among

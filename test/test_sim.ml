@@ -130,6 +130,323 @@ let test_engine_step () =
   Alcotest.(check bool) "step true" true (Engine.step e);
   Alcotest.(check bool) "step false when drained" false (Engine.step e)
 
+(* A NaN delay used to enter the queue, where it compares false against
+   every time.  Scheduled just after the event at 1 s, it made these
+   fire at 1, 3, 2 and 4 s, the clock stepping back from 3 to 2, and it
+   never fired itself; scheduled first, no event fired at all.  It is
+   rejected now; infinity stays legal and fires only when [run]
+   drains. *)
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let at x () = log := (x, Engine.now e) :: !log in
+  ignore (Engine.schedule e ~delay:1. (at 1.));
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: NaN delay")
+    (fun () -> ignore (Engine.schedule e ~delay:Float.nan ignore));
+  ignore (Engine.schedule e ~delay:2. (at 2.));
+  ignore
+    (Engine.schedule e ~delay:3. (fun () ->
+         at 3. ();
+         ignore (Engine.schedule e ~delay:1. (at 4.))));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: NaN time")
+    (fun () -> ignore (Engine.schedule_at ~lane:Engine.Timer e ~time:Float.nan ignore));
+  Alcotest.check_raises "NaN until" (Invalid_argument "Engine.run: NaN until")
+    (fun () -> Engine.run ~until:Float.nan e);
+  ignore (Engine.schedule ~lane:Engine.Timer e ~delay:infinity (at infinity));
+  Engine.run ~until:10. e;
+  let pair = Alcotest.(pair (float 0.) (float 0.)) in
+  check (Alcotest.list pair) "in time order" [ (1., 1.); (2., 2.); (3., 3.); (4., 4.) ]
+    (List.rev !log);
+  check Alcotest.int "infinity still pending" 1 (Engine.pending e);
+  check (Alcotest.float 0.) "clock at until" 10. (Engine.now e);
+  Engine.run e;
+  check (Alcotest.list pair) "infinity fires on drain" [ (infinity, infinity) ]
+    [ List.hd !log ];
+  check Alcotest.int "drained" 0 (Engine.pending e)
+
+(* ---------- Engine against a heap reference ---------- *)
+
+(* The event set before the calendar queue, kept as an oracle: a
+   [Rina_util.Heap] keyed by (time, seq), with the same Timer-lane
+   wheel, flush protocol and bulk reap.  The calendar must fire events
+   in the same order, and agree on [executed] and [pending], which count
+   what the wheel and the reaps let through. *)
+module Heap_engine = struct
+  type handle = {
+    mutable cancelled : bool;
+    mutable resident : bool;
+    mutable action : unit -> unit;
+    owner : t option;
+  }
+
+  and t = {
+    mutable clock : float;
+    queue : handle Rina_util.Heap.t;
+    mutable executed : int;
+    mutable cancelled_resident : int;
+    wheel : (float * int * handle) list array;  (* (time, reserved seq, handle) *)
+    mutable wheel_count : int;
+    mutable wheel_min_slot : int;
+    self : t option;
+  }
+
+  let vacant = { cancelled = true; resident = false; action = ignore; owner = None }
+  let slots = 256
+  let slot_of time = int_of_float (time /. Engine.wheel_granularity)
+
+  let create () =
+    let rec t =
+      {
+        clock = 0.;
+        queue = Rina_util.Heap.create ~filler:vacant;
+        executed = 0;
+        cancelled_resident = 0;
+        wheel = Array.make slots [];
+        wheel_count = 0;
+        wheel_min_slot = 0;
+        self;
+      }
+    and self = Some t in
+    t
+
+  let now t = t.clock
+  let executed t = t.executed
+  let pending t = Rina_util.Heap.length t.queue + t.wheel_count
+
+  let schedule_at ~timer t ~time f =
+    let time = if time < t.clock then t.clock else time in
+    let h = { cancelled = false; resident = true; action = f; owner = t.self } in
+    if
+      timer && time > t.clock
+      && time /. Engine.wheel_granularity < float_of_int (slot_of t.clock + slots)
+    then begin
+      let s = slot_of time in
+      let i = s land (slots - 1) in
+      t.wheel.(i) <- (time, Rina_util.Heap.reserve_seq t.queue, h) :: t.wheel.(i);
+      if t.wheel_count = 0 || s < t.wheel_min_slot then t.wheel_min_slot <- s;
+      t.wheel_count <- t.wheel_count + 1
+    end
+    else Rina_util.Heap.push t.queue time h;
+    h
+
+  let schedule ~timer t ~delay f =
+    schedule_at ~timer t ~time:(t.clock +. Float.max delay 0.) f
+
+  let reap t =
+    ignore
+      (Rina_util.Heap.compact t.queue ~keep:(fun h ->
+           if h.cancelled then h.resident <- false;
+           not h.cancelled));
+    Array.iteri
+      (fun i slot ->
+        t.wheel.(i) <-
+          List.filter
+            (fun (_, _, h) ->
+              if h.cancelled then begin
+                h.resident <- false;
+                t.wheel_count <- t.wheel_count - 1
+              end;
+              not h.cancelled)
+            slot)
+      t.wheel;
+    t.cancelled_resident <- 0
+
+  let cancel h =
+    h.action <- ignore;
+    match h.owner with
+    | Some t when h.resident && not h.cancelled ->
+      h.cancelled <- true;
+      t.cancelled_resident <- t.cancelled_resident + 1;
+      if t.cancelled_resident >= 64 && 2 * t.cancelled_resident > pending t then reap t
+    | Some _ | None -> h.cancelled <- true
+
+  let flush_slot t s =
+    let i = s land (slots - 1) in
+    List.iter
+      (fun (time, seq, h) ->
+        t.wheel_count <- t.wheel_count - 1;
+        if h.cancelled then begin
+          h.resident <- false;
+          t.cancelled_resident <- t.cancelled_resident - 1
+        end
+        else Rina_util.Heap.push_with_seq t.queue ~key:time ~seq h)
+      t.wheel.(i);
+    t.wheel.(i) <- []
+
+  let first_nonempty_slot t =
+    while t.wheel.(t.wheel_min_slot land (slots - 1)) = [] do
+      t.wheel_min_slot <- t.wheel_min_slot + 1
+    done;
+    t.wheel_min_slot
+
+  let rec flush_until t ~due =
+    if t.wheel_count > 0 then begin
+      let s = first_nonempty_slot t in
+      if due (float_of_int s *. Engine.wheel_granularity) then begin
+        flush_slot t s;
+        flush_until t ~due
+      end
+    end
+
+  let step t =
+    flush_until t ~due:(fun start ->
+        Rina_util.Heap.is_empty t.queue || start <= Rina_util.Heap.top_key t.queue);
+    match Rina_util.Heap.pop t.queue with
+    | None -> false
+    | Some (time, h) ->
+      t.clock <- time;
+      t.executed <- t.executed + 1;
+      h.resident <- false;
+      if h.cancelled then t.cancelled_resident <- t.cancelled_resident - 1 else h.action ();
+      true
+
+  let run ?until t =
+    match until with
+    | None -> while step t do () done
+    | Some stop ->
+      let continue = ref true in
+      while !continue do
+        flush_until t ~due:(fun start -> start <= stop);
+        match Rina_util.Heap.peek t.queue with
+        | Some (time, _) when time <= stop -> ignore (step t)
+        | Some _ | None ->
+          t.clock <- Float.max t.clock stop;
+          continue := false
+      done
+end
+
+module type EVENT_SET = sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> float
+  val executed : t -> int
+  val pending : t -> int
+  val schedule : timer:bool -> t -> delay:float -> (unit -> unit) -> handle
+  val schedule_at : timer:bool -> t -> time:float -> (unit -> unit) -> handle
+  val cancel : handle -> unit
+  val step : t -> bool
+  val run : ?until:float -> t -> unit
+end
+
+module Calendar_engine : EVENT_SET = struct
+  include Engine
+
+  let lane timer = if timer then Engine.Timer else Engine.Default
+  let schedule ~timer t ~delay f = Engine.schedule ~lane:(lane timer) t ~delay f
+  let schedule_at ~timer t ~time f = Engine.schedule_at ~lane:(lane timer) t ~time f
+end
+
+type engine_op =
+  | Sched of { timer : bool; delay : float; chain : int }
+  | Sched_at of { timer : bool; time : float }
+  | Cancel of int
+  | Step
+  | Run_until of float  (* a gap past the clock *)
+  | Drain
+
+(* Delays mix equal values, zero and negative ones, the link and timer
+   scales, times far past any bucket horizon, and infinity. *)
+let random_delay rng =
+  match Prng.int rng 12 with
+  | 0 -> 0.
+  | 1 -> -.Prng.float rng 1.
+  | 2 -> 1e-6
+  | 3 -> Prng.float rng 1e-4
+  | 4 -> 0.001
+  | 5 -> Prng.float rng 0.01
+  | 6 -> Prng.float rng 2.
+  | 7 -> 0.05 *. float_of_int (Prng.int rng 300)
+  | 8 -> Prng.float rng 50.
+  | 9 -> 1e3 +. Prng.float rng 1e6
+  | 10 -> infinity
+  | _ -> 0.25
+
+let random_program rng ~ops =
+  List.init ops (fun _ ->
+      match Prng.int rng 16 with
+      | 0 | 1 | 2 | 3 | 4 ->
+        Sched { timer = Prng.bool rng; delay = random_delay rng; chain = Prng.int rng 4 }
+      | 5 | 6 ->
+        (* a grid of absolute times, so that many events share one *)
+        Sched_at { timer = Prng.bool rng; time = 0.125 *. float_of_int (Prng.int rng 200) }
+      | 7 | 8 | 9 -> Cancel (Prng.int rng 1_000_000)
+      | 10 | 11 -> Step
+      | 12 | 13 | 14 ->
+        (* short gaps stop between the next event and the one the queue
+           peeked at, and later schedules land behind it *)
+        Run_until (if Prng.bool rng then Prng.float rng 0.002 else Prng.float rng 5.)
+      | _ -> if Prng.int rng 8 = 0 then Drain else Step)
+
+(* Every firing as (label, clock), and (clock, executed, pending) after
+   every operation. *)
+module Interpret (E : EVENT_SET) = struct
+  let run program =
+    let e = E.create () in
+    let out = Buffer.create 4096 in
+    let handles = ref [||] and count = ref 0 and label = ref 0 in
+    let remember h =
+      if !count = Array.length !handles then
+        handles := Array.append !handles (Array.make (max 16 !count) h);
+      !handles.(!count) <- h;
+      incr count
+    in
+    let rec event ~timer ~delay ~chain () =
+      let l = !label in
+      incr label;
+      fun () ->
+        Printf.bprintf out "fire %d %h\n" l (E.now e);
+        if chain > 0 then
+          remember (E.schedule ~timer e ~delay (event ~timer ~delay ~chain:(chain - 1) ()))
+    in
+    List.iter
+      (fun op ->
+        (match op with
+        | Sched { timer; delay; chain } ->
+          remember (E.schedule ~timer e ~delay (event ~timer ~delay ~chain ()))
+        | Sched_at { timer; time } ->
+          remember (E.schedule_at ~timer e ~time (event ~timer ~delay:0.5 ~chain:0 ()))
+        | Cancel i -> if !count > 0 then E.cancel !handles.(i mod !count)
+        | Step -> ignore (E.step e)
+        | Run_until gap -> E.run ~until:(E.now e +. gap) e
+        | Drain -> E.run e);
+        Printf.bprintf out "now %h executed %d pending %d\n" (E.now e) (E.executed e)
+          (E.pending e))
+      program;
+    Buffer.contents out
+end
+
+module Run_calendar = Interpret (Calendar_engine)
+module Run_heap = Interpret (Heap_engine)
+
+let prop_engine_matches_heap_reference =
+  QCheck.Test.make ~name:"engine fires as a heap reference does" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let program = random_program (Prng.create seed) ~ops:300 in
+      Run_calendar.run program = Run_heap.run program)
+
+(* 10k events at once, so the buckets grow, then cancels, a partial run
+   and a drain, so they shrink again. *)
+let test_engine_burst_matches_heap_reference () =
+  let rng = Prng.create 11 in
+  let burst =
+    List.init 10_000 (fun _ ->
+        Sched { timer = Prng.bernoulli rng 0.3; delay = random_delay rng; chain = Prng.int rng 2 })
+  in
+  let program =
+    burst
+    @ List.init 3_000 (fun _ -> Cancel (Prng.int rng 1_000_000))
+    @ [ Run_until 3.; Step; Run_until 0.001 ]
+    @ random_program rng ~ops:200
+    @ [ Drain ]
+  in
+  let calendar = Run_calendar.run program in
+  check Alcotest.string "same firings and counts" (Run_heap.run program) calendar;
+  check Alcotest.bool "drained" true
+    (String.ends_with ~suffix:"pending 0\n" calendar)
+
 (* ---------- Loss ---------- *)
 
 let test_loss_none_and_extremes () =
@@ -1428,6 +1745,10 @@ let () =
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "drops fired events" `Quick test_engine_drops_fired_events;
+          Alcotest.test_case "rejects nan" `Quick test_engine_rejects_nan;
+          Alcotest.test_case "burst matches heap reference" `Quick
+            test_engine_burst_matches_heap_reference;
+          QCheck_alcotest.to_alcotest prop_engine_matches_heap_reference;
         ] );
       ( "loss",
         [
