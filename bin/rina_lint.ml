@@ -36,7 +36,7 @@ let rule_groups =
       "rina_verify / Rina_check.Verify on whole-topology models",
       Rina_check.Verify.rules );
     ( "Sanitizer (SAN codes)",
-      "Rina_check.Sanitizer over live runs (invariants, audits, data races)",
+      "Rina_check.Sanitizer over live runs (invariants and audits)",
       Rina_check.Sanitizer.rules );
   ]
 

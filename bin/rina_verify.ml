@@ -8,7 +8,6 @@
      rina_verify recursive-internet       # just one
      rina_verify --list                   # what's in the registry
      rina_verify --policy examples/policies/reliable.ini
-     rina_verify --race-sweep             # domain-race sanitizer pass
 
    Exit status: 0 clean (warnings allowed), 1 at least one
    error-severity finding (or any finding under --strict), 2 an
@@ -42,44 +41,7 @@ let print_summary (s : Verify.summary) =
     (if s.n_adjacencies = 1 then "y" else "ies")
     s.n_intents s.support_depth
 
-let race_sweep () =
-  (* A small domain-parallel sweep with every Par annotation armed:
-     the fork/join structure, the atomic work counter, the result
-     slots AND the per-domain telemetry shards (each worker records
-     into its private registry; the merge path back to the parent
-     carries its own Race cells) are all checked for happens-before
-     races. *)
-  let module Telemetry = Rina_util.Telemetry in
-  Rina_check.Sanitizer.Race.arm ();
-  let items = Array.init 64 (fun i -> i) in
-  let out, merged =
-    Rina_exp.Par.map_telemetry ~domains:4
-      (fun i ->
-        (match Telemetry.current () with
-         | Some t ->
-           Telemetry.count t "work";
-           Telemetry.add_sample t "hash" (float_of_int ((i * 2654435761) land 0xffff))
-         | None -> ());
-        (i * 2654435761) land 0xffff)
-      items
-  in
-  let diags = Rina_check.Sanitizer.Race.diags () in
-  Rina_check.Sanitizer.Race.disarm ();
-  (* the merge is exact, so a lost shard update is a hard failure even
-     if no race was observed *)
-  let diags =
-    let work = Telemetry.counter merged "work" in
-    if work <> Array.length items then
-      Diag.error ~line:0 "SAN_SHARD_MERGE"
-        (Printf.sprintf
-           "telemetry shard merge lost updates: %d recorded, %d expected" work
-           (Array.length items))
-      :: diags
-    else diags
-  in
-  (Array.length out, diags)
-
-let run names list_only policies json strict quiet sweep max_depth =
+let run names list_only policies json strict quiet max_depth =
   let registry = Topo.scenarios () in
   if list_only then begin
     List.iter (fun (n, _) -> print_endline n) registry;
@@ -125,18 +87,6 @@ let run names list_only policies json strict quiet sweep max_depth =
               (path, Some diags))
           policies
       in
-      let race_diags =
-        if sweep then begin
-          let n, diags = race_sweep () in
-          if not (quiet || json) then begin
-            Printf.printf "race sweep (%d items across 4 domains):\n" n;
-            List.iter print_diag diags;
-            if diags = [] then Printf.printf "  no races\n"
-          end;
-          Some diags
-        end
-        else None
-      in
       if json then begin
         let diags ds = Json.Arr (List.map diag_json ds) in
         let scen (name, (r : Verify.report)) =
@@ -149,15 +99,13 @@ let run names list_only policies json strict quiet sweep max_depth =
             [ ("file", Json.Str path); ("diags", diags (Option.value ~default:[] ds)) ]
         in
         Json.Obj
-          ([ ("scenarios", Json.Arr (List.map scen scenario_results));
-             ("policies", Json.Arr (List.map pol policy_results)) ]
-          @ match race_diags with None -> [] | Some ds -> [ ("races", diags ds) ])
+          [ ("scenarios", Json.Arr (List.map scen scenario_results));
+            ("policies", Json.Arr (List.map pol policy_results)) ]
         |> Json.to_string |> print_endline
       end;
       let all_diags =
         List.concat_map (fun (_, (r : Verify.report)) -> r.diags) scenario_results
         @ List.concat_map (fun (_, d) -> Option.value ~default:[] d) policy_results
-        @ Option.value ~default:[] race_diags
       in
       let io_failed = List.exists (fun (_, d) -> d = None) policy_results in
       let errors = List.length (Diag.errors all_diags) in
@@ -195,12 +143,6 @@ let cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Print nothing; exit status only.")
   in
-  let sweep =
-    Arg.(value & flag
-         & info [ "race-sweep" ]
-             ~doc:"Run a small domain-parallel sweep with the race sanitizer \
-                   armed and report any SAN_RACE_* finding.")
-  in
   let max_depth =
     Arg.(value & opt int 16
          & info [ "max-depth" ] ~docv:"N"
@@ -210,7 +152,6 @@ let cmd =
     (Cmd.info "rina_verify" ~version:"1.0.0"
        ~doc:"Statically verify whole RINA topologies before they run")
     Term.(
-      const run $ names $ list_only $ policies $ json $ strict $ quiet $ sweep
-      $ max_depth)
+      const run $ names $ list_only $ policies $ json $ strict $ quiet $ max_depth)
 
 let () = exit (Cmd.eval' cmd)

@@ -194,19 +194,9 @@ let consistency (s : Policy_lang.scan) topo =
          ~hint:"use anti_entropy_interval >= hello_interval");
   (* L117 is retired: trace_sample_rate's (0, 1] bound is part of the
      key table, so a bad rate is an L005. *)
-  (* L118: snapshots ride the engine's coarse timer wheel — an interval
-     below one wheel slot cannot fire any faster than the slot width,
-     the extra ticks just collapse into the same slot. *)
-  let snap_iv = p.telemetry.snapshot_interval in
-  if snap_iv > 0. && snap_iv < Rina_sim.Engine.wheel_granularity then
-    emit
-      (Diag.warning ~line:(at [ ("telemetry", "snapshot_interval") ]) "L118"
-         (Printf.sprintf
-            "snapshot_interval (%g s) is below the timer-wheel slot width (%g s)"
-            snap_iv Rina_sim.Engine.wheel_granularity)
-         ~hint:
-           (Printf.sprintf "snapshot timers ride the coarse wheel; use at least %g s"
-              Rina_sim.Engine.wheel_granularity));
+  (* L118 is retired: a Timer-lane tick keeps its exact time, so a
+     snapshot interval below the wheel's slot width still fires on
+     time. *)
   (* L119: congestion knobs that cannot work as written.  A
      mark_threshold at or above the per-class queue capacity can never
      mark a PDU before the queue overflows, so "ECN" degrades to silent
@@ -336,8 +326,6 @@ let rules =
     Diag.rule ~code:"L115" ~severity:e "reorder_window below sack_blocks";
     Diag.rule ~code:"L116" ~severity:w
       "anti_entropy_interval below hello_interval churns full RIB syncs";
-    Diag.rule ~code:"L118" ~severity:w
-      "snapshot_interval below the timer-wheel slot width";
     Diag.rule ~code:"L119" ~severity:e
       "congestion knobs that cannot work (mark_threshold at or above the queue \
        capacity, admission with no backoff)";

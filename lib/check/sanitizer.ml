@@ -102,37 +102,6 @@ let check_routing_loops tables =
      sources), then the canonical severity/code order. *)
   List.sort_uniq Stdlib.compare !diags |> List.stable_sort Diag.compare
 
-module Race = struct
-  module R = Rina_util.Race
-
-  let arm = R.arm
-  let disarm = R.disarm
-  let armed = R.armed
-  let clear = R.clear
-
-  let code_of_kind = function
-    | `Write_write -> "SAN_RACE_WRITE_WRITE"
-    | `Read_write -> "SAN_RACE_READ_WRITE"
-    | `Write_read -> "SAN_RACE_WRITE_READ"
-
-  let describe_kind = function
-    | `Write_write -> "two writes"
-    | `Read_write -> "a read, then a write"
-    | `Write_read -> "a write, then a read"
-
-  let diags () =
-    List.map
-      (fun (r : R.race) ->
-        Diag.error (code_of_kind r.kind)
-          (Printf.sprintf
-             "data race on %s: %s from domains %d and %d with no happens-before \
-              edge between them"
-             r.site (describe_kind r.kind) r.first_domain r.second_domain)
-          ~hint:
-            "order the accesses through an Atomic, a mutex, or a spawn/join edge")
-      (R.races ())
-end
-
 let rules =
   let e = Diag.Error and w = Diag.Warning in
   [
@@ -153,10 +122,4 @@ let rules =
       "forwarding tables contain a next-hop loop";
     Diag.rule ~code:"SAN_ROUTE_BLACKHOLE" ~severity:w
       "a path dead-ends at a node with no route onward";
-    Diag.rule ~code:"SAN_RACE_WRITE_WRITE" ~severity:e
-      "two unsynchronized cross-domain writes to the same shared cell";
-    Diag.rule ~code:"SAN_RACE_READ_WRITE" ~severity:e
-      "unsynchronized cross-domain write after a concurrent read of the same cell";
-    Diag.rule ~code:"SAN_RACE_WRITE_READ" ~severity:e
-      "unsynchronized cross-domain read of a concurrently written cell";
   ]

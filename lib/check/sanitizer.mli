@@ -57,23 +57,5 @@ val check_routing_loops :
     cycles and [SAN_ROUTE_BLACKHOLE] (warning) when a path dead-ends
     at a node with no route onward. *)
 
-(** Structured-diagnostic front end to the domain-race sanitizer
-    ({!Rina_util.Race}): {!Race.arm} before forking a parallel sweep,
-    run it, then {!Race.diags} — one [Error] per distinct (cell, kind)
-    pair of unsynchronized cross-domain accesses, as
-    [SAN_RACE_WRITE_WRITE] / [SAN_RACE_READ_WRITE] /
-    [SAN_RACE_WRITE_READ].  [Rina_exp.Par] is annotated throughout, so
-    arming is all a test or CI job needs to do. *)
-module Race : sig
-  val arm : unit -> unit
-  val disarm : unit -> unit
-  val armed : unit -> bool
-  val clear : unit -> unit
-
-  val diags : unit -> Diag.t list
-  (** Races recorded since the last [arm]/[clear], as [Error]
-      diagnostics sorted by cell label. *)
-end
-
 val rules : Diag.rule list
 (** The stable [SAN_*] code table for [rina_lint --list-rules]. *)

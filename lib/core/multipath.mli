@@ -29,8 +29,6 @@ val create : Policy.multipath -> rng:Rina_util.Prng.t -> t
     (legacy single-path forwarding). *)
 val enabled : t -> bool
 
-val state_of : t -> Types.port_id -> state
-
 (** Drop all state for a detached port. *)
 val forget : t -> Types.port_id -> unit
 

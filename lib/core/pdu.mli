@@ -122,9 +122,6 @@ val ttl_offset : int
     it in place, in the frame its channel handed it, rather than
     re-encoding the PDU. *)
 
-val flags_offset : int
-(** Byte offset of the flags field, for in-place marking. *)
-
 (** Read individual header fields straight out of an encoded frame
     (which must have passed [Sdu_protection.verify_len]). *)
 module Peek : sig

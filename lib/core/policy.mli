@@ -86,16 +86,19 @@ type acl =
       (** permitted (source app name, destination app name) pairs *)
 
 (** Observability policy: how much the flight recorder keeps and how
-    often live stats surface.  Consumed by [Rina_exp.Obs]. *)
+    often live stats surface.  Consumed by [Rina_exp.Obs].  The default
+    keeps everything, takes no snapshots and leaves the buffer
+    unbounded — the zero-surprise debugging default; scale runs opt
+    into sampling via policy. *)
 type telemetry = {
   trace_sample_rate : float;
       (** deterministic head-sampling keep probability for spans, in
           (0, 1]; 1.0 traces everything ([Policy_lang] rejects
           values outside the interval) *)
   snapshot_interval : float;
-      (** seconds between live telemetry snapshots; rides the engine
-          timer wheel, so values below one wheel slot are pointless
-          (lint L118); 0 disables snapshots *)
+      (** seconds between live telemetry snapshots (on the engine's
+          [Timer] lane, which keeps each tick's exact time); 0 disables
+          snapshots *)
   flight_ring_capacity : int;
       (** bound on buffered trace events — once full the newest events
           overwrite the oldest (exactly counted); 0 = unbounded *)
@@ -179,10 +182,6 @@ type t = {
 
 val default_efcp : efcp
 val default_routing : routing
-val default_enrollment : enrollment
-val default_telemetry : telemetry
-(** Keep everything, no snapshots, unbounded buffer — the zero-surprise
-    debugging default; scale runs opt into sampling via policy. *)
 
 val default_congestion : congestion
 (** Everything off: no marking ([mark_threshold = 0]), no pushback,

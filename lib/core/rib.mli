@@ -32,9 +32,6 @@ val write : t -> string -> value -> unit
 val version_of : t -> string -> (int * int) option
 (** The (origin, version) pair of a versioned object, if any. *)
 
-val version_newer : int * int -> int * int -> bool
-(** [version_newer a b] is [true] when [a] dominates [b]. *)
-
 type remote_result =
   | Accepted of { value_changed : bool }
       (** installed; [value_changed] says whether the stored value

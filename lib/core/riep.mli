@@ -51,9 +51,6 @@ val make :
 val encode : t -> bytes
 val decode : bytes -> (t, string) result
 
-val opcode_name : opcode -> string
-(** Wire-style opcode mnemonic, e.g. ["M_CREATE_R"]. *)
-
 val trace_label : t -> string
 (** Compact flight-recorder label for a message:
     ["<opcode>/<obj_class>"], e.g. ["M_WRITE/lsa"]. *)

@@ -381,8 +381,3 @@ let queue_depth t port_id =
   match Hashtbl.find_opt t.ports port_id with
   | None -> 0
   | Some port -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 port.queues
-
-let class_depths t port_id =
-  match Hashtbl.find_opt t.ports port_id with
-  | None -> [||]
-  | Some port -> Array.map Queue.length port.queues

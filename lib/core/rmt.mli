@@ -89,11 +89,6 @@ val send_on_port : t -> Types.port_id -> Pdu.t -> unit
 val queue_depth : t -> Types.port_id -> int
 (** PDUs waiting in the shaper queues of a port (0 for unshaped). *)
 
-val class_depths : t -> Types.port_id -> int array
-(** Per-class queue occupancy of a shaped port ([num_classes] cells;
-    empty array for unknown ports) — the congestion benches snapshot
-    it to plot queue build-up. *)
-
 val metrics : t -> Rina_util.Metrics.t
 (** [relayed], [delivered_up], [no_route], [path_down_dropped],
     [ttl_expired], [crc_dropped], [decode_dropped], [queue_dropped],

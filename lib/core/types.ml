@@ -31,8 +31,6 @@ type port_id = int
 
 type cep_id = int
 
-let mgmt_cep = 0
-
 type qos_id = int
 
 let pp_apn fmt a = Format.pp_print_string fmt (apn_to_string a)

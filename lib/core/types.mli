@@ -42,8 +42,6 @@ type cep_id = int
 (** Connection-endpoint id, the EFCP-internal counterpart of a port;
     [0] is reserved for the management task's "endpoint". *)
 
-val mgmt_cep : cep_id
-
 type qos_id = int
 (** Identifier of a QoS cube within a DIF. *)
 

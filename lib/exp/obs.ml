@@ -32,11 +32,7 @@ let start ?(policy = Policy.default) ?stream engine =
     else None
   in
   let trace = Trace.create ?ring_capacity:ring engine in
-  let telemetry =
-    match Telemetry.current () with
-    | Some tele -> tele  (* inside a Par shard: aggregate into it *)
-    | None -> Telemetry.create ()
-  in
+  let telemetry = Telemetry.create () in
   Trace.attach ~sample_rate:cfg.Policy.trace_sample_rate ~telemetry ?stream trace;
   { engine; trace; telemetry; config = cfg }
 

@@ -25,9 +25,7 @@ type t = {
 val start : ?policy:Rina_core.Policy.t -> ?stream:string -> Rina_sim.Engine.t -> t
 (** Attach a trace per [policy.telemetry]: sample rate, ring capacity,
     and — when [stream] names a file — a JSONL streaming sink instead
-    of the in-memory buffer.  Inside a [Par.map_telemetry] worker the
-    domain's shard registry is reused, so experiment stats land in the
-    merged output.  [Policy_lang.parse] (and lint rule L005) reject bad
+    of the in-memory buffer.  [Policy_lang.parse] (and lint rule L005) reject bad
     sample rates statically; this raises on them at runtime.
     @raise Invalid_argument when the policy's sample rate is outside
     (0, 1] or the ring capacity is negative. *)

@@ -6,45 +6,29 @@
     {!Rina_util.Flight.Buf} — recorder and sanitizer state is
     domain-local, so concurrent trials never share a buffer.  Results
     come back in input order: parallel output is byte-identical to a
-    sequential run over the same items.
+    sequential run over the same items. *)
 
-    The fan-out is annotated for the domain-race sanitizer: arm
-    {!Rina_check.Sanitizer.Race} (or {!Rina_util.Race} directly)
-    before calling {!map} and the spawn/join edges, the atomic work
-    counter and every result slot are tracked; a clean run reports no
-    races.  Disarmed (the default), the annotations are one atomic
-    load each. *)
-
-val default_domains : unit -> int
-(** Worker-pool size: the [RINA_DOMAINS] environment variable when set
-    to an integer (so CI and bench runs can pin the count), otherwise
-    [Domain.recommended_domain_count ()].  Either way clamped to
-    [1..8]; an unparsable [RINA_DOMAINS] falls back to the hardware
-    recommendation. *)
-
-val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
+val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~domains f items] applies [f] to every item across [domains]
-    workers (default {!default_domains}; clamped to the item count) and
-    returns results in input order.  If any application raised, the
-    first failure in {e input} order is re-raised — deterministically,
-    regardless of domain interleaving — after all workers finish. *)
+    workers (clamped to [1] and to the item count) and returns results
+    in input order.  If any application raised, the first failure in
+    {e input} order is re-raised — deterministically, regardless of
+    domain interleaving — after all workers finish. *)
 
-val run_trials : ?domains:int -> seeds:int list -> (seed:int -> 'a) -> 'a list
+val run_trials : domains:int -> seeds:int list -> (seed:int -> 'a) -> 'a list
 (** Seed-list convenience wrapper over {!map}; results in seed-list
     order. *)
 
 val map_telemetry :
-  ?domains:int ->
+  domains:int ->
   ?series_bucket:float ->
-  ('a -> 'b) ->
+  (Rina_util.Telemetry.t -> 'a -> 'b) ->
   'a array ->
   'b array * Rina_util.Telemetry.t
-(** Like {!map}, but each trial additionally owns a private
-    {!Rina_util.Telemetry} registry, installed as the domain's
-    [Telemetry.current] for the duration of the trial (per-shard stats
+(** Like {!map}, but [f tele item] also gets a private
+    {!Rina_util.Telemetry} registry to record into (per-shard stats
     pipeline).  After all workers join, the shards are merged in input
     order — telemetry merge is exact and the order is fixed, so the
     merged registry (and its {!Rina_util.Telemetry.to_jsonl} export) is
     byte-identical between a 1-domain and an N-domain run of the same
-    items.  Shard hand-off carries its own {!Rina_util.Race} cells, so
-    an armed sanitizer checks the merge path too. *)
+    items. *)

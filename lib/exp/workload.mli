@@ -55,10 +55,6 @@ type fct = {
 
 val fct : unit -> fct
 
-val flow_open : fct -> flow:int -> now:float -> unit
-(** Record a flow's start (idempotent); its FCT runs from here to the
-    arrival of its FIN SDU. *)
-
 val on_flow_sdu : fct -> now:float -> bytes -> unit
 (** Account one arriving SDU; a FIN for an open flow completes it. *)
 

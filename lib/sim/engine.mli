@@ -34,10 +34,10 @@ type handle
 type lane = Default | Timer
 
 val wheel_granularity : float
-(** Slot width of the [Timer]-lane wheel, in seconds.  Periodic work
-    riding the wheel (snapshot timers, keepalives) cannot usefully
-    tick faster than this — lint rule L118 warns on policy intervals
-    below it. *)
+(** Slot width of the [Timer]-lane wheel, in seconds.  It bounds no
+    timer's period: a slot is flushed before any queued event at or
+    after its start, and each entry keeps its exact time, so a [Timer]
+    tick re-armed every 10 ms fires every 10 ms. *)
 
 val create : unit -> t
 (** Fresh engine with the clock at 0.0 seconds. *)

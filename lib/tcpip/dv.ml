@@ -156,7 +156,3 @@ let start node ?(period = 5.0) () =
   t
 
 let advertisements_sent t = Metrics.get t.metrics "adv_sent"
-
-let routes_learned t = Metrics.get t.metrics "routes_learned"
-
-let converged_size t = Node.table_size t.node

@@ -12,7 +12,3 @@ val start : Node.t -> ?period:float -> unit -> t
     node.  [period] defaults to 5 s (scaled-down RIP's 30 s). *)
 
 val advertisements_sent : t -> int
-val routes_learned : t -> int
-
-val converged_size : t -> int
-(** Current routing-table size of the underlying node. *)

@@ -9,8 +9,6 @@
     address and tunnels them (IP-in-IP) to the care-of address, where
     the mobile decapsulates. *)
 
-val registration_port : int
-
 type home_agent
 
 val home_agent : Node.t -> Udp.t -> local:Ip.addr -> home_agent

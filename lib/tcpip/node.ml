@@ -57,9 +57,6 @@ let set_forward_hook t f = t.forward_hook <- Some f
 
 let on_iface_change t f = t.iface_watchers <- f :: t.iface_watchers
 
-let local_addrs t =
-  Hashtbl.fold (fun _ i acc -> i.if_addr :: acc) t.ifaces [] |> List.sort compare
-
 let is_local t addr =
   addr = broadcast_addr || Hashtbl.fold (fun _ i acc -> acc || i.if_addr = addr) t.ifaces false
 
@@ -68,11 +65,6 @@ let iface_addr t if_id =
 
 let iface_ids t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.ifaces [] |> List.sort compare
-
-let iface_up t if_id =
-  match Hashtbl.find_opt t.ifaces if_id with
-  | Some i -> i.chan.Chan.is_up ()
-  | None -> false
 
 let install_route t prefix route = Lpm.insert t.table prefix route
 

@@ -32,7 +32,6 @@ val set_iface_addr : t -> int -> addr:Ip.addr -> prefix:Ip.prefix -> unit
     network); the old connected route is replaced. *)
 
 val iface_addr : t -> int -> Ip.addr option
-val local_addrs : t -> Ip.addr list
 val is_local : t -> Ip.addr -> bool
 
 val add_static_route : t -> Ip.prefix -> ?next_hop:Ip.addr -> if_id:int -> unit -> unit
@@ -67,7 +66,6 @@ val inject : t -> Packet.t -> in_if:int -> unit
     a current interface address. *)
 
 val iface_ids : t -> int list
-val iface_up : t -> int -> bool
 
 val on_iface_change : t -> (int -> bool -> unit) -> unit
 (** Carrier watchers for all interfaces (present and future). *)

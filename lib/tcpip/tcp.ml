@@ -58,16 +58,7 @@ and stack = {
   smetrics : Metrics.t;
 }
 
-let listening_ports stack =
-  Hashtbl.fold (fun port _ acc -> port :: acc) stack.listeners [] |> List.sort compare
-
-let stack_metrics stack = stack.smetrics
-
-let conn_metrics c = c.metrics
-
 let state c = c.st
-
-let local_endpoint c = (c.laddr, c.lport)
 
 let remote_endpoint c = (c.raddr, c.rport)
 

@@ -49,8 +49,4 @@ val set_on_close : conn -> (unit -> unit) -> unit
 val close : conn -> unit
 
 val state : conn -> state
-val conn_metrics : conn -> Rina_util.Metrics.t
-val stack_metrics : stack -> Rina_util.Metrics.t
-val listening_ports : stack -> int list
-val local_endpoint : conn -> Ip.addr * int
 val remote_endpoint : conn -> Ip.addr * int

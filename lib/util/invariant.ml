@@ -1,17 +1,11 @@
 type violation = { code : string; detail : string; mutable count : int }
 
 (* Domain-local: each worker of a parallel trial sweep gets its own
-   switch, store and hook, so one trial's sanitizer findings never
-   bleed into another's. *)
-type ctx = {
-  mutable on : bool;
-  store : (string, violation) Hashtbl.t;
-  mutable on_violation : (code:string -> detail:string -> unit) option;
-}
+   switch and store, so one trial's sanitizer findings never bleed into
+   another's. *)
+type ctx = { mutable on : bool; store : (string, violation) Hashtbl.t }
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      { on = false; store = Hashtbl.create 16; on_violation = None })
+let key = Domain.DLS.new_key (fun () -> { on = false; store = Hashtbl.create 16 })
 
 let ctx () = Domain.DLS.get key
 
@@ -19,14 +13,11 @@ let enabled () = (ctx ()).on
 
 let set_enabled b = (ctx ()).on <- b
 
-let set_on_violation hook = (ctx ()).on_violation <- hook
-
 let record ~code detail =
   let c = ctx () in
-  (match Hashtbl.find_opt c.store code with
-   | Some v -> v.count <- v.count + 1
-   | None -> Hashtbl.replace c.store code { code; detail; count = 1 });
-  match c.on_violation with None -> () | Some f -> f ~code ~detail
+  match Hashtbl.find_opt c.store code with
+  | Some v -> v.count <- v.count + 1
+  | None -> Hashtbl.replace c.store code { code; detail; count = 1 }
 
 let violations () =
   Hashtbl.fold (fun _ v acc -> v :: acc) (ctx ()).store []

@@ -15,7 +15,7 @@
     in.
 
     State is domain-local: each worker domain of a parallel trial
-    sweep ([Rina_exp.Par]) has its own switch, store and hook.
+    sweep ([Rina_exp.Par]) has its own switch and store.
 
     This module holds no simulator state and lives in [Rina_util] so
     that both [Rina_sim] and [Rina_core] can report into it; the
@@ -34,8 +34,7 @@ type violation = {
 
 val record : code:string -> string -> unit
 (** Register a violation.  The first occurrence of each code keeps its
-    detail string; later ones only bump the count.  If an
-    [on_violation] hook is installed it runs on every occurrence. *)
+    detail string; later ones only bump the count. *)
 
 val violations : unit -> violation list
 (** All violations recorded since the last [clear], sorted by code. *)
@@ -44,7 +43,3 @@ val total : unit -> int
 (** Sum of all violation counts. *)
 
 val clear : unit -> unit
-
-val set_on_violation : (code:string -> detail:string -> unit) option -> unit
-(** Optional hook, e.g. [Some (fun ~code ~detail -> failwith ...)] to
-    fail fast in tests.  [None] (collect only) by default. *)

@@ -37,8 +37,6 @@ let variance t =
     !acc /. float_of_int (t.size - 1)
   end
 
-let stddev t = sqrt (variance t)
-
 let ensure_sorted t =
   if not t.sorted then begin
     let view = Array.sub t.samples 0 t.size in

@@ -21,8 +21,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** Smallest sample; [nan] when empty. *)
 

@@ -23,7 +23,7 @@ type t = {
   mutable lat_ppm : int;
   (* hot counters: the Flight tally, bumped inline by [emit] *)
   tally : Flight.tally;
-  extras : (string, int ref) Hashtbl.t;
+  extras : Metrics.t;  (* named counters past the tally's fixed ones *)
   hists : (string, Sketch.Hist.t) Hashtbl.t;
   series : (string, Sketch.Series.t) Hashtbl.t;
   sent_series : Sketch.Series.t;  (* aliases into [series] *)
@@ -51,7 +51,7 @@ let create ?(series_bucket = 0.5) () =
     bucket = series_bucket;
     lat_ppm = full_ppm;
     tally = Flight.create_tally ();
-    extras = Hashtbl.create 8;
+    extras = Metrics.create ();
     hists = Hashtbl.create 8;
     series;
     sent_series;
@@ -87,10 +87,7 @@ let series_for t name =
     Hashtbl.add t.series name s;
     s
 
-let count ?(n = 1) t name =
-  match Hashtbl.find_opt t.extras name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add t.extras name (ref n)
+let count t name = Metrics.incr t.extras name
 
 let add_sample t name v = Sketch.Hist.add (hist_for t name) v
 
@@ -103,18 +100,12 @@ let counter t name =
   | "retransmit" -> t.tally.Flight.t_retransmit
   | "timer" -> t.tally.Flight.t_timer
   | "latency_pending" -> Hashtbl.length t.pending + t.pending_carry
-  | name ->
-    (match Hashtbl.find_opt t.extras name with Some r -> !r | None -> 0)
+  | name -> Metrics.get t.extras name
 
 let fixed_counters =
   [ "events"; "sent"; "recvd"; "dropped"; "retransmit"; "timer"; "latency_pending" ]
 
-let counter_names t =
-  let extras =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.extras []
-    |> List.sort compare
-  in
-  fixed_counters @ extras
+let counter_names t = fixed_counters @ List.map fst (Metrics.to_list t.extras)
 
 let hist t name = Hashtbl.find_opt t.hists name
 let series t name = Hashtbl.find_opt t.series name
@@ -216,7 +207,8 @@ let merge_into ~into other =
   a.Flight.t_dropped <- a.Flight.t_dropped + b.Flight.t_dropped;
   a.Flight.t_retransmit <- a.Flight.t_retransmit + b.Flight.t_retransmit;
   a.Flight.t_timer <- a.Flight.t_timer + b.Flight.t_timer;
-  Hashtbl.iter (fun name r -> count ~n:!r into name) other.extras;
+  List.iter (fun (name, n) -> Metrics.add into.extras name n)
+    (Metrics.to_list other.extras);
   Hashtbl.iter
     (fun name h -> Sketch.Hist.merge_into ~into:(hist_for into name) h)
     other.hists;
@@ -330,16 +322,19 @@ let of_jsonl text =
     | Some "counter" ->
       named "counter" (fun x name ->
           let n = int "n" and y = x.tally in
-          (match name with
-           | "events" -> y.Flight.t_events <- n
-           | "sent" -> y.Flight.t_sent <- n
-           | "recvd" -> y.Flight.t_recvd <- n
-           | "dropped" -> y.Flight.t_dropped <- n
-           | "retransmit" -> y.Flight.t_retransmit <- n
-           | "timer" -> y.Flight.t_timer <- n
-           | "latency_pending" -> x.pending_carry <- n
-           | name -> count ~n x name);
-          Ok ())
+          if n < 0 then Error (Printf.sprintf "counter %S is negative (%d)" name n)
+          else begin
+            (match name with
+             | "events" -> y.Flight.t_events <- n
+             | "sent" -> y.Flight.t_sent <- n
+             | "recvd" -> y.Flight.t_recvd <- n
+             | "dropped" -> y.Flight.t_dropped <- n
+             | "retransmit" -> y.Flight.t_retransmit <- n
+             | "timer" -> y.Flight.t_timer <- n
+             | "latency_pending" -> x.pending_carry <- n
+             | name -> Metrics.add x.extras name n);
+            Ok ()
+          end)
     | Some "snapshot" ->
       let x = get_t () in
       let s =
@@ -395,9 +390,3 @@ let load_jsonl path =
     match of_jsonl text with
     | Ok t -> Ok t
     | Error e -> Error (Printf.sprintf "%s: %s" path e))
-
-(* ---------- per-domain shard registry ---------- *)
-
-let dls_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current () = Domain.DLS.get dls_key
-let set_current o = Domain.DLS.set dls_key o

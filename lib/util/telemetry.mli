@@ -16,10 +16,9 @@
     table work: span-latency matching, per-reason drop timelines,
     probe sketches.
 
-    {b Merge contract}: each [Rina_exp.Par] worker owns a private
-    registry — {!current}/{!set_current} are domain-local — and
-    {!merge_into} is exact bucket-wise addition, associative and
-    commutative, applied in input order by [Par.map_telemetry].  A
+    {b Merge contract}: [Rina_exp.Par.map_telemetry] hands each trial
+    a private registry, and {!merge_into} is exact bucket-wise
+    addition, associative and commutative, applied in input order.  A
     merged registry is therefore byte-identical ({!to_jsonl}) between a
     sequential and a multi-domain run of the same trials.
 
@@ -71,8 +70,9 @@ val latency_ppm : t -> int
 
 (** {2 Direct instrumentation} *)
 
-val count : ?n:int -> t -> string -> unit
-(** Bump a named auxiliary counter (created on first use). *)
+val count : t -> string -> unit
+(** Bump a named auxiliary counter (created on first use), held in a
+    {!Metrics.t}. *)
 
 val counter : t -> string -> int
 (** Value of a built-in ([events], [sent], [recvd], [dropped],
@@ -122,14 +122,8 @@ val to_jsonl : t -> string
     formatting — so equal registries serialise byte-identically. *)
 
 val of_jsonl : string -> (t, string) result
-(** Inverse of {!to_jsonl}; errors carry a line number. *)
+(** Inverse of {!to_jsonl}; errors carry a line number.  A negative
+    counter is an error. *)
 
 val load_jsonl : string -> (t, string) result
 (** Read a stats file written from {!to_jsonl}. *)
-
-(** {2 Per-domain shard registry} *)
-
-val current : unit -> t option
-(** This domain's registry, if a parallel runner installed one. *)
-
-val set_current : t option -> unit

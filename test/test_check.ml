@@ -220,17 +220,6 @@ let test_l116_anti_entropy_vs_hello () =
        "[routing]\nanti_entropy_interval = 0.5\nhello_interval = 1.0\n"
      = Diag.Warning)
 
-let test_l118_snapshot_vs_wheel () =
-  (* below the 0.05 s wheel slot: ticks collapse into the same slot *)
-  fires "L118" "[telemetry]\nsnapshot_interval = 0.01\n";
-  silent "L118" "[telemetry]\nsnapshot_interval = 0.5\n";
-  (* 0 disables snapshots entirely: nothing to warn about *)
-  silent "L118" "[telemetry]\nsnapshot_interval = 0\n";
-  silent "L118" "";
-  Alcotest.(check bool) "L118 is a warning" true
-    (severity_of "L118" "[telemetry]\nsnapshot_interval = 0.01\n"
-     = Diag.Warning)
-
 let test_l119_congestion_config () =
   (* not a probability: a bound of the key itself, so L005 *)
   fires "L005" "[congestion]\nmark_probability = 1.5\n";
@@ -684,8 +673,6 @@ let () =
             test_l115_reorder_window_vs_sack;
           Alcotest.test_case "L116 anti-entropy vs hello" `Quick
             test_l116_anti_entropy_vs_hello;
-          Alcotest.test_case "L118 snapshot vs wheel slot" `Quick
-            test_l118_snapshot_vs_wheel;
           Alcotest.test_case "L119 congestion config" `Quick
             test_l119_congestion_config;
           Alcotest.test_case "L120 unwired congestion signal" `Quick

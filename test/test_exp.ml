@@ -282,20 +282,15 @@ let test_par_identical_to_sequential () =
     (List.exists contains_error seq)
 
 (* One observability trial: a relayed CBR run with a 5%-sampled trace
-   attached and the worker's per-shard telemetry registry tapping every
-   event.  Returns the kept trace as one JSONL string.  The sampling
-   hash, the engine clock and the workload are all seed-deterministic,
-   so the string must be byte-identical no matter which domain ran the
+   attached and the trial's telemetry shard tapping every event.
+   Returns the kept trace as one JSONL string.  The sampling hash, the
+   engine clock and the workload are all seed-deterministic, so the
+   string must be byte-identical no matter which domain ran the
    trial. *)
-let sampled_trial seed =
+let sampled_trial tele seed =
   let net = Topo.line ~seed ~n:3 () in
   let engine = net.Topo.engine in
   let tr = Rina_sim.Trace.create engine in
-  let tele =
-    match Rina_util.Telemetry.current () with
-    | Some t -> t
-    | None -> Alcotest.fail "map_telemetry did not install a shard registry"
-  in
   Rina_sim.Trace.attach ~sample_rate:0.05 ~telemetry:tele tr;
   let sink = Workload.sink () in
   (match Scenario.open_flow net ~src:0 ~dst:2 ~qos_id:1 ~sink () with
@@ -341,6 +336,37 @@ let test_sampled_telemetry_par_deterministic () =
     true
     (tallied > kept)
 
+(* Items 5 and 11 raise different exceptions.  Item 5 waits (bounded)
+   until item 11 has raised, so the later item fails first in wall-clock
+   time: only an input-order choice surfaces item 5's exception. *)
+let test_par_first_failure_in_input_order () =
+  let ran = Array.make 16 false in
+  let eleven_raised = Atomic.make false in
+  let f i =
+    ran.(i) <- true;
+    if i = 5 then begin
+      let spins = ref 0 in
+      while (not (Atomic.get eleven_raised)) && !spins < 10_000_000 do
+        Domain.cpu_relax ();
+        incr spins
+      done;
+      failwith "item 5"
+    end;
+    if i = 11 then begin
+      Atomic.set eleven_raised true;
+      invalid_arg "item 11"
+    end;
+    i
+  in
+  (match Par.map ~domains:4 f (Array.init 16 Fun.id) with
+   | _ -> Alcotest.fail "Par.map returned despite two failing items"
+   | exception Failure m -> check Alcotest.string "item 5's exception" "item 5" m
+   | exception e ->
+     Alcotest.failf "expected item 5's Failure, got %s" (Printexc.to_string e));
+  Array.iteri
+    (fun i r -> Alcotest.(check bool) (Printf.sprintf "item %d ran" i) true r)
+    ran
+
 let () =
   Alcotest.run "rina_exp"
     [
@@ -377,5 +403,7 @@ let () =
             test_par_identical_to_sequential;
           Alcotest.test_case "sampled traces + merged telemetry deterministic"
             `Quick test_sampled_telemetry_par_deterministic;
+          Alcotest.test_case "first failure in input order" `Quick
+            test_par_first_failure_in_input_order;
         ] );
     ]

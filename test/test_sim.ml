@@ -124,6 +124,25 @@ let test_engine_drops_fired_events () =
   check Alcotest.int "timer lane keeps no cancelled closure" 0
     (buffers_kept Engine.Timer ~cancelled:true)
 
+(* The wheel parks entries by 50 ms slot but flushes a slot before any
+   calendar event at or after the slot's start, and every entry keeps
+   its exact time: a Timer-lane tick re-armed every 10 ms fires at each
+   10 ms, not once per slot. *)
+let test_engine_timer_finer_than_slot () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let rec tick () =
+    fired := Engine.now e :: !fired;
+    ignore (Engine.schedule ~lane:Engine.Timer e ~delay:0.01 tick)
+  in
+  ignore (Engine.schedule ~lane:Engine.Timer e ~delay:0.01 tick);
+  Engine.run ~until:0.205 e;
+  check
+    Alcotest.(list (float 1e-9))
+    "a tick every 10 ms"
+    (List.init 20 (fun i -> 0.01 *. float_of_int (i + 1)))
+    (List.rev !fired)
+
 let test_engine_step () =
   let e = Engine.create () in
   ignore (Engine.schedule e ~delay:1. (fun () -> ()));
@@ -1744,6 +1763,8 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "timer finer than a wheel slot" `Quick
+            test_engine_timer_finer_than_slot;
           Alcotest.test_case "drops fired events" `Quick test_engine_drops_fired_events;
           Alcotest.test_case "rejects nan" `Quick test_engine_rejects_nan;
           Alcotest.test_case "burst matches heap reference" `Quick

@@ -924,6 +924,24 @@ let test_telemetry_jsonl_roundtrip () =
     check Alcotest.int "snapshots survive" 2
       (List.length (Telemetry.snapshots t'))
 
+(* Named counters live in a [Metrics.t], which clamps at zero, so a
+   negative counter in a stats file is rejected rather than stored. *)
+let test_telemetry_rejects_negative_counter () =
+  let meta = "{\"kind\":\"meta\",\"v\":1}\n" in
+  let counter name n =
+    Printf.sprintf "{\"kind\":\"counter\",\"name\":%S,\"n\":%d}\n" name n
+  in
+  check
+    Alcotest.(result reject string)
+    "negative named counter"
+    (Error "line 3: counter \"handoff\" is negative (-2)")
+    (Telemetry.of_jsonl (meta ^ counter "sent" 4 ^ counter "handoff" (-2)));
+  check
+    Alcotest.(result reject string)
+    "negative built-in counter"
+    (Error "line 2: counter \"sent\" is negative (-1)")
+    (Telemetry.of_jsonl (meta ^ counter "sent" (-1)))
+
 (* JSONL is the one serialisation of flight events and telemetry, and
    Json.parse reads every artifact, so all three decoders must be
    total: arbitrary bytes, valid exports and encodings with random
@@ -1199,6 +1217,8 @@ let () =
           Alcotest.test_case "jsonl roundtrip" `Quick
             test_telemetry_jsonl_roundtrip;
           Alcotest.test_case "merge" `Quick test_telemetry_merge;
+          Alcotest.test_case "negative counter rejected" `Quick
+            test_telemetry_rejects_negative_counter;
           Alcotest.test_case "observe kept events" `Quick
             test_telemetry_observe_kept_only;
           QCheck_alcotest.to_alcotest prop_jsonl_decoders_total;

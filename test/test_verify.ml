@@ -4,15 +4,12 @@
    QCheck properties generate random recursive stacks — clean ones
    must verify silent, and three planted defect classes (unreachable
    name, address collision, enrollment cycle) must always be
-   flagged.  The domain-race sanitizer is tested
-   both ways: an injected unsynchronized cross-domain write is caught,
-   and the annotated Par sweep runs clean and byte-identical. *)
+   flagged.  A Par sweep returns exactly the sequential results. *)
 
 module Diag = Rina_check.Diag
 module Verify = Rina_check.Verify
 module Sanitizer = Rina_check.Sanitizer
 module Lint = Rina_check.Lint
-module Race = Rina_util.Race
 module Policy = Rina_core.Policy
 module Topo = Rina_exp.Topo
 module Par = Rina_exp.Par
@@ -372,58 +369,13 @@ let prop_planted_defect_flagged =
       let codes = codes_of planted in
       List.for_all (fun c -> List.mem c codes) expected)
 
-(* ---------- domain-race sanitizer ---------- *)
+(* ---------- parallel sweep ---------- *)
 
-let test_race_injected () =
-  Sanitizer.Race.arm ();
-  let c = Race.cell "test.shared" in
-  (* two domains, no fork/join annotation, no sync: a textbook race *)
-  let d = Domain.spawn (fun () -> Race.write c) in
-  Race.write c;
-  Domain.join d;
-  let diags = Sanitizer.Race.diags () in
-  Sanitizer.Race.disarm ();
-  check Alcotest.bool "write-write race caught" true
-    (List.exists (fun d -> d.Diag.code = "SAN_RACE_WRITE_WRITE") diags)
-
-let test_race_synchronized_clean () =
-  Sanitizer.Race.arm ();
-  let c = Race.cell "test.ordered" in
-  let h = Race.fork () in
-  let d =
-    Domain.spawn (fun () ->
-        Race.child_begin h;
-        Race.write c;
-        Race.child_end h)
-  in
-  Domain.join d;
-  Race.join h;
-  Race.write c;
-  let races = Race.races () in
-  Sanitizer.Race.disarm ();
-  check Alcotest.int "fork/join orders the writes" 0 (List.length races)
-
-let test_race_par_sweep_clean () =
+let test_par_sweep_identical () =
   let items = Array.init 64 (fun i -> i) in
   let f i = (i * 31) land 0xff in
-  let sequential = Array.map f items in
-  Sanitizer.Race.arm ();
-  let parallel = Par.map ~domains:4 f items in
-  let diags = Sanitizer.Race.diags () in
-  Sanitizer.Race.disarm ();
-  check (Alcotest.list Alcotest.string) "annotated Par sweep is race-free" []
-    (List.map (fun d -> d.Diag.code) diags);
   check Alcotest.bool "parallel result byte-identical to sequential" true
-    (sequential = parallel)
-
-let test_race_disarmed_noop () =
-  Race.clear ();
-  let c = Race.cell "test.disarmed" in
-  let d = Domain.spawn (fun () -> Race.write c) in
-  Race.write c;
-  Domain.join d;
-  check Alcotest.int "nothing recorded while disarmed" 0
-    (List.length (Race.races ()))
+    (Array.map f items = Par.map ~domains:4 f items)
 
 (* ---------- rule tables ---------- *)
 
@@ -440,12 +392,7 @@ let test_rule_tables () =
       check Alcotest.bool (c ^ " documented") true (List.mem c documented))
     [ "V001"; "V002"; "V003"; "V004"; "V101"; "V102"; "V103"; "V104"; "V110";
       "V201"; "V202"; "V203"; "V210"; "V211"; "V220"; "V221"; "V222"; "V230";
-      "V301" ];
-  List.iter
-    (fun c ->
-      check Alcotest.bool (c ^ " documented") true
-        (List.exists (fun (r : Diag.rule) -> r.r_code = c) Sanitizer.rules))
-    [ "SAN_RACE_WRITE_WRITE"; "SAN_RACE_READ_WRITE"; "SAN_RACE_WRITE_READ" ]
+      "V301" ]
 
 let () =
   Alcotest.run "rina_verify"
@@ -473,13 +420,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_clean_verifies_silent;
           QCheck_alcotest.to_alcotest prop_planted_defect_flagged;
         ] );
-      ( "race sanitizer",
-        [
-          Alcotest.test_case "injected race caught" `Quick test_race_injected;
-          Alcotest.test_case "fork/join clean" `Quick test_race_synchronized_clean;
-          Alcotest.test_case "Par sweep clean + identical" `Quick
-            test_race_par_sweep_clean;
-          Alcotest.test_case "disarmed is a no-op" `Quick test_race_disarmed_noop;
-        ] );
+      ( "parallel sweep",
+        [ Alcotest.test_case "identical to sequential" `Quick
+            test_par_sweep_identical ] );
       ("rule tables", [ Alcotest.test_case "coverage" `Quick test_rule_tables ]);
     ]
