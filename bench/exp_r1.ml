@@ -156,7 +156,7 @@ let run_rina () =
     (* RINA_TRACE=<file> additionally saves the RINA run's trace, so
        `rina_trace --faults <file>` reproduces the blackout table. *)
     Rig.save_trace tr;
-    Trace.detach ();
+    Trace.close tr;
     (* Deliveries that count are EFCP receptions in the host-to-host
        DIF (rank 1) — lower-DIF and management traffic would mask the
        blackout (hellos keep flowing on the surviving segment). *)
@@ -164,7 +164,7 @@ let run_rina () =
       (measure ~delivered:sink.Workload.count ~component:"efcp" ~rank:(Some 1)
          events)
   | Error e ->
-    Trace.detach ();
+    Trace.close tr;
     Error ("allocation failed: " ^ e)
 
 (* ---------- TCP/IP baseline ---------- *)

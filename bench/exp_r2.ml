@@ -217,7 +217,7 @@ let run_rina () =
     Engine.run ~until:(t0 +. stream_len +. drain) engine;
     let events = Trace.typed_events tr in
     Rig.save_trace tr;
-    Trace.detach ();
+    Trace.close tr;
     let fm = flow.Ipcp.flow_metrics () in
     Ok
       (measure tally ~sent:!sent ~rtx_pdus:(Metrics.get fm "pdus_rtx")
@@ -225,7 +225,7 @@ let run_rina () =
          ~blackouts:(Report.blackouts ~component:"efcp" ~rank:1 events)
          ~reconvergence_s:!seen_at)
   | Error e ->
-    Trace.detach ();
+    Trace.close tr;
     Error ("allocation failed: " ^ e)
 
 (* ---------- TCP/IP baseline ---------- *)

@@ -368,7 +368,7 @@ let run_crowd_rina ~chaos () =
     | None -> []
     | Some t ->
       let events = Trace.typed_events t in
-      Trace.detach ();
+      Trace.close t;
       Report.blackouts events
   in
   {

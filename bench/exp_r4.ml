@@ -183,7 +183,7 @@ let run_failover () =
     Rig.save_trace tr;
     Option.iter Rig.save_stats telemetry;
     let events = Trace.typed_events tr in
-    Trace.detach ();
+    Trace.close tr;
     let path_down_drops =
       List.length
         (List.filter
@@ -208,7 +208,7 @@ let run_failover () =
         fo_repath_pdus = Metrics.get (Ipcp.metrics h1) "repath_pdus";
       }
   | Error e ->
-    Trace.detach ();
+    Trace.close tr;
     Error ("allocation failed: " ^ e)
 
 (* ---------- 2. striped vs single-path goodput ---------- *)

@@ -1,6 +1,7 @@
 (* Hot-path performance benchmark — the recorded artifact behind the
    allocation-lean event loop / PDU pipeline and the domain-parallel
-   trial runner.  Writes BENCH_hotpath.json with three sections:
+   trial runner.  A full run writes BENCH_hotpath.json with three
+   sections:
 
    - "timer":    a schedule/cancel churn microbench on a bare engine
                  (90% of timers cancelled, like retransmission timers
@@ -20,11 +21,12 @@
 
    Environment knobs (used by CI):
    - RINA_BENCH_SMOKE=1  small scale (seconds, not minutes); the two
-     headline metrics are rates, so they stay comparable;
-   - RINA_BENCH_CHECK=1  read the committed BENCH_hotpath.json before
-     overwriting it, and exit 1 if events/sec regressed by more than
-     25% (or bytes/event grew by more than 25%) against its "current"
-     block. *)
+     headline metrics are rates, so they stay comparable.  A smoke run
+     prints its figures and writes nothing;
+   - RINA_BENCH_CHECK=1  exit 1 if events/sec regressed by more than
+     25% (or bytes/event grew by more than 25%) against the "current"
+     block of the committed BENCH_hotpath.json.  A full run rewrites
+     the artifact only after this gate has passed. *)
 
 module Engine = Rina_sim.Engine
 module Fault = Rina_sim.Fault
@@ -276,20 +278,19 @@ let run () =
     (if sw.identical then "identical" else "DIVERGED");
   if not sw.identical then
     Gate.abort "hotpath: parallel sweep diverged from sequential output";
-  (* read before the artifact is overwritten: the gate compares
-     against the committed copy *)
-  let committed =
-    if Sys.file_exists json_path then
-      Some (In_channel.with_open_text json_path In_channel.input_all)
-    else None
-  in
-  Gate.write json_path (render ~timer ~pipeline ~delivered ~sw);
-  match committed with
-  | None ->
+  (* The gate compares against the committed copy and exits on a
+     violation, so a regressed run never overwrites it. *)
+  if not (Sys.file_exists json_path) then begin
     if Gate.checking () then
       Printf.printf "hotpath: no committed %s; skipping regression gate\n"
         json_path
-  | Some text ->
+  end
+  else
     Gate.check_detailed "hotpath"
       ("hotpath: performance regressed >25% vs committed " ^ json_path)
-      (regression_claims text ~timer ~pipeline)
+      (regression_claims
+         (In_channel.with_open_text json_path In_channel.input_all)
+         ~timer ~pipeline);
+  if smoke () then
+    Printf.printf "hotpath: smoke run, %s left as committed\n" json_path
+  else Gate.write json_path (render ~timer ~pipeline ~delivered ~sw)

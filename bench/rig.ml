@@ -161,5 +161,5 @@ let udp_relay ~seed ~stream_len ~drain ~faults ~stream ~receive =
   in
   Engine.run ~until:(t0 +. stream_len +. drain) engine;
   let events = Trace.typed_events tr in
-  Trace.detach ();
+  Trace.close tr;
   (sent, events)

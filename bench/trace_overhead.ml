@@ -3,9 +3,9 @@
    Measurements, written as BENCH_trace_overhead.json so the perf
    trajectory is machine-readable across commits:
 
-   - the disabled path: every instrumented site costs one domain-local
-     lookup and a branch ([let r = Flight.cur () in if Flight.on r
-     then ...]) — measured per event to show that tracing off is free;
+   - the disabled path: every instrumented site costs a branch on the
+     recorder it holds ([if Flight.on r then ...]) — measured per event
+     to show that tracing off is free;
    - the enabled path: full event construction + sink call (a counting
      sink, so the numbers are emission cost, not buffer growth);
    - the sampled path: 1% deterministic head sampling with a live
@@ -31,12 +31,14 @@ module Link = Rina_sim.Link
 
 let sample_rate = 0.01
 
-(* The representative emission site: one recorder lookup, guard, span
-   computation, emit. *)
+(* The recorder the per-site measurements emit into, held the way a
+   hot component holds its engine's. *)
+let recorder = Flight.create ()
+
+(* The representative emission site: guard, span computation, emit. *)
 let[@inline never] emission_site i =
-  let r = Flight.cur () in
-  if Flight.on r then
-    Flight.emit_to r ~component:"bench" ~flow:7 ~seq:i ~size:1400
+  if Flight.on recorder then
+    Flight.emit_to recorder ~component:"bench" ~flow:7 ~seq:i ~size:1400
       ~span:(Flight.span_of ~flow:7 ~seq:i) Flight.Pdu_sent
 
 (* Run [site] in batches until at least [min_time] CPU seconds have
@@ -75,27 +77,22 @@ let scenario_once ~configure =
   dt
 
 let run () =
-  (* Make sure the recorder starts from the default (off) state. *)
-  Trace.detach ();
   let ns_disabled = 1e9 *. time_per_call emission_site in
   (* per-site enabled cost: every event constructed and sunk *)
   let count = ref 0 in
-  Flight.set_sink (fun _ -> incr count);
-  Flight.set_enabled true;
+  Flight.set_sink recorder (fun _ -> incr count);
+  Flight.set_enabled recorder true;
   let ns_enabled = 1e9 *. time_per_call emission_site in
-  Trace.detach ();
   (* per-site sampled cost: 1% of spans reach the sink, the tally and
      tap aggregate everything.  Latency tracking follows the sample
      rate (as Trace.attach wires it), so the pending-span table holds
      ~1% of in-flight spans. *)
   let micro_tele = Telemetry.create () in
   Telemetry.set_latency_ppm micro_tele (Flight.ppm_of_rate sample_rate);
-  Flight.set_sink (fun _ -> ());
-  Telemetry.install micro_tele;
-  Flight.set_sample_rate sample_rate;
-  Flight.set_enabled true;
+  Flight.set_sink recorder ignore;
+  Telemetry.install micro_tele recorder;
+  Flight.set_sample_rate recorder sample_rate;
   let ns_sampled = 1e9 *. time_per_call emission_site in
-  Trace.detach ();
   (* End-to-end scenario, three configurations interleaved.  The full
      and sampled modes are real [Trace.attach] setups: buffered sink,
      and for sampled mode a live telemetry registry. *)
@@ -158,7 +155,7 @@ let run () =
        ratio_sampled -. 1. <= budget,
        Printf.sprintf "sampled x%.4f vs full x%.4f, budget +%.1f%%" ratio_sampled
          ratio (100. *. budget));
-      (* the disabled site must stay ~ns: one lookup + one branch *)
+      (* the disabled site must stay ~ns: one branch *)
       ("disabled site stays ~ns",
        ns_disabled <= 15.,
        Printf.sprintf "%.2f ns/event" ns_disabled) ]

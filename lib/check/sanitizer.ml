@@ -1,16 +1,17 @@
 module Invariant = Rina_util.Invariant
 
-let enable () =
-  Invariant.clear ();
-  Invariant.set_enabled true
+let enable engine =
+  let c = Rina_sim.Engine.checks engine in
+  Invariant.clear c;
+  Invariant.set_enabled c true
 
-let disable () = Invariant.set_enabled false
+let disable engine = Invariant.set_enabled (Rina_sim.Engine.checks engine) false
 
-let enabled () = Invariant.enabled ()
+let enabled engine = Invariant.enabled (Rina_sim.Engine.checks engine)
 
-let reset () = Invariant.clear ()
+let reset engine = Invariant.clear (Rina_sim.Engine.checks engine)
 
-let violations () =
+let violations engine =
   List.map
     (fun (v : Invariant.violation) ->
       let message =
@@ -18,7 +19,7 @@ let violations () =
         else Printf.sprintf "%s (%d occurrences)" v.detail v.count
       in
       Diag.error v.code message)
-    (Invariant.violations ())
+    (Invariant.violations (Rina_sim.Engine.checks engine))
 
 let audit_half label (c : Rina_sim.Link.conservation) =
   let in_flight = c.injected - c.delivered - c.dropped - c.blackholed in

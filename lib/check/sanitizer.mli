@@ -3,36 +3,38 @@
     The low-cost check sites live inside the components themselves
     ({!Rina_sim.Engine} clock monotonicity and event-heap order,
     {!Rina_sim.Link} PDU conservation counters, {!Rina_core.Efcp}
-    window invariants, {!Rina_core.Rib} object-name well-formedness),
-    all guarded by [Rina_util.Invariant.enabled] — one load and one
+    window invariants, {!Rina_core.Ipcp}'s RIB object-name
+    well-formedness), all guarded by the engine's
+    [Rina_util.Invariant] context ({!Rina_sim.Engine.checks}) — one
     branch each when disabled.  This module is the front end: switch
-    checking on, run the scenario, and collect every violation as a
-    structured {!Diag.t}, plus end-of-run audits that need whole-run
-    state.
+    checking on for an engine, run the scenario, and collect every
+    violation as a structured {!Diag.t}, plus end-of-run audits that
+    need whole-run state.
 
     Typical use in a test or experiment:
     {[
-      Sanitizer.enable ();
+      let engine = Engine.create () in
+      Sanitizer.enable engine;
       ... build and run the scenario to drain ...
-      let diags = Sanitizer.violations () @ Sanitizer.audit_link link in
-      Sanitizer.disable ();
+      let diags = Sanitizer.violations engine @ Sanitizer.audit_link link in
+      Sanitizer.disable engine;
       assert (diags = [])
     ]} *)
 
-val enable : unit -> unit
-(** Switch invariant checking on and clear previously recorded
-    violations.  Enable *before* building the scenario so conservation
-    counters see every frame. *)
+val enable : Rina_sim.Engine.t -> unit
+(** Switch the engine's invariant checking on and clear previously
+    recorded violations.  Enable straight after [Engine.create], before
+    building the scenario, so conservation counters see every frame. *)
 
-val disable : unit -> unit
+val disable : Rina_sim.Engine.t -> unit
 
-val enabled : unit -> bool
+val enabled : Rina_sim.Engine.t -> bool
 
-val reset : unit -> unit
+val reset : Rina_sim.Engine.t -> unit
 (** Forget recorded violations without changing the switch. *)
 
-val violations : unit -> Diag.t list
-(** Everything recorded through [Rina_util.Invariant] since the last
+val violations : Rina_sim.Engine.t -> Diag.t list
+(** Everything the engine's components recorded since the last
     {!enable}/{!reset}, as [Error] diagnostics ([SAN_CLOCK],
     [SAN_HEAP], [SAN_EFCP_SEQ], [SAN_EFCP_WINDOW], [SAN_EFCP_RCVBUF],
     [SAN_RIB_PATH], ...) with occurrence counts folded into the

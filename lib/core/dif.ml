@@ -49,6 +49,7 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
   let data_c = Ipcp.chan_of_flow owner data
   and mgmt_c = Ipcp.chan_of_flow owner mgmt in
   let pushback = (Ipcp.policy owner).Policy.congestion.Policy.pushback in
+  let r = Rina_sim.Engine.flight (Ipcp.engine owner) in
   let is_management frame =
     match Pdu.Peek.pdu_type frame with
     | Some (Pdu.Mgmt | Pdu.Hello) -> true
@@ -75,7 +76,6 @@ let combined_chan ~owner ~data ~mgmt : Rina_sim.Chan.t =
             && data.Ipcp.congested ()
           then begin
             Pdu.mark_ecn_frame frame;
-            let r = Rina_util.Flight.cur () in
             if Rina_util.Flight.on r then
               Rina_util.Flight.emit_to r
                 ~component:("pushback@" ^ Types.apn_to_string (Ipcp.name owner))

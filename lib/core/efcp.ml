@@ -76,7 +76,7 @@ type t = {
   dup_ring : int array;
   mutable dup_ring_pos : int;
   (* sanitizer shadow state for the exactly-once invariants; only
-     populated while [Rina_util.Invariant.enabled] *)
+     populated while the engine's checks are enabled *)
   san_delivered : (int, unit) Hashtbl.t;
   mutable san_last_seq : int;
   mutable closed : bool;
@@ -148,13 +148,14 @@ let create engine ~config ~in_order ~local_cep ~remote_cep ~qos_id ?span_keys
 
 let metrics t = t.metrics
 
-(* Flight-recorder emissions; each helper fetches the domain's
-   recorder once and guards inside, so a data-path event costs a single
-   domain-local lookup and the disabled path allocates nothing. *)
+(* Flight-recorder emissions; each helper fetches the engine's recorder
+   once and guards inside, so the disabled path allocates nothing.  The
+   recorder stays in the engine rather than in this record, which is
+   made once per flow. *)
 module Flight = Rina_util.Flight
 
 let[@inline] flight_tx t seq size kind =
-  let r = Flight.cur () in
+  let r = Rina_sim.Engine.flight t.engine in
   if Flight.on r then
     Flight.emit_to r ~component:"efcp" ~flow:t.local_cep ~rank:t.rank ~seq
       ~size
@@ -162,7 +163,7 @@ let[@inline] flight_tx t seq size kind =
       kind
 
 let[@inline] flight_rx t seq size kind =
-  let r = Flight.cur () in
+  let r = Rina_sim.Engine.flight t.engine in
   if Flight.on r then
     Flight.emit_to r ~component:"efcp" ~flow:t.local_cep ~rank:t.rank ~seq
       ~size
@@ -201,7 +202,7 @@ let rec arm_rto_timer t =
   cancel_timer t.rto_timer;
   t.rto_timer <- None;
   if reliable t && in_flight t > 0 && not t.closed then begin
-    (let r = Flight.cur () in
+    (let r = Rina_sim.Engine.flight t.engine in
      if Flight.on r then
        Flight.emit_to r ~component:"efcp" ~flow:t.local_cep ~rank:t.rank
          Flight.Timer_set);
@@ -215,7 +216,7 @@ and on_rto t =
   if t.closed || t.errored then ()
   else begin
     Rina_util.Metrics.incr t.metrics "rto_fired";
-    (let r = Flight.cur () in
+    (let r = Rina_sim.Engine.flight t.engine in
      if Flight.on r then
        Flight.emit_to r ~component:"efcp" ~flow:t.local_cep ~rank:t.rank
          Flight.Timer_fired);
@@ -405,13 +406,14 @@ let schedule_ack t =
    the sanitizer is enabled, so the production path pays one load and a
    branch. *)
 let[@inline] san_delivery t seq =
-  if Rina_util.Invariant.enabled () then begin
+  let c = Rina_sim.Engine.checks t.engine in
+  if Rina_util.Invariant.enabled c then begin
     if Hashtbl.mem t.san_delivered seq then
-      Rina_util.Invariant.record ~code:"SAN_dup_delivery"
+      Rina_util.Invariant.record c ~code:"SAN_dup_delivery"
         (Printf.sprintf "cep %d: SDU seq %d delivered twice" t.local_cep seq)
     else Hashtbl.replace t.san_delivered seq ();
     if (reliable t || t.in_order) && seq < t.san_last_seq then
-      Rina_util.Invariant.record ~code:"SAN_seq_regression"
+      Rina_util.Invariant.record c ~code:"SAN_seq_regression"
         (Printf.sprintf "cep %d: SDU seq %d delivered after seq %d" t.local_cep
            seq t.san_last_seq);
     if seq > t.san_last_seq then t.san_last_seq <- seq
@@ -698,17 +700,17 @@ let handle_ack t (pdu : Pdu.t) =
    outstanding window may never exceed the credit window, and the
    receiver may never buffer more out-of-order PDUs than it advertised
    space for. *)
-let check_invariants t =
+let check_invariants c t =
   if t.snd_una > t.next_seq then
-    Rina_util.Invariant.record ~code:"SAN_EFCP_SEQ"
+    Rina_util.Invariant.record c ~code:"SAN_EFCP_SEQ"
       (Printf.sprintf "cep %d: snd_una %d ahead of next_seq %d" t.local_cep
          t.snd_una t.next_seq);
   if reliable t && in_flight t > t.config.Policy.window then
-    Rina_util.Invariant.record ~code:"SAN_EFCP_WINDOW"
+    Rina_util.Invariant.record c ~code:"SAN_EFCP_WINDOW"
       (Printf.sprintf "cep %d: %d PDUs in flight exceeds window %d" t.local_cep
          (in_flight t) t.config.Policy.window);
   if Hashtbl.length t.ooo > t.config.Policy.reorder_window then
-    Rina_util.Invariant.record ~code:"SAN_EFCP_RCVBUF"
+    Rina_util.Invariant.record c ~code:"SAN_EFCP_RCVBUF"
       (Printf.sprintf
          "cep %d: %d PDUs buffered out-of-order exceeds reorder_window %d"
          t.local_cep (Hashtbl.length t.ooo) t.config.Policy.reorder_window)
@@ -720,7 +722,8 @@ let handle_pdu t (pdu : Pdu.t) =
      | Pdu.Dtp -> handle_dtp t pdu
      | Pdu.Ack -> handle_ack t pdu
      | Pdu.Mgmt | Pdu.Hello -> Rina_util.Metrics.incr t.metrics "foreign_pdus");
-    if Rina_util.Invariant.enabled () then check_invariants t
+    let c = Rina_sim.Engine.checks t.engine in
+    if Rina_util.Invariant.enabled c then check_invariants c t
   end
 
 (* Fast failover: [dead_path] just went Down, so every outstanding

@@ -1,6 +1,8 @@
 module Chan = Rina_sim.Chan
 module Engine = Rina_sim.Engine
 module Metrics = Rina_util.Metrics
+module Flight = Rina_util.Flight
+module Invariant = Rina_util.Invariant
 module W = Rina_util.Codec.Writer
 module R = Rina_util.Codec.Reader
 
@@ -83,6 +85,7 @@ type t = {
   rmt : Rmt.t;
   lsdb : Routing.t;
   metrics : Metrics.t;
+  flight : Flight.recorder;  (* the engine's *)
   rank : int;  (* DIF rank stamped on flight-recorder events *)
   nports : (Types.port_id, nport) Hashtbl.t;
   flows : (Types.cep_id, flow_state) Hashtbl.t;
@@ -131,11 +134,48 @@ type t = {
          no probes) unless policy [multipath] arms the monitor *)
 }
 
-(* Flight-recorder emission; guarded with [Flight.enabled] at every
-   call site. *)
-module Flight = Rina_util.Flight
 
 let flight_comp t = t.dif ^ ":" ^ Types.apn_to_string t.name
+
+(* The member's own events; call under [Flight.on t.flight]. *)
+let flight_emit t ~flow kind =
+  Flight.emit_to t.flight ~component:(flight_comp t) ~flow ~rank:t.rank kind
+
+(* The RIB and the LSDB hold no engine, so the member observes their
+   changes itself.  Every RIB write is emitted and checked: SAN_RIB_PATH
+   flags an object name that is not an absolute slash-separated path,
+   since a relative, empty or slash-doubled one silently partitions the
+   namespace ([Rib.children] and prefix scans never see it).  Deletes
+   and accepted LSAs are emitted too. *)
+let rib_written t path =
+  let c = Engine.checks t.engine in
+  (if Invariant.enabled c then
+     match String.split_on_char '/' path with
+     | "" :: (_ :: _ as names) when not (List.mem "" names) -> ()
+     | _ ->
+       Invariant.record c ~code:"SAN_RIB_PATH"
+         (Printf.sprintf "malformed RIB object name %S" path));
+  if Flight.on t.flight then
+    Flight.emit_to t.flight ~component:"rib" (Flight.Custom "rib_write")
+
+let rib_write t path value =
+  rib_written t path;
+  Rib.write t.rib path value
+
+let rib_delete t path =
+  let deleted = Rib.delete t.rib path in
+  if deleted && Flight.on t.flight then
+    Flight.emit_to t.flight ~component:"rib" (Flight.Custom "rib_delete");
+  deleted
+
+(* An accepted LSA is a routing-state change: its event carries the
+   origin as the flow field and the LSA sequence number. *)
+let install_lsa t (lsa : Routing.Lsa.t) =
+  let accepted = Routing.install ~now:(Engine.now t.engine) t.lsdb lsa in
+  if accepted && Flight.on t.flight then
+    Flight.emit_to t.flight ~component:"routing" ~flow:lsa.origin ~seq:lsa.seq
+      Flight.Route_update;
+  accepted
 
 (* ---------- small codecs for management payloads ---------- *)
 
@@ -300,9 +340,7 @@ let rechoose_port t peer =
     if Hashtbl.mem t.chosen_poa peer then begin
       (* Previous point of attachment died: local failover, no routing
          update needed beyond this hop. *)
-      if Flight.enabled () then
-        Flight.emit ~component:(flight_comp t) ~flow:peer ~rank:t.rank
-          Flight.Handoff;
+      if Flight.on t.flight then flight_emit t ~flow:peer Flight.Handoff;
       Metrics.incr t.metrics "local_reroute"
     end;
     Hashtbl.replace t.chosen_poa peer lowest;
@@ -336,9 +374,8 @@ let forward_single t (pdu : Pdu.t) =
 (* The PDU carrying [msg], counted and recorded as sent. *)
 let mgmt_pdu t ~dst msg =
   Metrics.incr t.metrics "mgmt_tx";
-  if Flight.enabled () then
-    Flight.emit ~component:(flight_comp t) ~rank:t.rank
-      (Flight.Custom ("riep_tx:" ^ Riep.trace_label msg));
+  if Flight.on t.flight then
+    flight_emit t ~flow:0 (Flight.Custom ("riep_tx:" ^ Riep.trace_label msg));
   Pdu.make ~pdu_type:Pdu.Mgmt ~dst_addr:dst ~src_addr:t.address
     ~ttl:t.policy.Policy.max_ttl (Riep.encode msg)
 
@@ -419,7 +456,7 @@ let schedule_recompute t =
 let originate_lsa t neighbors =
   t.own_lsa_seq <- t.own_lsa_seq + 1;
   let lsa = { Routing.Lsa.origin = t.address; seq = t.own_lsa_seq; neighbors } in
-  ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa);
+  ignore (install_lsa t lsa);
   flood t ~tally:"lsa_tx" (lsa_msg lsa)
 
 let rebuild_own_lsa t =
@@ -558,7 +595,7 @@ let local_grant t =
   let next_free =
     match Rib.read_int t.rib "/dif/next_free" with Some n -> n | None -> 2
   in
-  Rib.write t.rib "/dif/next_free" (Rib.V_int (next_free + 1));
+  rib_write t "/dif/next_free" (Rib.V_int (next_free + 1));
   next_free
 
 let finish_admission t port_id ~invoke ~granted =
@@ -662,10 +699,9 @@ let handle_connect_r t port_id (msg : Riep.t) =
           Metrics.incr t.metrics "enroll_bad_snapshot"
         | Ok (granted, entries, lsas) ->
           t.address <- granted;
-          List.iter (fun (path, v) -> Rib.write t.rib path v) entries;
+          List.iter (fun (path, v) -> rib_write t path v) entries;
           List.iter
-            (fun lsa ->
-              ignore (Routing.install ~now:(Engine.now t.engine) t.lsdb lsa))
+            (fun lsa -> ignore (install_lsa t lsa))
             lsas;
           t.enrolled <- true;
           t.enroll_state <- E_none;
@@ -765,9 +801,8 @@ let make_flow_state t ~port ~local_cep ~remote_cep ~remote_addr ~local_app
   in
   let on_error reason =
     Metrics.incr t.metrics "flow_errors";
-    if Flight.enabled () then
-      Flight.emit ~component:(flight_comp t) ~flow:local_cep ~rank:t.rank
-        (Flight.Custom "flow_abort");
+    if Flight.on t.flight then
+      flight_emit t ~flow:local_cep (Flight.Custom "flow_abort");
     (* Abort: tear the local endpoint down and surface the reason to
        whoever holds the flow.  The peer is not notified — if it were
        reachable the retransmissions would not have exhausted. *)
@@ -836,9 +871,10 @@ let flow_of_state t fs =
       (fun sdu ->
         (* The delimiting boundary: one event per application SDU,
            before fragmentation assigns per-PDU spans downstream. *)
-        if Flight.enabled () then
-          Flight.emit ~component:(flight_comp t) ~flow:fs.fs_local_cep
-            ~rank:t.rank ~size:(Bytes.length sdu) (Flight.Custom "sdu");
+        if Flight.on t.flight then
+          Flight.emit_to t.flight ~component:(flight_comp t)
+            ~flow:fs.fs_local_cep ~rank:t.rank ~size:(Bytes.length sdu)
+            (Flight.Custom "sdu");
         List.iter (Efcp.send fs.fs_efcp) (Delimiting.fragment ~mtu sdu));
     set_on_receive = (fun f -> fs.fs_on_receive <- f);
     set_on_error = (fun f -> fs.fs_on_error <- f);
@@ -985,7 +1021,7 @@ let handle_rib_write t from_port (msg : Riep.t) =
         | None -> true
       in
       if accept then begin
-        Rib.write t.rib msg.Riep.obj_name value;
+        rib_write t msg.Riep.obj_name value;
         flood_rib_write t ?except_port:from_port msg.Riep.obj_name value
       end
     end
@@ -998,8 +1034,10 @@ let handle_rib_write t from_port (msg : Riep.t) =
         (* Version-only installs (a refresh re-flood of a value we
            already hold) are absorbed silently — re-flooding them would
            turn every periodic refresh into a DIF-wide storm. *)
-        if value_changed then
+        if value_changed then begin
+          rib_written t msg.Riep.obj_name;
           flood_rib_write t ?except_port:from_port msg.Riep.obj_name value
+        end
       | Rib.Duplicate -> Metrics.incr t.metrics "rib_dup_rejected"
       | Rib.Stale -> (
         Metrics.incr t.metrics "rib_stale_rejected";
@@ -1012,7 +1050,7 @@ let handle_rib_write t from_port (msg : Riep.t) =
         | _, _ -> ())
 
 let handle_rib_delete t from_port (msg : Riep.t) =
-  if Rib.delete t.rib msg.Riep.obj_name then
+  if rib_delete t msg.Riep.obj_name then
     flood_rib_delete t ?except_port:from_port msg.Riep.obj_name
 
 let handle_lsa t from_port (msg : Riep.t) =
@@ -1021,7 +1059,7 @@ let handle_lsa t from_port (msg : Riep.t) =
     match Routing.Lsa.decode data with
     | Error _ -> Metrics.incr t.metrics "bad_lsa"
     | Ok lsa ->
-      if Routing.install ~now:(Engine.now t.engine) t.lsdb lsa then begin
+      if install_lsa t lsa then begin
         Metrics.incr t.metrics "lsa_rx_new";
         flood t ?except_port:from_port ~tally:"lsa_tx" (lsa_msg lsa);
         schedule_recompute t
@@ -1063,9 +1101,7 @@ let answer_probe t port_id (msg : Riep.t) =
    window absorbs the resequencing at the far end. *)
 let failover_from t np =
   Hashtbl.remove t.chosen_poa np.np_peer;
-  if Flight.enabled () then
-    Flight.emit ~component:(flight_comp t) ~flow:np.np_id ~rank:t.rank
-      Flight.Handoff;
+  if Flight.on t.flight then flight_emit t ~flow:np.np_id Flight.Handoff;
   Metrics.incr t.metrics "failovers";
   let stranded =
     Hashtbl.fold
@@ -1084,9 +1120,7 @@ let note_path_transition t np = function
       | Multipath.To_down -> "path_down"
     in
     Metrics.incr t.metrics name;
-    if Flight.enabled () then
-      Flight.emit ~component:(flight_comp t) ~flow:np.np_id ~rank:t.rank
-        (Flight.Custom name);
+    if Flight.on t.flight then flight_emit t ~flow:np.np_id (Flight.Custom name);
     (match tr with Multipath.To_down -> failover_from t np | _ -> ())
 
 let handle_path_probe_r t port_id (_ : Riep.t) =
@@ -1128,9 +1162,7 @@ let multipath_tick t =
 let declare_peer_dead t np =
   let dead = np.np_peer in
   Metrics.incr t.metrics "peer_declared_dead";
-  if Flight.enabled () then
-    Flight.emit ~component:(flight_comp t) ~flow:dead ~rank:t.rank
-      (Flight.Custom "peer_dead");
+  if Flight.on t.flight then flight_emit t ~flow:dead (Flight.Custom "peer_dead");
   np.np_peer <- 0;
   np.np_peer_name <- "";
   Hashtbl.remove t.chosen_poa dead;
@@ -1199,9 +1231,8 @@ let handle_mgmt t from_port (pdu : Pdu.t) =
   | Error _ -> Metrics.incr t.metrics "bad_mgmt"
   | Ok msg -> (
     Metrics.incr t.metrics "mgmt_rx";
-    if Flight.enabled () then
-      Flight.emit ~component:(flight_comp t) ~rank:t.rank
-        (Flight.Custom ("riep_rx:" ^ Riep.trace_label msg));
+    if Flight.on t.flight then
+      flight_emit t ~flow:0 (Flight.Custom ("riep_rx:" ^ Riep.trace_label msg));
     match (msg.Riep.opcode, msg.Riep.obj_class) with
     | Riep.M_connect, "enrollment" -> on_port t from_port msg handle_connect
     | Riep.M_connect_r, "enrollment" -> on_port t from_port msg handle_connect_r
@@ -1328,6 +1359,7 @@ let create engine ?(credentials = "") ?(qos_cubes = Qos.standard_cubes)
             ~congestion:policy.Policy.congestion ~label:("rmt:" ^ dif) ~rank ();
         lsdb = Routing.create ();
         metrics = Metrics.create ();
+        flight = Engine.flight engine;
         rank;
         nports = Hashtbl.create 8;
         flows = Hashtbl.create 16;
@@ -1395,11 +1427,9 @@ let bootstrap t =
   if t.enrolled then invalid_arg "Ipcp.bootstrap: already enrolled";
   t.address <- 1;
   t.enrolled <- true;
-  Rib.write t.rib "/dif/next_free" (Rib.V_int 2);
+  rib_write t "/dif/next_free" (Rib.V_int 2);
   t.own_lsa_seq <- 1;
-  ignore
-    (Routing.install t.lsdb
-       { Routing.Lsa.origin = 1; seq = 1; neighbors = [] });
+  ignore (install_lsa t { Routing.Lsa.origin = 1; seq = 1; neighbors = [] });
   run_enrolled_hooks t
 
 let bind_port t ?(cost = 1.0) ?rate chan =
@@ -1461,7 +1491,7 @@ let leave t =
     Hashtbl.iter
       (fun _ reg ->
         let path = dir_path reg.ar_name in
-        if Rib.delete t.rib path then flood_rib_delete t path)
+        if rib_delete t path then flood_rib_delete t path)
       t.apps;
     close_all_flows t ~notify_peer:true;
     (* A final LSA with no neighbours: the two-way check then severs
@@ -1474,6 +1504,7 @@ let leave t =
 
 let publish_app t apn =
   let path = dir_path apn in
+  rib_written t path;
   ignore (Rib.write_owned t.rib path (Rib.V_int t.address) ~origin:t.address);
   flood_rib_write t path (Rib.V_int t.address)
 
@@ -1487,8 +1518,7 @@ let crash t =
   if t.up then begin
     t.up <- false;
     Metrics.incr t.metrics "crashes";
-    if Flight.enabled () then
-      Flight.emit ~component:(flight_comp t) ~rank:t.rank (Flight.Custom "crash");
+    if Flight.on t.flight then flight_emit t ~flow:0 (Flight.Custom "crash");
     close_all_flows t ~notify_peer:false;
     Hashtbl.iter (fun _ pa -> Engine.cancel pa.pa_timeout) t.pending;
     Hashtbl.reset t.pending;
@@ -1508,9 +1538,7 @@ let restart t =
   if not t.up then begin
     t.up <- true;
     Metrics.incr t.metrics "restarts";
-    if Flight.enabled () then
-      Flight.emit ~component:(flight_comp t) ~rank:t.rank
-        (Flight.Custom "restart");
+    if Flight.on t.flight then flight_emit t ~flow:0 (Flight.Custom "restart");
     t.auto_enroll <- true;
     (* Registered applications survive the reboot (they live above the
        IPC process); republish their directory entries once
@@ -1543,7 +1571,7 @@ let register_app t apn ~on_flow =
 let unregister_app t apn =
   Hashtbl.remove t.apps (Types.apn_to_string apn);
   if t.enrolled then begin
-    ignore (Rib.delete t.rib (dir_path apn));
+    ignore (rib_delete t (dir_path apn));
     flood_rib_delete t (dir_path apn)
   end
 
@@ -1669,6 +1697,8 @@ let chan_of_flow t (flow : flow) : Chan.t =
 let set_auto_enroll t b = t.auto_enroll <- b
 
 let name t = t.name
+
+let engine t = t.engine
 
 let dif_name t = t.dif
 

@@ -131,6 +131,7 @@ val chan_of_flow : t -> flow -> Rina_sim.Chan.t
 (* --- management / instrumentation (not part of the app-visible API) --- *)
 
 val name : t -> Types.apn
+val engine : t -> Rina_sim.Engine.t
 val dif_name : t -> Types.dif_name
 
 val is_enrolled : t -> bool

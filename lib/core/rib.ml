@@ -23,21 +23,7 @@ let value_equal a b =
   | V_bytes x, V_bytes y -> Bytes.equal x y
   | (V_str _ | V_int _ | V_float _ | V_bool _ | V_bytes _), _ -> false
 
-(* Sanitizer hook: object names are absolute slash-separated paths.  A
-   relative, empty or slash-doubled path would silently partition the
-   namespace ([children] and prefix scans could never see it). *)
-let write t path value =
-  (if Rina_util.Invariant.enabled () then
-     let len = String.length path in
-     let rec has_double i =
-       i + 1 < len && ((path.[i] = '/' && path.[i + 1] = '/') || has_double (i + 1))
-     in
-     if len = 0 || path.[0] <> '/' || path.[len - 1] = '/' || has_double 0 then
-       Rina_util.Invariant.record ~code:"SAN_RIB_PATH"
-         (Printf.sprintf "malformed RIB object name %S" path));
-  if Rina_util.Flight.enabled () then
-    Rina_util.Flight.emit ~component:"rib" (Rina_util.Flight.Custom "rib_write");
-  Hashtbl.replace t.objects path value
+let write t path value = Hashtbl.replace t.objects path value
 
 (* ---------- versioned writes (stale/duplicate rejection) ----------
 
@@ -90,9 +76,6 @@ let read_str t path =
 
 let delete t path =
   if Hashtbl.mem t.objects path then begin
-    if Rina_util.Flight.enabled () then
-      Rina_util.Flight.emit ~component:"rib"
-        (Rina_util.Flight.Custom "rib_delete");
     Hashtbl.remove t.objects path;
     Hashtbl.remove t.versions path;
     true

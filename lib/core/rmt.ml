@@ -24,6 +24,7 @@ type port = {
 
 type t = {
   engine : Rina_sim.Engine.t;
+  flight : Rina_util.Flight.recorder;  (* the engine's *)
   own_address : unit -> Types.address;
   label : string;  (* flight-recorder component prefix *)
   rank : int;
@@ -56,6 +57,7 @@ let create engine ~own_address ~scheduler
   let counter = Rina_util.Metrics.counter metrics in
   {
     engine;
+    flight = Rina_sim.Engine.flight engine;
     own_address;
     label;
     rank;
@@ -88,30 +90,26 @@ let set_drop_reason t f = t.drop_reason <- f
 
 let metrics t = t.metrics
 
-(* Flight-recorder emissions; each helper fetches the domain's
-   recorder once and guards inside, so an emission site on the data
-   path pays a single domain-local lookup and the disabled path
-   allocates nothing.  The component names the relay instance
-   ("label@address"), and the span id is recomputed from the PDU header
-   so relay events join the end-to-end EFCP events.  [flight_frame]
-   reads the fields straight out of the frame; it reports the same
-   flow/seq/span/size as [flight_pdu] on the decoded equivalent
-   (size = encoded PDU length, trailer excluded). *)
+(* Flight-recorder emissions; each helper guards inside, so the
+   disabled path allocates nothing.  The component names the relay
+   instance ("label@address"), and the span id is recomputed from the
+   PDU header so relay events join the end-to-end EFCP events.
+   [flight_frame] reads the fields straight out of the frame; it
+   reports the same flow/seq/span/size as [flight_pdu] on the decoded
+   equivalent (size = encoded PDU length, trailer excluded). *)
 module Flight = Rina_util.Flight
 
 let flight_pdu t (pdu : Pdu.t) kind =
-  let r = Flight.cur () in
-  if Flight.on r then
-    Flight.emit_to r
+  if Flight.on t.flight then
+    Flight.emit_to t.flight
       ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
       ~flow:pdu.Pdu.dst_cep ~rank:t.rank ~seq:pdu.Pdu.seq
       ~size:(Pdu.encoded_size pdu)
       ~span:(Pdu.span pdu) kind
 
 let flight_frame t frame kind =
-  let r = Flight.cur () in
-  if Flight.on r then
-    Flight.emit_to r
+  if Flight.on t.flight then
+    Flight.emit_to t.flight
       ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
       ~flow:(Pdu.Peek.dst_cep frame) ~rank:t.rank ~seq:(Pdu.Peek.seq frame)
       ~size:(Bytes.length frame - Sdu_protection.overhead)
@@ -306,22 +304,20 @@ let relay_frame t ~hdr frame =
 let on_frame t port_id frame =
   match Sdu_protection.verify_len frame with
   | None ->
-    (let r = Flight.cur () in
-     if Flight.on r then
-       Flight.emit_to r
-         ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
-         ~rank:t.rank ~size:(Bytes.length frame)
-         (Flight.Pdu_dropped Flight.R_corrupt));
+    if Flight.on t.flight then
+      Flight.emit_to t.flight
+        ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
+        ~rank:t.rank ~size:(Bytes.length frame)
+        (Flight.Pdu_dropped Flight.R_corrupt);
     Rina_util.Metrics.incr t.metrics "crc_dropped"
   | Some body_len -> (
     match Pdu.decode_header frame ~len:body_len with
     | Error _ ->
-      (let r = Flight.cur () in
-       if Flight.on r then
-         Flight.emit_to r
-           ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
-           ~rank:t.rank ~size:body_len
-           (Flight.Pdu_dropped Flight.R_decode));
+      if Flight.on t.flight then
+        Flight.emit_to t.flight
+          ~component:(t.label ^ "@" ^ string_of_int (t.own_address ()))
+          ~rank:t.rank ~size:body_len
+          (Flight.Pdu_dropped Flight.R_decode);
       Rina_util.Metrics.incr t.metrics "decode_dropped"
     | Ok hdr ->
       if not (t.ingress_filter port_id hdr) then begin

@@ -166,11 +166,6 @@ let install ?(now = 0.) t (lsa : Lsa.t) =
     (match stored with
     | Some existing when same_neighbors existing.Lsa.neighbors lsa.Lsa.neighbors -> ()
     | Some _ | None -> set_neighbors t s lsa.Lsa.neighbors);
-    (* An accepted LSA is a routing-state change: events carry the
-       origin as the flow field and the LSA sequence number. *)
-    if Rina_util.Flight.enabled () then
-      Rina_util.Flight.emit ~component:"routing" ~flow:origin ~seq:lsa.Lsa.seq
-        Rina_util.Flight.Route_update;
     true
 
 let withdraw t origin =

@@ -10,9 +10,10 @@
    identical to a sequential [Array.map] — byte-identical JSON, merged
    metrics in seed order — no matter how the trials interleaved.
 
-   Per-run recorder/sanitizer state lives in [Domain.DLS]
-   ({!Rina_util.Flight}, {!Rina_util.Invariant}), so a trial may attach
-   tracing inside a worker without seeing another domain's buffer. *)
+   The flight recorder and the sanitizer context belong to the trial's
+   own engine ([Engine.flight], [Engine.checks]), so a trial may attach
+   tracing or enable checking inside a worker without touching any
+   other trial's. *)
 
 type 'a outcome = Value of 'a | Raised of exn * Printexc.raw_backtrace
 

@@ -3,10 +3,10 @@
     A fixed pool of worker domains pulls items off an atomic counter;
     each trial must build its own {!Rina_sim.Engine},
     {!Rina_util.Prng}, {!Rina_util.Metrics} and (if it traces) its own
-    {!Rina_util.Flight.Buf} — recorder and sanitizer state is
-    domain-local, so concurrent trials never share a buffer.  Results
-    come back in input order: parallel output is byte-identical to a
-    sequential run over the same items. *)
+    {!Rina_sim.Trace}.  The engine owns the trial's flight recorder and
+    sanitizer context, so concurrent trials never share either.
+    Results come back in input order: parallel output is byte-identical
+    to a sequential run over the same items. *)
 
 val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~domains f items] applies [f] to every item across [domains]

@@ -106,6 +106,8 @@ and t = {
   mutable wheel_count : int;
   mutable wheel_min_slot : int;
   self : t option;  (* the [owner] of this engine's handles *)
+  flight : Rina_util.Flight.recorder;
+  checks : Rina_util.Invariant.t;
 }
 
 let vacant = { cancelled = true; resident = false; action = ignore; owner = None }
@@ -417,11 +419,18 @@ let create () =
       wheel_count = 0;
       wheel_min_slot = 0;
       self;
+      flight = Rina_util.Flight.create ();
+      checks = Rina_util.Invariant.create ();
     }
   and self = Some t in
+  Rina_util.Flight.set_clock t.flight (fun () -> t.clock);
   t
 
 let now t = t.clock
+
+let flight t = t.flight
+
+let checks t = t.checks
 
 let executed t = t.executed
 
@@ -465,9 +474,8 @@ let[@inline] enqueue lane t time f =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     push t.cal time seq h);
-  let r = Rina_util.Flight.cur () in
-  if Rina_util.Flight.on r then
-    Rina_util.Flight.emit_to r ~component:"engine" Rina_util.Flight.Timer_set;
+  if Rina_util.Flight.on t.flight then
+    Rina_util.Flight.emit_to t.flight ~component:"engine" Rina_util.Flight.Timer_set;
   h
 
 (* A NaN would compare false against every time and corrupt the
@@ -620,14 +628,14 @@ let fire t n =
   let time = Float.Array.get c.times n in
   let h = c.hs.(n) in
   drop c n;
-  if Rina_util.Invariant.enabled () then begin
+  if Rina_util.Invariant.enabled t.checks then begin
     if time < t.clock then
-      Rina_util.Invariant.record ~code:"SAN_CLOCK"
+      Rina_util.Invariant.record t.checks ~code:"SAN_CLOCK"
         (Printf.sprintf "event at t=%g popped with clock already at %g" time
            t.clock);
     let m = min_node c in
     if m <> nil && Float.Array.get c.times m < time then
-      Rina_util.Invariant.record ~code:"SAN_HEAP"
+      Rina_util.Invariant.record t.checks ~code:"SAN_HEAP"
         (Printf.sprintf "event order broken: popped t=%g but t=%g still queued"
            time (Float.Array.get c.times m))
   end;
@@ -638,9 +646,9 @@ let fire t n =
   h.resident <- false;
   if h.cancelled then t.cancelled_resident <- t.cancelled_resident - 1
   else begin
-    let r = Rina_util.Flight.cur () in
-    if Rina_util.Flight.on r then
-      Rina_util.Flight.emit_to r ~component:"engine" Rina_util.Flight.Timer_fired;
+    if Rina_util.Flight.on t.flight then
+      Rina_util.Flight.emit_to t.flight ~component:"engine"
+        Rina_util.Flight.Timer_fired;
     h.action ()
   end
 

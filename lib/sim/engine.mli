@@ -45,6 +45,17 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
+val flight : t -> Rina_util.Flight.recorder
+(** This engine's flight recorder, off until a [Trace] is attached.
+    Its clock is the engine's.  Every component that runs on the engine
+    emits into it, so two engines trace independently. *)
+
+val checks : t -> Rina_util.Invariant.t
+(** This engine's sanitizer context, off until
+    [Rina_check.Sanitizer.enable].  The engine checks clock
+    monotonicity and event order in it, and every component that runs
+    on the engine records its invariants there. *)
+
 val schedule : ?lane:lane -> t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  A negative
     delay is clamped to zero (runs "immediately", after currently

@@ -93,12 +93,13 @@ let ordered t =
 let events t = List.map (fun s -> (s.at, s.tag)) (ordered t)
 
 let arm t engine =
+  let r = Engine.flight engine in
   List.iter
     (fun s ->
       ignore
         (Engine.schedule_at engine ~time:s.at (fun () ->
-             if Rina_util.Flight.enabled () then
-               Rina_util.Flight.emit ~component:"fault"
+             if Rina_util.Flight.on r then
+               Rina_util.Flight.emit_to r ~component:"fault"
                  (Rina_util.Flight.Custom s.tag);
              s.action ())))
     (ordered t)

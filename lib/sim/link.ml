@@ -17,6 +17,8 @@ type held = {
 
 type half = {
   engine : Engine.t;
+  flight : Rina_util.Flight.recorder;  (* the engine's, for per-frame guards *)
+  checks : Rina_util.Invariant.t;  (* likewise *)
   rng : Rina_util.Prng.t;
   mutable bit_rate : float;  (* mutable so faults can degrade a live link *)
   delay : float;
@@ -38,9 +40,8 @@ type half = {
       (* why the last epoch bump voided the in-flight frames: carrier
          loss (the default) or a crash of the receiving endpoint *)
   conserv : conservation;
-      (* sanitizer accounting: only maintained while
-         [Rina_util.Invariant.enabled]; at drain, injected must equal
-         delivered + dropped *)
+      (* sanitizer accounting: only maintained while [checks] is
+         enabled; at drain, injected must equal delivered + dropped *)
 }
 
 type t = {
@@ -56,6 +57,8 @@ let make_half engine rng ~bit_rate ~delay ~queue_capacity ~loss ~mangle ~comp =
   let counter = Rina_util.Metrics.counter stats in
   {
     engine;
+    flight = Engine.flight engine;
+    checks = Engine.checks engine;
     rng;
     bit_rate;
     delay;
@@ -100,26 +103,25 @@ let create engine rng ~bit_rate ~delay ?(queue_capacity = 64) ?(loss = Loss.No_l
    site (a load and a branch) rather than hoisted into helper closures,
    so the disabled path allocates nothing extra per frame. *)
 let[@inline] account_admission_drop half =
-  if Rina_util.Invariant.enabled () then begin
+  if Rina_util.Invariant.enabled half.checks then begin
     half.conserv.injected <- half.conserv.injected + 1;
     half.conserv.dropped <- half.conserv.dropped + 1
   end
 
 let[@inline] account_late_drop half =
-  if Rina_util.Invariant.enabled () then
+  if Rina_util.Invariant.enabled half.checks then
     half.conserv.dropped <- half.conserv.dropped + 1
 
 let[@inline] account_blackhole half =
-  if Rina_util.Invariant.enabled () then
+  if Rina_util.Invariant.enabled half.checks then
     half.conserv.blackholed <- half.conserv.blackholed + 1
 
 (* Flight-recorder emissions follow the same per-site guard discipline
    as the conservation accounting above: frames are opaque here, so
    events carry the frame size but no span id. *)
 let[@inline] flight_drop half reason size =
-  let r = Rina_util.Flight.cur () in
-  if Rina_util.Flight.on r then
-    Rina_util.Flight.emit_to r ~component:half.comp ~size
+  if Rina_util.Flight.on half.flight then
+    Rina_util.Flight.emit_to half.flight ~component:half.comp ~size
       (Rina_util.Flight.Pdu_dropped reason)
 
 (* A frame whose epoch went stale died with whatever voided it —
@@ -144,12 +146,11 @@ let stale_drop half size =
    arrival, so conservation holds for every copy. *)
 
 let rec deliver_frame t half frame =
-  if Rina_util.Invariant.enabled () then
+  if Rina_util.Invariant.enabled half.checks then
     half.conserv.delivered <- half.conserv.delivered + 1;
-  let r = Rina_util.Flight.cur () in
-  if Rina_util.Flight.on r then
-    Rina_util.Flight.emit_to r ~component:half.comp ~size:(Bytes.length frame)
-      Rina_util.Flight.Pdu_recvd;
+  if Rina_util.Flight.on half.flight then
+    Rina_util.Flight.emit_to half.flight ~component:half.comp
+      ~size:(Bytes.length frame) Rina_util.Flight.Pdu_recvd;
   Rina_util.Metrics.bump half.rx;
   Rina_util.Metrics.bump_by half.rx_bytes (Bytes.length frame);
   half.receiver frame;
@@ -216,7 +217,7 @@ let mangled_arrival t half epoch frame =
        injected so conservation still balances, and it bypasses the
        mangler so one decision covers one original frame. *)
     Rina_util.Metrics.incr half.stats "mangle_dup";
-    if Rina_util.Invariant.enabled () then
+    if Rina_util.Invariant.enabled half.checks then
       half.conserv.injected <- half.conserv.injected + 1;
     let copy = Bytes.copy frame in
     let dup_delay = (Mangle.model half.mangle).Mangle.dup_delay in
@@ -251,11 +252,10 @@ let transmit t half frame =
     Rina_util.Metrics.incr m "dropped_queue"
   end
   else begin
-    if Rina_util.Invariant.enabled () then
+    if Rina_util.Invariant.enabled half.checks then
       half.conserv.injected <- half.conserv.injected + 1;
-    let r = Rina_util.Flight.cur () in
-    if Rina_util.Flight.on r then
-      Rina_util.Flight.emit_to r ~component:half.comp
+    if Rina_util.Flight.on half.flight then
+      Rina_util.Flight.emit_to half.flight ~component:half.comp
         ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent;
     Rina_util.Metrics.bump half.tx;
     Rina_util.Metrics.bump_by half.tx_bytes (Bytes.length frame);

@@ -102,9 +102,9 @@ val stats_b : t -> Rina_util.Metrics.t
     model, carrier loss) or [blackholed] (swallowed while the carrier
     stayed up).  Once the event queue drains,
     [injected = delivered + dropped + blackholed] — the
-    PDU-conservation invariant.  Only maintained while
-    [Rina_util.Invariant.enabled] is set (enable it before injecting
-    traffic); the fields are mutable so tests can simulate an
+    PDU-conservation invariant.  Only maintained while the engine's
+    checks are enabled ({!Rina_check.Sanitizer.enable}, before the link
+    carries traffic); the fields are mutable so tests can simulate an
     accounting leak. *)
 type conservation = {
   mutable injected : int;

@@ -6,6 +6,7 @@ type radio = {
   range : float;
   edge_loss : float;
   comp : string;  (* flight-recorder component name *)
+  flight : Rina_util.Flight.recorder;  (* the engine's *)
   mutable receiver : bytes -> unit;
   mutable watchers : (bool -> unit) list;
   mutable was_up : bool;
@@ -71,22 +72,18 @@ let peer_of t r =
     (fun other -> other.local.id = r.remote.id && other.remote.id = r.local.id)
     t.radios
 
-(* One recorder lookup per event: fetch with [Flight.cur], guard with
-   [Flight.on] inside the helper. *)
 let[@inline] flight_drop r reason size =
-  let fr = Rina_util.Flight.cur () in
-  if Rina_util.Flight.on fr then
-    Rina_util.Flight.emit_to fr ~component:r.comp ~size
+  if Rina_util.Flight.on r.flight then
+    Rina_util.Flight.emit_to r.flight ~component:r.comp ~size
       (Rina_util.Flight.Pdu_dropped reason)
 
 let transmit t r frame =
   if not (radio_up r) then
     flight_drop r Rina_util.Flight.R_link_down (Bytes.length frame)
   else begin
-    (let fr = Rina_util.Flight.cur () in
-     if Rina_util.Flight.on fr then
-       Rina_util.Flight.emit_to fr ~component:r.comp
-         ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent);
+    if Rina_util.Flight.on r.flight then
+      Rina_util.Flight.emit_to r.flight ~component:r.comp
+        ~size:(Bytes.length frame) Rina_util.Flight.Pdu_sent;
     let now = Engine.now t.engine in
     let start = Float.max now r.busy_until in
     let ser = float_of_int (8 * Bytes.length frame) /. t.bit_rate in
@@ -99,10 +96,9 @@ let transmit t r frame =
            else if Rina_util.Prng.bernoulli t.rng (loss_probability r) then
              flight_drop r Rina_util.Flight.R_loss (Bytes.length frame)
            else begin
-             (let fr = Rina_util.Flight.cur () in
-              if Rina_util.Flight.on fr then
-                Rina_util.Flight.emit_to fr ~component:r.comp
-                  ~size:(Bytes.length frame) Rina_util.Flight.Pdu_recvd);
+             if Rina_util.Flight.on r.flight then
+               Rina_util.Flight.emit_to r.flight ~component:r.comp
+                 ~size:(Bytes.length frame) Rina_util.Flight.Pdu_recvd;
              match peer_of t r with
              | Some peer -> peer.receiver frame
              | None -> r.receiver frame
@@ -118,6 +114,7 @@ let channel t ~local ~remote ~range ?(edge_loss = 0.3) () : Chan.t =
       range;
       edge_loss;
       comp = Printf.sprintf "radio.%d-%d" local.id remote.id;
+      flight = Engine.flight t.engine;
       receiver = (fun _ -> ());
       watchers = [];
       was_up = false;

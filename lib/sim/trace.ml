@@ -26,8 +26,9 @@ let length t = Flight.Buf.length t.buf
 
 let attach ?(sample_rate = 1.) ?telemetry ?stream t =
   (* validate before touching any state: a rejected attach must leave
-     the stream file, [t] and the domain's recorder as they were *)
+     the stream file, [t] and the engine's recorder as they were *)
   let ppm = Flight.ppm_of_rate sample_rate in
+  let r = Engine.flight t.engine in
   t.attached <- true;
   (match stream with
    | Some path ->
@@ -35,32 +36,24 @@ let attach ?(sample_rate = 1.) ?telemetry ?stream t =
      t.stream <- Some (Out_channel.open_text path)
    | None -> ());
   t.telemetry <- telemetry;
-  Flight.set_clock (fun () -> Engine.now t.engine);
   (match telemetry with
    | Some tele ->
      Telemetry.set_latency_ppm tele ppm;
-     Telemetry.install tele
-   | None -> Telemetry.uninstall ());
+     Telemetry.install tele r
+   | None -> Telemetry.uninstall r);
   (match t.stream with
    | Some oc ->
-     Flight.set_sink (fun e ->
+     Flight.set_sink r (fun e ->
          Out_channel.output_string oc (Flight.event_to_json e);
          Out_channel.output_char oc '\n')
-   | None -> Flight.set_sink (fun e -> Flight.Buf.add t.buf e));
-  Flight.set_sample_rate sample_rate;
-  Flight.set_enabled true;
+   | None -> Flight.set_sink r (fun e -> Flight.Buf.add t.buf e));
+  Flight.set_sample_rate r sample_rate;
+  Flight.set_enabled r true;
   (* a sampled trace carries its own rate so analysis can scale counts:
      the marker is a Custom event, which sampling always keeps *)
-  if Flight.sample_ppm () < 1_000_000 then
-    Flight.emit ~component:"trace" ~size:(Flight.sample_ppm ())
+  if Flight.sample_ppm r < 1_000_000 then
+    Flight.emit_to r ~component:"trace" ~size:(Flight.sample_ppm r)
       (Flight.Custom "meta:sample_ppm")
-
-let detach () =
-  Flight.set_enabled false;
-  Flight.set_sink (fun _ -> ());
-  Telemetry.uninstall ();
-  Flight.set_sample_rate 1.;
-  Flight.set_clock (fun () -> 0.)
 
 let close t =
   (match t.stream with
@@ -70,10 +63,14 @@ let close t =
    | None -> ());
   if t.attached then begin
     t.attached <- false;
-    detach ()
+    let r = Engine.flight t.engine in
+    Flight.set_enabled r false;
+    Flight.set_sink r ignore;
+    Telemetry.uninstall r;
+    Flight.set_sample_rate r 1.
   end
 
-let is_attached t = t.attached && Flight.enabled ()
+let is_attached t = t.attached && Flight.on (Engine.flight t.engine)
 
 (* ---------- periodic snapshots ---------- *)
 
@@ -87,12 +84,12 @@ let snapshots t ~interval ~until =
   | None ->
     invalid_arg "Trace.snapshots: attach with ~telemetry before scheduling"
   | Some tele ->
-    let ticks = ref 0 in
+    let r = Engine.flight t.engine and ticks = ref 0 in
     let rec tick () =
-      if Flight.enabled () then begin
+      if Flight.on r then begin
         let s = Telemetry.snap tele ~now:(Engine.now t.engine) in
         incr ticks;
-        Flight.emit ~component:"trace" ~seq:!ticks ~size:s.Telemetry.events
+        Flight.emit_to r ~component:"trace" ~seq:!ticks ~size:s.Telemetry.events
           (Flight.Custom "snapshot")
       end;
       if Engine.now t.engine +. interval <= until then
@@ -104,9 +101,10 @@ let snapshots t ~interval ~until =
 
 let probe t ~name ~period ~until sample =
   if period <= 0. then invalid_arg "Trace.probe: period must be positive";
+  let r = Engine.flight t.engine in
   let rec tick () =
-    if Flight.enabled () then
-      Flight.emit ~component:name ~size:(sample ()) (Flight.Custom "probe");
+    if Flight.on r then
+      Flight.emit_to r ~component:name ~size:(sample ()) (Flight.Custom "probe");
     if Engine.now t.engine +. period <= until then
       ignore (Engine.schedule t.engine ~delay:period tick)
   in

@@ -20,11 +20,11 @@ val create : ?ring_capacity:int -> Engine.t -> t
 
 val attach :
   ?sample_rate:float -> ?telemetry:Rina_util.Telemetry.t -> ?stream:string -> t -> unit
-(** Turn the flight recorder on and direct it into [t]: installs the
-    engine clock as timestamp source, [t]'s buffer as the sink and sets
-    [Flight.enabled].  The recorder is domain-global — attaching a
-    second trace in the same domain redirects all emission, while each
-    parallel-runner worker domain has its own independent recorder.
+(** Turn the engine's flight recorder on and direct it into [t]: [t]'s
+    buffer becomes the sink and the recorder's switch is set.  Only
+    components running on this trace's engine emit into it; attaching
+    a second trace to the same engine redirects that engine's
+    emission.
 
     [sample_rate] (default [1.]) enables deterministic head sampling:
     only spans kept by the pure hash (plus landmark events) reach the
@@ -38,13 +38,11 @@ val attach :
     check comes first, so a rejected call leaves the [stream] file,
     [t] and the recorder untouched. *)
 
-val detach : unit -> unit
-(** Turn the flight recorder off and restore the null sink/clock/tap
-    and the keep-everything sample rate.  Already-buffered events
-    remain readable. *)
-
 val close : t -> unit
-(** Flush and close the streaming sink (if any), then {!detach}. *)
+(** Flush and close the streaming sink (if any), then, if [t] is
+    attached, turn the engine's recorder off and restore its null
+    sink, its empty tap and tally and its keep-everything sample rate.
+    Already-buffered events remain readable. *)
 
 val is_attached : t -> bool
 

@@ -54,13 +54,8 @@ let entries t =
 
 let queries_served t = t.served
 
-(* Atomic: resolver ids must stay unique when parallel trials share the
-   domain pool (each trial builds its own stack, but the gensym is
-   module-global). *)
-let next_id = Atomic.make 1
-
 let resolve udp engine ~local ~server:server_addr name ~on_result =
-  let id = Atomic.fetch_and_add next_id 1 in
+  let id = Udp.next_query_id udp in
   let sport = 30000 + (id mod 10000) in
   let answered = ref false in
   Udp.listen udp ~port:sport (fun ~src:_ ~sport:_ body ->

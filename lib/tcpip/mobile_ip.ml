@@ -30,6 +30,7 @@ let encode_ack ~home ~care_of =
   W.contents w
 
 let home_agent node udp ~local =
+  let flight = Rina_sim.Engine.flight (Node.engine node) in
   let t =
     {
       ha_node = node;
@@ -51,8 +52,8 @@ let home_agent node udp ~local =
             (* A (re)registration is the mobility handoff as the home
                agent sees it: the binding for [home] moves to a new
                care-of address. *)
-            if Flight.enabled () then
-              Flight.emit
+            if Flight.on flight then
+              Flight.emit_to flight
                 ~component:("ha:" ^ Node.node_name node)
                 ~flow:home ~size:care_of Flight.Handoff;
             Metrics.incr t.ha_metrics "registrations"
@@ -70,8 +71,8 @@ let home_agent node udp ~local =
   Node.set_forward_hook node (fun pkt ~in_if:_ ->
       match Hashtbl.find_opt t.ha_bindings pkt.Packet.dst with
       | Some care_of when pkt.Packet.proto <> Packet.P_tunnel ->
-        if Flight.enabled () then
-          Flight.emit
+        if Flight.on flight then
+          Flight.emit_to flight
             ~component:("ha:" ^ Node.node_name node)
             ~flow:pkt.Packet.dst ~size:(Bytes.length pkt.Packet.payload)
             (Flight.Custom "tunnel");
@@ -93,10 +94,21 @@ type mobile = {
   m_udp : Udp.t;
   m_home : Ip.addr;
   m_metrics : Metrics.t;
+  m_flight : Flight.recorder;
+  mutable m_next_sport : int;  (* client port of the next registration *)
 }
 
 let mobile node udp ~home_addr =
-  let t = { m_node = node; m_udp = udp; m_home = home_addr; m_metrics = Metrics.create () } in
+  let t =
+    {
+      m_node = node;
+      m_udp = udp;
+      m_home = home_addr;
+      m_metrics = Metrics.create ();
+      m_flight = Rina_sim.Engine.flight (Node.engine node);
+      m_next_sport = 40000;
+    }
+  in
   (* Decapsulate tunnelled packets: the inner packet is addressed to
      the home address, which is no longer a local interface address —
      re-inject it through the node's delivery path by handling it
@@ -105,8 +117,8 @@ let mobile node udp ~home_addr =
       match Packet.decode pkt.Packet.payload with
       | Error _ -> Metrics.incr t.m_metrics "bad_tunnel"
       | Ok inner ->
-        if Flight.enabled () then
-          Flight.emit
+        if Flight.on t.m_flight then
+          Flight.emit_to t.m_flight
             ~component:("mn:" ^ Node.node_name node)
             ~flow:inner.Packet.dst ~size:(Bytes.length inner.Packet.payload)
             (Flight.Custom "detunnel");
@@ -115,12 +127,9 @@ let mobile node udp ~home_addr =
         Node.inject t.m_node inner ~in_if);
   t
 
-(* Atomic for the same reason as [Dns.next_id]: the gensym is
-   module-global and may be hit from several trial-runner domains. *)
-let next_sport = Atomic.make 40000
-
 let register_msg t ~home_agent_addr ~care_of ~registering ~on_ack =
-  let sport = Atomic.fetch_and_add next_sport 1 in
+  let sport = t.m_next_sport in
+  t.m_next_sport <- sport + 1;
   let acked = ref false in
   Udp.listen t.m_udp ~port:sport (fun ~src:_ ~sport:_ body ->
       try
@@ -129,8 +138,8 @@ let register_msg t ~home_agent_addr ~care_of ~registering ~on_ack =
           acked := true;
           (* Handoff completes for the mobile node when the home agent
              acknowledges the new care-of binding. *)
-          if Flight.enabled () then
-            Flight.emit
+          if Flight.on t.m_flight then
+            Flight.emit_to t.m_flight
               ~component:("mn:" ^ Node.node_name t.m_node)
               ~flow:t.m_home ~size:care_of Flight.Handoff;
           Udp.unlisten t.m_udp ~port:sport;

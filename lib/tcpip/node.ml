@@ -20,6 +20,7 @@ type iface = {
 
 type t = {
   engine : Rina_sim.Engine.t;
+  flight : Rina_util.Flight.recorder;  (* the engine's *)
   name : string;
   forwarding : bool;
   ifaces : (int, iface) Hashtbl.t;
@@ -34,6 +35,7 @@ type t = {
 let create engine ?(forwarding = false) name =
   {
     engine;
+    flight = Rina_sim.Engine.flight engine;
     name;
     forwarding;
     ifaces = Hashtbl.create 4;
@@ -86,15 +88,13 @@ let table_size t = Lpm.size t.table
 
 (* Flight-recorder emissions for the baseline stack mirror the RINA
    side: component "ip:<node>", flow = destination address, size =
-   payload bytes.  The helper fetches the domain's recorder once and
-   guards inside, so a packet event costs a single domain-local lookup
-   and the disabled path allocates nothing. *)
+   payload bytes.  The helper guards inside, so the disabled path
+   allocates nothing. *)
 module Flight = Rina_util.Flight
 
 let[@inline] flight_pkt t (pkt : Packet.t) kind =
-  let r = Flight.cur () in
-  if Flight.on r then
-    Flight.emit_to r ~component:("ip:" ^ t.name) ~flow:pkt.Packet.dst
+  if Flight.on t.flight then
+    Flight.emit_to t.flight ~component:("ip:" ^ t.name) ~flow:pkt.Packet.dst
       ~size:(Bytes.length pkt.Packet.payload) kind
 
 let deliver t pkt ~in_if =
@@ -150,10 +150,9 @@ let forward t pkt ~in_if =
 let on_frame t if_id frame =
   match Packet.decode frame with
   | Error _ ->
-    (let r = Flight.cur () in
-     if Flight.on r then
-       Flight.emit_to r ~component:("ip:" ^ t.name) ~size:(Bytes.length frame)
-         (Flight.Pdu_dropped Flight.R_decode));
+    if Flight.on t.flight then
+      Flight.emit_to t.flight ~component:("ip:" ^ t.name)
+        ~size:(Bytes.length frame) (Flight.Pdu_dropped Flight.R_decode);
     Metrics.incr t.metrics "decode_dropped"
   | Ok pkt ->
     Metrics.incr t.metrics "ip_rx";

@@ -52,6 +52,7 @@ type conn = {
 
 and stack = {
   node : Node.t;
+  flight : Rina_util.Flight.recorder;  (* the engine's *)
   conns : (int * Ip.addr * int, conn) Hashtbl.t;  (* (lport, raddr, rport) *)
   listeners : (int, conn -> unit) Hashtbl.t;
   mutable next_ephemeral : int;
@@ -72,13 +73,12 @@ let set_on_close c f = c.on_close <- f
    ({!Ip.flow_key}) so both ends — and any future on-path observer —
    compute identical per-segment spans.  Only sequence-consuming
    segments (data, SYN, FIN) get a span; bare ACKs reuse seq 0 and
-   would alias the SYN's span.  Each helper fetches the domain's
-   recorder once and guards inside, so a segment event costs a single
-   domain-local lookup and the disabled path allocates nothing. *)
+   would alias the SYN's span.  Each helper guards inside, so the
+   disabled path allocates nothing. *)
 module Flight = Rina_util.Flight
 
 let[@inline] flight_seg c (seg : Packet.Tcp.seg) kind =
-  let r = Flight.cur () in
+  let r = c.stack.flight in
   if Flight.on r then begin
     let flow =
       Ip.flow_key ~src:c.laddr ~dst:c.raddr ~sport:c.lport ~dport:c.rport
@@ -99,7 +99,7 @@ let[@inline] flight_seg c (seg : Packet.Tcp.seg) kind =
   end
 
 let[@inline] flight_conn c kind =
-  let r = Flight.cur () in
+  let r = c.stack.flight in
   if Flight.on r then
     Flight.emit_to r
       ~component:("tcp:" ^ Node.node_name c.stack.node)
@@ -422,6 +422,7 @@ let attach node =
   let stack =
     {
       node;
+      flight = Engine.flight (Node.engine node);
       conns = Hashtbl.create 16;
       listeners = Hashtbl.create 8;
       next_ephemeral = 49152;

@@ -4,10 +4,14 @@ type t = {
   node : Node.t;
   listeners : (int, src:Ip.addr -> sport:int -> bytes -> unit) Hashtbl.t;
   metrics : Metrics.t;
+  mutable next_query : int;  (* this host's next resolver query id *)
 }
 
 let attach node =
-  let t = { node; listeners = Hashtbl.create 8; metrics = Metrics.create () } in
+  let t =
+    { node; listeners = Hashtbl.create 8; metrics = Metrics.create (); next_query = 1 }
+  in
+  let r = Rina_sim.Engine.flight (Node.engine node) in
   Node.set_proto_handler node Packet.P_udp (fun pkt ~in_if:_ ->
       match Packet.Udp.decode pkt.Packet.payload with
       | Error _ -> Metrics.incr t.metrics "bad_dgram"
@@ -19,8 +23,8 @@ let attach node =
              recovery experiments key on (component "udp:<node>", like
              "efcp" on the RINA side), distinct from ip:<node> which
              also counts routing-protocol chatter. *)
-          if Rina_util.Flight.enabled () then
-            Rina_util.Flight.emit
+          if Rina_util.Flight.on r then
+            Rina_util.Flight.emit_to r
               ~component:("udp:" ^ Node.node_name t.node)
               ~flow:d.Packet.Udp.dport
               ~size:(Bytes.length d.Packet.Udp.body)
@@ -38,6 +42,11 @@ let send t ~src ~dst ~sport ~dport body =
   Node.send_ip t.node
     (Packet.make ~src ~dst ~proto:Packet.P_udp
        (Packet.Udp.encode { Packet.Udp.sport; dport; body }))
+
+let next_query_id t =
+  let id = t.next_query in
+  t.next_query <- id + 1;
+  id
 
 let open_ports t =
   Hashtbl.fold (fun port _ acc -> port :: acc) t.listeners [] |> List.sort compare

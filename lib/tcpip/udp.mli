@@ -15,6 +15,10 @@ val unlisten : t -> port:int -> unit
 
 val send : t -> src:Ip.addr -> dst:Ip.addr -> sport:int -> dport:int -> bytes -> unit
 
+val next_query_id : t -> int
+(** A fresh resolver query id for this host: 1, 2, 3, ...  ({!Dns.resolve}
+    derives its client port from it). *)
+
 val open_ports : t -> int list
 (** Bound ports, sorted — what a port scan can discover (C2). *)
 

@@ -1,16 +1,12 @@
-(* Flight recorder: the domain-global typed event stream every layer
-   emits into.  Lives at the bottom of the library stack (engine, links,
-   EFCP, RMT and the TCP/IP baseline all depend on rina_util) so one
-   schema serves the whole simulator.
+(* Flight recorder: the typed event stream every layer emits into.
+   Lives at the bottom of the library stack (engine, links, EFCP, RMT
+   and the TCP/IP baseline all depend on rina_util) so one schema
+   serves the whole simulator.
 
-   The hot-path contract mirrors Invariant: emission sites are guarded
-   by [if enabled () then emit ...] at the call site — when tracing is
-   off the cost is a domain-local load and a branch, and no closure or
-   string is allocated.  [emit] itself does not re-check the flag.
-
-   The recorder state lives in domain-local storage so parallel trial
-   runners ([Rina_exp.Par]) can attach one recorder per domain without
-   the workers stomping on each other's clock and sink. *)
+   A recorder is a plain value owned by one engine.  Emission sites are
+   guarded by [if on r then emit_to r ...] at the call site: when
+   tracing is off the cost is a branch, and no closure or string is
+   allocated.  [emit_to] itself does not re-check the flag. *)
 
 type reason =
   | R_queue_full
@@ -79,11 +75,9 @@ let create_tally () =
     t_timer = 0;
   }
 
-(* The recorder is handed out by [cur] so a hot emission site pays for
-   exactly one domain-local lookup: [let r = cur () in if on r then
-   emit_to r ...].  The tally field always holds a record (a per-domain
-   scratch one when no telemetry is installed) so the bump needs no
-   option branch. *)
+(* The tally field always holds a record (the recorder's own scratch
+   one when no telemetry is installed) so the bump needs no option
+   branch. *)
 type recorder = {
   mutable r_on : bool;
   mutable clock : unit -> float;
@@ -95,47 +89,36 @@ type recorder = {
 
 let full_ppm = 1_000_000
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      {
-        r_on = false;
-        clock = (fun () -> 0.);
-        sink = (fun _ -> ());
-        keep_ppm = full_ppm;
-        tap = None;
-        tally = create_tally ();  (* per-domain scratch tally *)
-      })
-
-let cur () = Domain.DLS.get key
+let create () =
+  {
+    r_on = false;
+    clock = (fun () -> 0.);
+    sink = ignore;
+    keep_ppm = full_ppm;
+    tap = None;
+    tally = create_tally ();
+  }
 
 let on r = r.r_on
 
-let ctx = cur
+let set_enabled r b = r.r_on <- b
 
-let enabled () = (ctx ()).r_on
+let set_clock r f = r.clock <- f
 
-let set_enabled b = (ctx ()).r_on <- b
+let set_sink r f = r.sink <- f
 
-let set_clock f = (ctx ()).clock <- f
+let set_tap r f = r.tap <- f
 
-let set_sink f = (ctx ()).sink <- f
-
-let set_tap f = (ctx ()).tap <- f
-
-let set_tally y =
-  let c = ctx () in
-  match y with
-  | Some y -> c.tally <- y
-  | None -> c.tally <- create_tally ()
+let set_tally r y = r.tally <- (match y with Some y -> y | None -> create_tally ())
 
 let ppm_of_rate r =
   if not (r > 0. && r <= 1.) then
     invalid_arg "Flight.ppm_of_rate: rate must be in (0, 1]";
   max 1 (int_of_float (Float.round (r *. float_of_int full_ppm)))
 
-let set_sample_rate r = (ctx ()).keep_ppm <- ppm_of_rate r
+let set_sample_rate r rate = r.keep_ppm <- ppm_of_rate rate
 
-let sample_ppm () = (ctx ()).keep_ppm
+let sample_ppm r = r.keep_ppm
 
 (* The keep/drop decision is a pure function of the span id alone —
    nothing from the clock or any counter — so every replay, every
@@ -202,9 +185,6 @@ let emit_to c ~component ?(flow = 0) ?(rank = 0) ?(seq = 0) ?(size = 0)
     | Handoff | Route_update | Custom _ -> true
   in
   if keep then emit_kept c ~component ~flow ~rank ~seq ~size ~span kind
-
-let emit ~component ?flow ?rank ?seq ?size ?span kind =
-  emit_to (cur ()) ~component ?flow ?rank ?seq ?size ?span kind
 
 (* A PDU's trace id is a deterministic mix of its flow key and sequence
    number, so the sender, every relay that decodes the PDU and the

@@ -1,23 +1,21 @@
-(** Flight recorder: a domain-global stream of typed simulation events.
+(** Flight recorder: a stream of typed simulation events.
 
     Every layer of the stack — engine timers, links, the wireless
     medium, EFCP, the RMT, RIB/RIEP management, routing and the TCP/IP
     baseline — emits into one shared schema, so a single trace can
     follow a PDU down the DIF recursion, across relays and back up.
 
-    Tracing is off by default.  Emission sites are guarded: hot paths
-    fetch the recorder once ([let r = cur () in if on r then emit_to r
-    ...]), cold paths use [if enabled () then emit ...] — either way
-    the disabled cost is a domain-local load and a branch with no
-    allocation, and the emit functions do not re-check the flag.
+    A {!recorder} is a plain value.  Each [Rina_sim.Engine.t] owns one,
+    and every component reaches it through the engine it runs on, so
+    two engines trace independently, in one domain or in several.
 
-    The switch, clock and sink live in domain-local storage: each
-    domain of a parallel trial sweep ([Rina_exp.Par]) has its own
-    recorder, so workers never observe each other's tracing state.
+    Tracing is off by default.  Every emission site has the same guard,
+    [if Flight.on r then Flight.emit_to r ...]: the disabled cost is a
+    branch with no allocation, and {!emit_to} does not re-check it.
 
-    [Rina_sim.Trace] installs the clock and sink hooks when a trace is
-    attached; this module stays free of engine and file dependencies so
-    it can sit at the bottom of the library stack. *)
+    [Rina_sim.Trace] installs the sink when a trace is attached; this
+    module stays free of engine and file dependencies so it can sit at
+    the bottom of the library stack. *)
 
 (** Why a PDU (or frame) was dropped. *)
 type reason =
@@ -70,35 +68,27 @@ type event = {
 }
 
 type recorder
-(** This domain's recorder state: switch, clock, sink, sample rate,
-    tally and tap.  Obtained from {!cur}; one domain-local lookup
-    hands a hot emission site everything it needs. *)
+(** One run's recording state: switch, clock, sink, sample rate, tally
+    and tap. *)
 
-val cur : unit -> recorder
-(** The current domain's recorder (one domain-local-storage read —
-    the only one a hot site should pay). *)
+val create : unit -> recorder
+(** A recorder that is off and keeps every event, with a null sink, no
+    tap, a clock stuck at [0.] and its own scratch tally.
+    [Rina_sim.Engine.create] makes one per engine. *)
 
 val on : recorder -> bool
-(** The recorder's tracing switch.  The hot-site idiom is
-    [let r = Flight.cur () in if Flight.on r then Flight.emit_to r ...] —
-    guard and emission share a single lookup. *)
+(** The recorder's tracing switch, [false] until {!set_enabled}. *)
 
-val enabled : unit -> bool
-(** [on (cur ())] — this domain's tracing switch, [false] by default.
-    Convenience for cold sites; hot paths should hold the {!cur}
-    recorder instead. *)
+val set_enabled : recorder -> bool -> unit
 
-val set_enabled : bool -> unit
+val set_clock : recorder -> (unit -> float) -> unit
+(** Source of event timestamps; [Rina_sim.Engine.create] sets it to
+    the engine's virtual clock. *)
 
-val set_clock : (unit -> float) -> unit
-(** Source of event timestamps; installed by [Trace.attach] to read the
-    engine's virtual clock.  Defaults to a constant [0.]. *)
+val set_sink : recorder -> (event -> unit) -> unit
+(** Where kept events go; installed by [Trace.attach]. *)
 
-val set_sink : (event -> unit) -> unit
-(** Where emitted events go; installed by [Trace.attach].  Defaults to
-    dropping events. *)
-
-(** Exact per-kind event counts, bumped inline by {!emit} for every
+(** Exact per-kind event counts, bumped inline by {!emit_to} for every
     event — kept or shed — whenever a tally is installed.  A plain
     record of mutable ints: counting a shed event costs two increments,
     no allocation, no clock read, no indirect call.  This is the hot
@@ -116,11 +106,10 @@ type tally = {
 val create_tally : unit -> tally
 (** All-zero tally. *)
 
-val set_tally : tally option -> unit
-(** Install ([Some]) or remove ([None], the default) this domain's
-    tally. *)
+val set_tally : recorder -> tally option -> unit
+(** Install ([Some]) or remove ([None], the default) a tally. *)
 
-val set_tap : (event -> unit) option -> unit
+val set_tap : recorder -> (event -> unit) option -> unit
 (** Streaming observer for every {e kept} event — the sampled spans
     plus the landmark kinds — called just before the sink.  This is
     the cold half of online aggregation: span-latency matching, drop
@@ -141,12 +130,12 @@ val set_tap : (event -> unit) option -> unit
     traces are byte-identical across replays and across
     [Rina_exp.Par] domain fan-out. *)
 
-val set_sample_rate : float -> unit
-(** Set this domain's keep probability, in (0, 1].  [1.] (the default)
-    keeps everything.
+val set_sample_rate : recorder -> float -> unit
+(** Set the keep probability, in (0, 1].  [1.] (the default) keeps
+    everything.
     @raise Invalid_argument outside (0, 1]. *)
 
-val sample_ppm : unit -> int
+val sample_ppm : recorder -> int
 (** Current keep rate in parts-per-million ([1_000_000] = keep all). *)
 
 val ppm_of_rate : float -> int
@@ -156,10 +145,10 @@ val ppm_of_rate : float -> int
 val span_kept : keep_ppm:int -> int -> bool
 (** [span_kept ~keep_ppm span]: the pure per-span keep decision at
     [keep_ppm] parts-per-million.  Deterministic — no state, no
-    clock — so replays and per-domain workers agree event by event. *)
+    clock — so replays and parallel workers agree event by event. *)
 
 val event_kept : keep_ppm:int -> span:int -> kind -> bool
-(** The full keep/shed predicate {!emit} applies: landmark kinds
+(** The full keep/shed predicate {!emit_to} applies: landmark kinds
     (drops, [Custom], [Handoff], [Route_update]) always survive;
     everything else needs a span that {!span_kept} keeps. *)
 
@@ -179,18 +168,6 @@ val emit_to :
     site so the disabled path allocates nothing); a shed event is never
     constructed, so under sampling the common case costs a couple of
     increments. *)
-
-val emit :
-  component:string ->
-  ?flow:int ->
-  ?rank:int ->
-  ?seq:int ->
-  ?size:int ->
-  ?span:int ->
-  kind ->
-  unit
-(** [emit_to (cur ()) ...] — for cold sites; hot paths should hold the
-    recorder. *)
 
 val span_of : flow:int -> seq:int -> int
 (** Deterministic trace id for a PDU, mixed from its flow key and

@@ -5,26 +5,29 @@
     [assert], so that checking can be switched on per run and
     violations are collected rather than aborting the simulation.
 
-    The discipline at a call site is
+    A context is a plain value.  Each [Rina_sim.Engine.t] owns one
+    ([Engine.checks]), and every component reaches it through the
+    engine it runs on.  The discipline at a call site is
 
-    {[ if Invariant.enabled () then
-         if bad then Invariant.record ~code:"SAN_..." detail ]}
+    {[ if Invariant.enabled c then
+         if bad then Invariant.record c ~code:"SAN_..." detail ]}
 
-    so a disabled sanitizer costs a domain-local load and a branch per
-    check.  Checking is off by default; experiments and CI tests opt
-    in.
-
-    State is domain-local: each worker domain of a parallel trial
-    sweep ([Rina_exp.Par]) has its own switch and store.
+    so a disabled sanitizer costs a branch per check.  Checking is off
+    by default; experiments and CI tests opt in.
 
     This module holds no simulator state and lives in [Rina_util] so
     that both [Rina_sim] and [Rina_core] can report into it; the
     structured-diagnostic view lives in [Rina_check.Sanitizer]. *)
 
-val enabled : unit -> bool
-(** Master switch for this domain, [false] by default. *)
+type t
 
-val set_enabled : bool -> unit
+val create : unit -> t
+(** A context with checking off and no violations. *)
+
+val enabled : t -> bool
+(** The context's switch, [false] until {!set_enabled}. *)
+
+val set_enabled : t -> bool -> unit
 
 type violation = {
   code : string;       (** stable machine code, e.g. ["SAN_CLOCK"] *)
@@ -32,14 +35,14 @@ type violation = {
   mutable count : int; (** occurrences since the last [clear] *)
 }
 
-val record : code:string -> string -> unit
+val record : t -> code:string -> string -> unit
 (** Register a violation.  The first occurrence of each code keeps its
     detail string; later ones only bump the count. *)
 
-val violations : unit -> violation list
+val violations : t -> violation list
 (** All violations recorded since the last [clear], sorted by code. *)
 
-val total : unit -> int
+val total : t -> int
 (** Sum of all violation counts. *)
 
-val clear : unit -> unit
+val clear : t -> unit

@@ -19,8 +19,8 @@
     [Rina_exp.Par] relies on: worker-local recording, order-fixed
     merge, identical output.
 
-    Nothing here touches domains or DLS; sharding lives in
-    {!Telemetry} and [Rina_exp.Par]. *)
+    Nothing here knows about domains; sharding lives in {!Telemetry}
+    and [Rina_exp.Par]. *)
 
 module Hist : sig
   type t

@@ -1,7 +1,7 @@
 (* Streaming telemetry registry — the Flight aggregation pipeline.
 
    Hot-path discipline: exact per-kind counts ride the Flight [tally]
-   (mutable int fields bumped inline by [emit], so a shed event costs
+   (mutable int fields bumped inline by [emit_to], so a shed event costs
    two increments and nothing else), while [observe] — installed as the
    Flight tap — runs only on kept events: sampled spans and the
    landmark kinds.  Hashtable lookups are therefore reserved for rare
@@ -21,7 +21,7 @@ type snapshot = {
 type t = {
   bucket : float;
   mutable lat_ppm : int;
-  (* hot counters: the Flight tally, bumped inline by [emit] *)
+  (* hot counters: the Flight tally, bumped inline by [emit_to] *)
   tally : Flight.tally;
   extras : Metrics.t;  (* named counters past the tally's fixed ones *)
   hists : (string, Sketch.Hist.t) Hashtbl.t;
@@ -123,7 +123,7 @@ let span_tracked t span =
 (* [observe t] is the function installed as the Flight tap, so it sees
    only kept events: sampled spans plus the landmark kinds (drops,
    probes, handoffs, route updates).  Counts of shed events ride the
-   tally, bumped inline by [Flight.emit]. *)
+   tally, bumped inline by [Flight.emit_to]. *)
 let observe t (e : Flight.event) =
   match e.kind with
   | Flight.Pdu_sent ->
@@ -156,13 +156,13 @@ let observe t (e : Flight.event) =
   | Flight.Enqueued | Flight.Dequeued ->
     ()
 
-let install t =
-  Flight.set_tally (Some t.tally);
-  Flight.set_tap (Some (observe t))
+let install t r =
+  Flight.set_tally r (Some t.tally);
+  Flight.set_tap r (Some (observe t))
 
-let uninstall () =
-  Flight.set_tally None;
-  Flight.set_tap None
+let uninstall r =
+  Flight.set_tally r None;
+  Flight.set_tap r None
 
 (* ---------- snapshots ---------- *)
 

@@ -10,7 +10,7 @@
     keeps a 10^6-endpoint run observable without buffering 10^8 events.
 
     The aggregation splits in two: exact per-kind counts ride the
-    {!Flight.tally} (mutable ints bumped inline by [emit], so counting
+    {!Flight.tally} (mutable ints bumped inline by [emit_to], so counting
     a shed event costs two increments and no allocation), while
     {!observe} — the Flight tap — sees only kept events and does the
     table work: span-latency matching, per-reason drop timelines,
@@ -44,13 +44,13 @@ val create : ?series_bucket:float -> unit -> t
 
 val series_bucket : t -> float
 
-val install : t -> unit
-(** Hook this registry into the domain's flight recorder: the tally
-    for exact counts of every event, {!observe} as the tap for the
-    kept ones.  [Rina_sim.Trace.attach ~telemetry] calls this. *)
+val install : t -> Flight.recorder -> unit
+(** Hook this registry into a flight recorder: the tally for exact
+    counts of every event, {!observe} as the tap for the kept ones.
+    [Rina_sim.Trace.attach ~telemetry] calls this. *)
 
-val uninstall : unit -> unit
-(** Remove the domain's tally and tap. *)
+val uninstall : Flight.recorder -> unit
+(** Remove the recorder's tally and tap. *)
 
 val tally : t -> Flight.tally
 (** The registry's hot counters (shared with the recorder while

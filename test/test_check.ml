@@ -477,13 +477,14 @@ let test_schedule_at_past_clamped () =
 
 (* ---------- sanitizer ---------- *)
 
+(* A fresh engine with checking on, straight after its creation. *)
 let with_sanitizer f =
-  Sanitizer.enable ();
-  Fun.protect ~finally:Sanitizer.disable f
+  let engine = Engine.create () in
+  Sanitizer.enable engine;
+  f engine
 
 let test_sanitizer_clean_run_is_silent () =
-  with_sanitizer (fun () ->
-      let engine = Engine.create () in
+  with_sanitizer (fun engine ->
       let rng = Prng.create 42 in
       let link =
         Link.create engine rng ~bit_rate:1e7 ~delay:0.01 ~queue_capacity:4
@@ -505,7 +506,7 @@ let test_sanitizer_clean_run_is_silent () =
       ignore (Engine.schedule engine ~delay:0.12 (fun () -> Link.set_up link true));
       Engine.run engine;
       check Alcotest.(list string) "no invariant violations" []
-        (List.map Diag.to_string (Sanitizer.violations ()));
+        (List.map Diag.to_string (Sanitizer.violations engine));
       check Alcotest.(list string) "conservation holds" []
         (List.map Diag.to_string (Sanitizer.audit_link link));
       check Alcotest.(list string) "drained" []
@@ -513,8 +514,7 @@ let test_sanitizer_clean_run_is_silent () =
       Alcotest.(check bool) "some frames made it" true (!got > 0))
 
 let test_sanitizer_catches_conservation_violation () =
-  with_sanitizer (fun () ->
-      let engine = Engine.create () in
+  with_sanitizer (fun engine ->
       let rng = Prng.create 7 in
       let link = Link.create engine rng ~bit_rate:1e7 ~delay:0.005 () in
       let a = Link.endpoint_a link in
@@ -541,8 +541,7 @@ let test_sanitizer_catches_conservation_violation () =
           (Printf.sprintf "expected exactly one finding, got %d" (List.length ds)))
 
 let test_sanitizer_efcp_lossy_transfer_clean () =
-  with_sanitizer (fun () ->
-      let engine = Engine.create () in
+  with_sanitizer (fun engine ->
       let rng = Prng.create 99 in
       let cfg =
         { Policy.default_efcp with Policy.window = 8; init_rto = 0.1; min_rto = 0.02 }
@@ -586,19 +585,35 @@ let test_sanitizer_efcp_lossy_transfer_clean () =
       Engine.run ~until:30. engine;
       check Alcotest.int "all delivered despite loss" 100 !delivered;
       check Alcotest.(list string) "efcp invariants hold under loss" []
-        (List.map Diag.to_string (Sanitizer.violations ())))
+        (List.map Diag.to_string (Sanitizer.violations engine)))
 
 let test_sanitizer_violation_reporting () =
-  with_sanitizer (fun () ->
-      Invariant.record ~code:"SAN_TEST" "something impossible happened";
-      Invariant.record ~code:"SAN_TEST" "again";
-      match Sanitizer.violations () with
+  with_sanitizer (fun engine ->
+      let checks = Engine.checks engine in
+      Invariant.record checks ~code:"SAN_TEST" "something impossible happened";
+      Invariant.record checks ~code:"SAN_TEST" "again";
+      match Sanitizer.violations engine with
       | [ d ] ->
         check Alcotest.string "code" "SAN_TEST" d.Diag.code;
         Alcotest.(check bool) "first detail + count" true
           (contains_sub d.Diag.message "something impossible"
            && contains_sub d.Diag.message "2 occurrences")
       | ds -> Alcotest.fail (Printf.sprintf "got %d diagnostics" (List.length ds)))
+
+(* RIB object names are checked where the member writes them: a
+   directory path with an empty segment records SAN_RIB_PATH on the
+   member's engine, and a well-formed one records nothing. *)
+let test_sanitizer_rib_path () =
+  with_sanitizer (fun engine ->
+      let dif = Rina_core.Dif.create engine "d" in
+      let m = Rina_core.Dif.add_member dif ~name:"m" () in
+      let publish name =
+        Rina_core.Ipcp.register_app m (Rina_core.Types.apn name) ~on_flow:ignore;
+        List.map (fun (d : Diag.t) -> d.code) (Sanitizer.violations engine)
+      in
+      check Alcotest.(list string) "well-formed name" [] (publish "svc");
+      check Alcotest.(list string) "empty segment caught" [ "SAN_RIB_PATH" ]
+        (publish "svc/"))
 
 let test_routing_loop_detection () =
   let nh pairs : Routing.next_hops =
@@ -710,6 +725,7 @@ let () =
           Alcotest.test_case "efcp lossy transfer clean" `Quick
             test_sanitizer_efcp_lossy_transfer_clean;
           Alcotest.test_case "violation reporting" `Quick test_sanitizer_violation_reporting;
+          Alcotest.test_case "rib path checked" `Quick test_sanitizer_rib_path;
           Alcotest.test_case "routing loop detection" `Quick test_routing_loop_detection;
           Alcotest.test_case "spf tables pass" `Quick test_spf_tables_pass_sanitizer;
         ] );

@@ -338,7 +338,7 @@ let test_traced_failover_interruption_window () =
   pump ();
   ignore (Engine.schedule engine ~delay:1.0 (fun () -> Link.set_up l1 false));
   wait engine 10.;
-  Trace.detach ();
+  Trace.close tr;
   check Alcotest.int "stream delivered across failover" 40 !got;
   let evs = Trace.typed_events tr in
   check Alcotest.bool "handoff recorded" true
@@ -414,7 +414,7 @@ let test_sticky_point_of_attachment () =
   Link.set_up l1 true;
   wait engine 3.;
   burst ();
-  Trace.detach ();
+  Trace.close tr;
   check Alcotest.int "delivered after the return" 30 !got;
   check Alcotest.(pair int int) "stays on the survivor" (10, 20) (!on1, !on2);
   check Alcotest.int "still one reroute" 1 (reroutes ());

@@ -630,8 +630,7 @@ let test_link_directions_independent () =
 
 (* ---------- Medium ---------- *)
 
-let test_medium_range_and_movement () =
-  let e = Engine.create () in
+let medium_range_and_movement e =
   let rng = Prng.create 2 in
   let m = Medium.create e rng ~bit_rate:10_000_000. ~base_delay:0.001 in
   let bs = Medium.add_node m ~x:0. ~y:0. in
@@ -662,6 +661,35 @@ let test_medium_range_and_movement () =
   down.Chan.send (Bytes.create 100);
   Engine.run e;
   check Alcotest.int "delivered again" 2 !got
+
+let test_medium_range_and_movement () = medium_range_and_movement (Engine.create ())
+
+(* Every radio emitter counted exactly, per (component prefix, kind):
+   the experiment traces compared byte for byte hold no radio. event,
+   so these counts are what pins them. *)
+let test_medium_emitters_pinned () =
+  let e = Engine.create () in
+  let tr = Trace.create e in
+  Trace.attach tr;
+  medium_range_and_movement e;
+  Trace.close tr;
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun (ev : Flight.event) ->
+      let prefix = String.split_on_char '.' ev.component |> List.hd in
+      let key = prefix ^ " " ^ Flight.kind_to_string ev.kind in
+      Hashtbl.replace counts key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
+    (Trace.typed_events tr);
+  check
+    Alcotest.(list (pair string int))
+    "events per component and kind"
+    [
+      ("engine timer_fired", 2); ("engine timer_set", 2);
+      ("radio pdu_dropped:link_down", 1); ("radio pdu_recvd", 2);
+      ("radio pdu_sent", 2);
+    ]
+    (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []))
 
 let test_medium_edge_loss_grows () =
   let e = Engine.create () in
@@ -700,17 +728,17 @@ let test_trace_duplicate_gap () =
   | None -> Alcotest.fail "expected a report gap"
 
 (* Attaching turns on typed emission (engine timers included);
-   detaching stops it while keeping buffered events readable. *)
+   closing stops it while keeping buffered events readable. *)
 let test_trace_attach_timer_events () =
   let e = Engine.create () in
   let tr = Trace.create e in
-  check Alcotest.bool "off by default" false (Flight.enabled ());
+  check Alcotest.bool "off by default" false (Flight.on (Engine.flight e));
   Trace.attach tr;
   check Alcotest.bool "attached" true (Trace.is_attached tr);
   ignore (Engine.schedule e ~delay:1. (fun () -> ()));
   ignore (Engine.schedule e ~delay:2. (fun () -> ()));
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   let is k ev = ev.Flight.kind = k in
   let evs = Trace.typed_events tr in
   check Alcotest.int "timers set" 2 (List.length (List.filter (is Flight.Timer_set) evs));
@@ -718,8 +746,8 @@ let test_trace_attach_timer_events () =
   let n = Trace.length tr in
   ignore (Engine.schedule e ~delay:1. (fun () -> ()));
   Engine.run e;
-  check Alcotest.int "silent after detach" n (Trace.length tr);
-  check Alcotest.bool "detached" false (Trace.is_attached tr)
+  check Alcotest.int "silent after close" n (Trace.length tr);
+  check Alcotest.bool "closed" false (Trace.is_attached tr)
 
 (* A sample rate outside (0, 1] is rejected before attach touches
    anything: the stream file keeps its bytes, the rejected trace is not
@@ -730,18 +758,19 @@ let test_trace_attach_rejected_rate () =
   let a = Trace.create e and b = Trace.create e in
   let tele_b = Rina_util.Telemetry.create () in
   let path = Filename.temp_file "rina_trace_keep" ".jsonl" in
+  let r = Engine.flight e in
   Fun.protect
     ~finally:(fun () ->
-      Trace.detach ();
+      Trace.close a;
       Sys.remove path)
     (fun () ->
       Out_channel.with_open_text path (fun oc -> output_string oc "precious\n");
       Trace.attach a;
-      Flight.emit ~component:"x" (Flight.Custom "before");
+      Flight.emit_to r ~component:"x" (Flight.Custom "before");
       Alcotest.check_raises "rate above 1 rejected"
         (Invalid_argument "Flight.ppm_of_rate: rate must be in (0, 1]")
         (fun () -> Trace.attach ~sample_rate:2.0 ~telemetry:tele_b ~stream:path b);
-      Flight.emit ~component:"x" (Flight.Custom "after");
+      Flight.emit_to r ~component:"x" (Flight.Custom "after");
       check Alcotest.string "stream file untouched" "precious\n"
         (In_channel.with_open_text path In_channel.input_all);
       check Alcotest.bool "rejected trace not attached" false (Trace.is_attached b);
@@ -763,7 +792,7 @@ let test_trace_probe () =
       incr v;
       !v * 10);
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   let samples =
     List.filter_map
       (fun ev ->
@@ -802,7 +831,7 @@ let test_trace_link_drop_reasons () =
   a.Chan.send (Bytes.create 100);
   (* carrier down -> drop *)
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   let dropped r ev = ev.Flight.kind = Flight.Pdu_dropped r in
   let evs = List.filter (fun ev -> ev.Flight.component = "lk.ab") (Trace.typed_events tr) in
   check Alcotest.int "queue_full drop" 1
@@ -825,14 +854,15 @@ let test_trace_jsonl_roundtrip () =
   let e = Engine.create () in
   let tr = Trace.create e in
   Trace.attach tr;
+  let r = Engine.flight e in
   ignore
     (Engine.schedule e ~delay:0.5 (fun () ->
-         Flight.emit ~component:"efcp" ~flow:3 ~rank:1 ~seq:7 ~size:500
+         Flight.emit_to r ~component:"efcp" ~flow:3 ~rank:1 ~seq:7 ~size:500
            ~span:(Flight.span_of ~flow:3 ~seq:7)
            (Flight.Pdu_dropped (Flight.R_other "weird"));
-         Flight.emit ~component:"x" (Flight.Custom "tick")));
+         Flight.emit_to r ~component:"x" (Flight.Custom "tick")));
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   let path = Filename.temp_file "rina_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -883,9 +913,10 @@ let test_trace_snapshots () =
   Trace.snapshots tr ~interval:0.5 ~until:2.9;
   ignore
     (Engine.schedule e ~delay:1.05 (fun () ->
-         Flight.emit ~component:"x" ~flow:1 ~seq:1 ~span:1 Flight.Pdu_sent));
+         Flight.emit_to (Engine.flight e) ~component:"x" ~flow:1 ~seq:1 ~span:1
+           Flight.Pdu_sent));
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   let snaps = Rina_util.Telemetry.snapshots tele in
   check Alcotest.int "one snapshot per interval" 5 (List.length snaps);
   check Alcotest.int "marker events in trace" 5
@@ -902,7 +933,7 @@ let test_trace_snapshots () =
     (fun () ->
       let tr2 = Trace.create e in
       Trace.attach tr2;
-      Fun.protect ~finally:Trace.detach (fun () ->
+      Fun.protect ~finally:(fun () -> Trace.close tr2) (fun () ->
           Trace.snapshots tr2 ~interval:0.5 ~until:1.))
 
 (* Streaming sink: the JSONL file written as events happen must be
@@ -912,7 +943,7 @@ let test_trace_stream_sink_identical () =
     let e = Engine.create () in
     let rec tick i =
       if i <= 50 then begin
-        Flight.emit ~component:"s" ~flow:2 ~seq:i ~size:100
+        Flight.emit_to (Engine.flight e) ~component:"s" ~flow:2 ~seq:i ~size:100
           ~span:(Flight.span_of ~flow:2 ~seq:i)
           (if i mod 7 = 0 then Flight.Pdu_dropped Flight.R_loss
            else Flight.Pdu_sent);
@@ -958,7 +989,8 @@ let test_trace_sample_ppm_marker () =
   let e = Engine.create () in
   let tr = Trace.create e in
   Trace.attach ~sample_rate:0.25 tr;
-  Flight.emit ~component:"x" ~flow:1 ~seq:1 ~size:10 (Flight.Custom "evt");
+  Flight.emit_to (Engine.flight e) ~component:"x" ~flow:1 ~seq:1 ~size:10
+    (Flight.Custom "evt");
   Trace.close tr;
   (match Trace_report.sample_ppm (Trace.typed_events tr) with
   | Some ppm -> check Alcotest.int "sample_ppm read back" 250_000 ppm
@@ -974,6 +1006,58 @@ let test_trace_sample_ppm_marker () =
     (Trace_report.sample_ppm (Trace.typed_events tr2) = None);
   check Alcotest.int "full trace scales by 1" 100
     (Trace_report.scale_count ~ppm:1_000_000 100)
+
+(* Each engine owns its recorder and its checks.  Two engines in one
+   domain, each with its own trace and only the first checked, run
+   interleaved: each trace equals the one its engine writes alone, and
+   only the first engine's components check invariants. *)
+let test_trace_two_engines_independent () =
+  let start label =
+    let e = Engine.create () in
+    let tr = Trace.create e in
+    Trace.attach tr;
+    let l = Link.create e (Prng.create 5) ~bit_rate:1e6 ~delay:0.001 ~label () in
+    (Link.endpoint_b l).Chan.set_receiver ignore;
+    let rec tick () =
+      (Link.endpoint_a l).Chan.send (Bytes.create 100);
+      ignore (Engine.schedule e ~delay:0.01 tick)
+    in
+    ignore (Engine.schedule e ~delay:0. tick);
+    (e, tr, l)
+  in
+  let alone label =
+    let e, tr, _ = start label in
+    Engine.run ~until:1. e;
+    Trace.close tr;
+    Trace.typed_events tr
+  in
+  let e1, tr1, l1 = start "one" in
+  let e2, tr2, l2 = start "two" in
+  Sanitizer.enable e1;
+  for step = 1 to 10 do
+    let until = 0.1 *. float_of_int step in
+    Engine.run ~until e1;
+    Engine.run ~until e2
+  done;
+  Rina_util.Invariant.record (Engine.checks e1) ~code:"SAN_TEST" "first engine";
+  Trace.close tr1;
+  Trace.close tr2;
+  check Alcotest.bool "first trace holds only its engine's events" true
+    (Trace.typed_events tr1 = alone "one");
+  check Alcotest.bool "second trace holds only its engine's events" true
+    (Trace.typed_events tr2 = alone "two");
+  let codes e =
+    List.map (fun (d : Rina_check.Diag.t) -> d.code) (Sanitizer.violations e)
+  in
+  check Alcotest.(list string) "violation on the checked engine" [ "SAN_TEST" ]
+    (codes e1);
+  check Alcotest.(list string) "none on the other" [] (codes e2);
+  check Alcotest.bool "checked link counted its frames" true
+    ((Link.conservation_a l1).Link.injected > 0);
+  check Alcotest.int "unchecked link counted none" 0
+    (Link.conservation_a l2).Link.injected;
+  Sanitizer.disable e1;
+  check Alcotest.bool "disabled" false (Sanitizer.enabled e1)
 
 (* Offline analysis must tolerate out-of-order input: the receive event
    arriving before the send must still join into one span. *)
@@ -1042,7 +1126,7 @@ let test_trace_relay_span_tree () =
       | Ok fl -> fl.Ipcp.send (Bytes.create 64)
       | Error msg -> Alcotest.failf "allocate failed: %s" msg);
   Engine.run ~until:(Engine.now e +. 10.) e;
-  Trace.detach ();
+  Trace.close tr;
   check Alcotest.bool "SDU delivered" true (!received >= 1);
   let evs = Trace.typed_events tr in
   (* group the PDU-lifecycle events per span, in time order *)
@@ -1131,7 +1215,7 @@ let test_fault_arm_fires_on_schedule () =
   Fault.arm p e;
   Trace.attach tr;
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   check
     Alcotest.(list (pair (float 1e-9) string))
     "actions at plan times"
@@ -1153,8 +1237,8 @@ let test_fault_arm_fires_on_schedule () =
     customs
 
 let test_fault_blackhole_conservation () =
-  Sanitizer.enable ();
   let e = Engine.create () in
+  Sanitizer.enable e;
   let rng = Prng.create 3 in
   let l =
     Link.create e rng ~bit_rate:1_000_000. ~delay:0.001 ~label:"bh" ()
@@ -1174,7 +1258,7 @@ let test_fault_blackhole_conservation () =
          (fun () -> (Link.endpoint_a l).Chan.send (Bytes.create 64)))
   done;
   Engine.run e;
-  Trace.detach ();
+  Trace.close tr;
   let c = Link.conservation_a l in
   Alcotest.(check bool) "some frames blackholed" true (c.Link.blackholed > 0);
   check Alcotest.int "conservation holds" c.Link.injected
@@ -1184,7 +1268,6 @@ let test_fault_blackhole_conservation () =
     (List.map
        (fun (d : Rina_check.Diag.t) -> d.Rina_check.Diag.code)
        (Sanitizer.audit_link l));
-  Sanitizer.disable ();
   let bh_drops =
     List.filter
       (fun (ev : Flight.event) ->
@@ -1288,8 +1371,8 @@ let test_mangle_decide_deterministic () =
    identity still balances; reordering holds frames back but releases
    every one of them. *)
 let mangle_pump spec n =
-  Sanitizer.enable ();
   let e = Engine.create () in
+  Sanitizer.enable e;
   let rng = Prng.create 7 in
   let l =
     Link.create e rng ~bit_rate:1_000_000. ~delay:0.001 ~label:"mangled"
@@ -1308,7 +1391,6 @@ let mangle_pump spec n =
            (Link.endpoint_a l).Chan.send frame))
   done;
   Engine.run e;
-  Sanitizer.disable ();
   (l, List.rev !received)
 
 let test_link_mangle_corrupt_conservation () =
@@ -1375,8 +1457,8 @@ let test_link_mangle_reorder_conservation () =
    original flow.  Now [Link.crash_endpoint] voids the holds and they
    drop with the typed [R_endpoint_crash] reason. *)
 let test_link_holdback_vs_endpoint_crash () =
-  Sanitizer.enable ();
   let e = Engine.create () in
+  Sanitizer.enable e;
   let rng = Prng.create 11 in
   (* Every frame is held, and needs more overtakers than will ever
      come, so only the max-hold flush (or the crash) can resolve it. *)
@@ -1399,8 +1481,7 @@ let test_link_holdback_vs_endpoint_crash () =
      ~0.2 s); a restarted process would re-arm the same receiver. *)
   ignore (Engine.schedule_at e ~time:0.05 (fun () -> Link.crash_endpoint l `B));
   Engine.run e;
-  Rina_sim.Trace.detach ();
-  Sanitizer.disable ();
+  Rina_sim.Trace.close tr;
   let c = Link.conservation_a l in
   check Alcotest.int "nothing delivered after the crash" 0 !received;
   check Alcotest.int "all ten died as crash drops" 10
@@ -1484,7 +1565,7 @@ let run_mangled_transfer seed n =
         done
       | Error msg -> Alcotest.failf "allocate failed: %s" msg);
   Engine.run ~until:(Engine.now e +. 60.) e;
-  Trace.detach ();
+  Trace.close tr;
   (List.rev !delivered, Trace.typed_events tr)
 
 let prop_mangled_exactly_once_and_replayable =
@@ -1791,6 +1872,7 @@ let () =
       ( "medium",
         [
           Alcotest.test_case "range and movement" `Quick test_medium_range_and_movement;
+          Alcotest.test_case "emitters pinned" `Quick test_medium_emitters_pinned;
           Alcotest.test_case "edge loss grows" `Quick test_medium_edge_loss_grows;
         ] );
       ( "trace",
@@ -1808,6 +1890,8 @@ let () =
             test_trace_stream_sink_identical;
           Alcotest.test_case "sample-rate marker + scaling" `Quick
             test_trace_sample_ppm_marker;
+          Alcotest.test_case "two engines observe independently" `Quick
+            test_trace_two_engines_independent;
           Alcotest.test_case "span join out of order" `Quick test_trace_span_join_out_of_order;
           Alcotest.test_case "2-DIF relay span tree" `Quick test_trace_relay_span_tree;
         ] );

@@ -14,6 +14,8 @@ module Nat = Tcpip.Nat
 module Mobile_ip = Tcpip.Mobile_ip
 module Prng = Rina_util.Prng
 module Metrics = Rina_util.Metrics
+module Flight = Rina_util.Flight
+module Trace = Rina_sim.Trace
 
 let check = Alcotest.check
 
@@ -227,8 +229,7 @@ let test_dv_carrier_triggers_update () =
 
 (* ---------- Tcp ---------- *)
 
-let tcp_pair ?(loss = Rina_sim.Loss.No_loss) () =
-  let engine = Engine.create () in
+let tcp_pair ?(loss = Rina_sim.Loss.No_loss) ?(engine = Engine.create ()) () =
   let rng = Prng.create 23 in
   let h1 = Node.create engine "h1" in
   let h2 = Node.create engine "h2" in
@@ -238,8 +239,8 @@ let tcp_pair ?(loss = Rina_sim.Loss.No_loss) () =
   ignore (Node.add_iface h2 (Link.endpoint_b l) ~addr:(Ip.addr_of_string "10.1.0.2") ~prefix:p);
   (engine, h1, h2, l)
 
-let test_tcp_connect_transfer_close () =
-  let engine, h1, h2, _ = tcp_pair () in
+let tcp_connect_transfer_close engine =
+  let _, h1, h2, _ = tcp_pair ~engine () in
   let t1 = Tcp.attach h1 and t2 = Tcp.attach h2 in
   let received = ref [] and closed = ref false in
   Tcp.listen t2 ~port:80 ~on_accept:(fun conn ->
@@ -262,6 +263,8 @@ let test_tcp_connect_transfer_close () =
      wait engine 5.;
      Alcotest.(check bool) "peer saw close" true !closed
    | None -> Alcotest.fail "no connection")
+
+let test_tcp_connect_transfer_close () = tcp_connect_transfer_close (Engine.create ())
 
 let test_tcp_refused_on_closed_port () =
   let engine, h1, h2, _ = tcp_pair () in
@@ -358,8 +361,8 @@ let test_udp_port_unreachable () =
   check Alcotest.int "port unreachable" 1 (Metrics.get (Udp.metrics u2) "port_unreachable");
   check Alcotest.(list int) "no open ports" [] (Udp.open_ports u2)
 
-let test_dns_resolve_and_miss () =
-  let engine, h1, h2, _ = tcp_pair () in
+let dns_resolve_and_miss engine =
+  let _, h1, h2, _ = tcp_pair ~engine () in
   let u1 = Udp.attach h1 and u2 = Udp.attach h2 in
   let server_addr = Ip.addr_of_string "10.1.0.2" in
   let srv = Dns.server u2 ~local:server_addr in
@@ -381,6 +384,8 @@ let test_dns_resolve_and_miss () =
       | _ -> Alcotest.fail "unexpected")
     !results;
   check Alcotest.int "served" 2 (Dns.queries_served srv)
+
+let test_dns_resolve_and_miss () = dns_resolve_and_miss (Engine.create ())
 
 (* ---------- Nat ---------- *)
 
@@ -418,8 +423,7 @@ let test_nat_translation () =
 
 (* ---------- Mobile IP ---------- *)
 
-let test_mobile_ip_tunnel () =
-  let engine = Engine.create () in
+let mobile_ip_tunnel engine =
   let rng = Prng.create 29 in
   (* corr -- r0 -- rh(HA) -- m(home); r0 -- rf -- m(foreign, initially down) *)
   let corr = Node.create engine "corr" in
@@ -482,6 +486,72 @@ let test_mobile_ip_tunnel () =
   wait engine 2.;
   check Alcotest.int "unreachable after deregistration" 2 !got
 
+let test_mobile_ip_tunnel () = mobile_ip_tunnel (Engine.create ())
+
+(* ---------- Flight recorder ---------- *)
+
+(* The events a scenario emits with a trace attached to its engine
+   from the start. *)
+let traced scenario =
+  let engine = Engine.create () in
+  let tr = Trace.create engine in
+  Trace.attach tr;
+  scenario engine;
+  Trace.close tr;
+  Trace.typed_events tr
+
+(* Event counts per (component prefix, kind): "ip:h1" and "ip:h2"
+   count as "ip". *)
+let census events =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Flight.event) ->
+      let prefix = String.split_on_char ':' e.component |> List.hd in
+      let prefix = String.split_on_char '.' prefix |> List.hd in
+      let key = prefix ^ " " ^ Flight.kind_to_string e.kind in
+      Hashtbl.replace counts key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
+    events;
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [])
+
+(* Every emitter of the baseline stack, counted exactly.  The
+   experiment traces compared byte for byte (r1-r4, f5) hold no ip:,
+   tcp:, udp:, ha: or mn: event, so these counts are what pins them. *)
+let test_trace_emitters_pinned () =
+  let pinned name scenario expected =
+    check Alcotest.(list (pair string int)) name expected (census (traced scenario))
+  in
+  pinned "tcp transfer" tcp_connect_transfer_close
+    [
+      ("engine timer_fired", 24); ("engine timer_set", 30); ("ip pdu_recvd", 11);
+      ("ip pdu_sent", 11); ("link pdu_recvd", 11); ("link pdu_sent", 11);
+      ("tcp pdu_recvd", 2); ("tcp pdu_sent", 11); ("tcp timer_set", 6);
+    ];
+  pinned "dns" dns_resolve_and_miss
+    [
+      ("engine timer_fired", 10); ("engine timer_set", 10); ("ip pdu_recvd", 4);
+      ("ip pdu_sent", 4); ("link pdu_recvd", 4); ("link pdu_sent", 4);
+      ("udp pdu_recvd", 4);
+    ];
+  pinned "mobile ip" mobile_ip_tunnel
+    [
+      ("engine timer_fired", 359); ("engine timer_set", 362); ("ha handoff", 1);
+      ("ha tunnel", 1); ("ip pdu_recvd", 135); ("ip pdu_sent", 172);
+      ("link pdu_dropped:link_down", 22); ("link pdu_recvd", 150);
+      ("link pdu_sent", 150); ("mn detunnel", 1); ("mn handoff", 2);
+      ("udp pdu_recvd", 6);
+    ]
+
+(* Resolver ports and registration ports belong to the run: a second
+   run in the same process traces the same flows. *)
+let test_trace_reruns_equal () =
+  List.iter
+    (fun (name, scenario) ->
+      let first = traced scenario in
+      check Alcotest.bool (name ^ ": rerun traces the same events") true
+        (traced scenario = first))
+    [ ("mobile ip", mobile_ip_tunnel); ("dns", dns_resolve_and_miss) ]
+
 let () =
   Alcotest.run "tcpip"
     [
@@ -522,4 +592,9 @@ let () =
         ] );
       ("nat", [ Alcotest.test_case "translation" `Quick test_nat_translation ]);
       ("mobile-ip", [ Alcotest.test_case "tunnel" `Quick test_mobile_ip_tunnel ]);
+      ( "trace",
+        [
+          Alcotest.test_case "emitters pinned" `Quick test_trace_emitters_pinned;
+          Alcotest.test_case "reruns trace equal" `Quick test_trace_reruns_equal;
+        ] );
     ]
