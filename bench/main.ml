@@ -1,7 +1,7 @@
 (* Regenerates every figure/claim experiment of the paper (see
    DESIGN.md §3 and EXPERIMENTS.md).  With no arguments all
    experiments run in order; pass names (f1 f2 f3 f4 f5 c1 c2 c3 c4
-   a1 r1 r2 r3 r4 micro trace hotpath) to run a subset. *)
+   a1 r1 r2 r3 r4 trace) to run a subset. *)
 
 let experiments =
   [
@@ -19,9 +19,7 @@ let experiments =
     ("r2", Exp_r2.run);
     ("r3", Exp_r3.run);
     ("r4", Exp_r4.run);
-    ("micro", Micro.run);
     ("trace", Trace_overhead.run);
-    ("hotpath", Hotpath.run);
   ]
 
 let () =

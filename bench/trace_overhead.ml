@@ -20,7 +20,8 @@
 
    With RINA_BENCH_CHECK=1 the run fails (exit 1) if the sampled-mode
    scenario overhead is not at most half of the full-trace overhead, or
-   if the disabled site stops being ~ns-cheap. *)
+   if the disabled site stops being ~ns-cheap.  The gate runs before
+   the artifact is written, so a violated run leaves it as it was. *)
 
 module Flight = Rina_util.Flight
 module Telemetry = Rina_util.Telemetry
@@ -130,18 +131,6 @@ let run () =
      %.3fs full (x%.3f) / %.3fs sampled (x%.3f)\n"
     ns_disabled ns_enabled (events_per_sec /. 1e6) ns_sampled scenario_disabled
     scenario_enabled ratio scenario_sampled ratio_sampled;
-  Gate.write "BENCH_trace_overhead.json"
-    (Json.Obj
-       [ ("ns_per_event_disabled", Json.fixed 3 ns_disabled);
-         ("ns_per_event_enabled", Json.fixed 3 ns_enabled);
-         ("ns_per_event_sampled", Json.fixed 3 ns_sampled);
-         ("events_per_sec_enabled", Json.fixed 0 events_per_sec);
-         ("scenario_disabled_s", Json.fixed 4 scenario_disabled);
-         ("scenario_enabled_s", Json.fixed 4 scenario_enabled);
-         ("scenario_sampled_s", Json.fixed 4 scenario_sampled);
-         ("scenario_overhead_ratio", Json.fixed 4 ratio);
-         ("scenario_sampled_ratio", Json.fixed 4 ratio_sampled);
-         ("sampled_keep_ppm", Json.int (Flight.ppm_of_rate sample_rate)) ]);
   (* the headline gate: sampled-mode overhead at most half the
      full-trace overhead (2% absolute floor absorbs timer noise on a
      busy CI host) *)
@@ -158,4 +147,16 @@ let run () =
       (* the disabled site must stay ~ns: one branch *)
       ("disabled site stays ~ns",
        ns_disabled <= 15.,
-       Printf.sprintf "%.2f ns/event" ns_disabled) ]
+       Printf.sprintf "%.2f ns/event" ns_disabled) ];
+  Gate.write "BENCH_trace_overhead.json"
+    (Json.Obj
+       [ ("ns_per_event_disabled", Json.fixed 3 ns_disabled);
+         ("ns_per_event_enabled", Json.fixed 3 ns_enabled);
+         ("ns_per_event_sampled", Json.fixed 3 ns_sampled);
+         ("events_per_sec_enabled", Json.fixed 0 events_per_sec);
+         ("scenario_disabled_s", Json.fixed 4 scenario_disabled);
+         ("scenario_enabled_s", Json.fixed 4 scenario_enabled);
+         ("scenario_sampled_s", Json.fixed 4 scenario_sampled);
+         ("scenario_overhead_ratio", Json.fixed 4 ratio);
+         ("scenario_sampled_ratio", Json.fixed 4 ratio_sampled);
+         ("sampled_keep_ppm", Json.int (Flight.ppm_of_rate sample_rate)) ])

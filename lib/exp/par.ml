@@ -47,21 +47,18 @@ let map ~domains f items =
       slots
   end
 
-let run_trials ~domains ~seeds f =
-  Array.to_list (map ~domains (fun seed -> f ~seed) (Array.of_list seeds))
-
 (* Every trial records into its own registry, and the shards are merged
    in *input* order after the join, so the merged registry is
    byte-identical whether the trials ran on one domain or eight (merge
    is exact bucket addition, and the order is fixed by the item list,
    not the schedule). *)
-let map_telemetry ~domains ?series_bucket f items =
+let map_telemetry ~domains f items =
   let module Telemetry = Rina_util.Telemetry in
-  let merged = Telemetry.create ?series_bucket () in
+  let merged = Telemetry.create () in
   let pairs =
     map ~domains
       (fun item ->
-        let tele = Telemetry.create ?series_bucket () in
+        let tele = Telemetry.create () in
         (f tele item, tele))
       items
   in

@@ -15,13 +15,8 @@ val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
     {e input} order is re-raised — deterministically, regardless of
     domain interleaving — after all workers finish. *)
 
-val run_trials : domains:int -> seeds:int list -> (seed:int -> 'a) -> 'a list
-(** Seed-list convenience wrapper over {!map}; results in seed-list
-    order. *)
-
 val map_telemetry :
   domains:int ->
-  ?series_bucket:float ->
   (Rina_util.Telemetry.t -> 'a -> 'b) ->
   'a array ->
   'b array * Rina_util.Telemetry.t

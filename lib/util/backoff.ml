@@ -2,13 +2,6 @@
    drawn from the caller-supplied Prng stream (never [Random]), and
    callers that pass no generator get the bare doubling sequence. *)
 
-type t = {
-  base : float;
-  cap : float;
-  rng : Prng.t option;
-  mutable attempts : int;
-}
-
 let check ~base ~cap =
   if base <= 0. then invalid_arg "Backoff: base must be positive";
   if cap < base then invalid_arg "Backoff: cap must be >= base"
@@ -27,19 +20,6 @@ let jittered rng d =
   match rng with
   | None -> d
   | Some rng -> Prng.uniform_in rng (d /. 2.) d
-
-let make ?rng ?cap ~base () =
-  let cap = match cap with Some c -> c | None -> 30. *. base in
-  check ~base ~cap;
-  { base; cap; rng; attempts = 0 }
-
-let next t =
-  let d = raw ~base:t.base ~cap:t.cap t.attempts in
-  t.attempts <- t.attempts + 1;
-  jittered t.rng d
-
-let attempt t = t.attempts
-let reset t = t.attempts <- 0
 
 let delay_for ?rng ?cap ~base n =
   let cap = match cap with Some c -> c | None -> 30. *. base in

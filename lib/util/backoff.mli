@@ -8,26 +8,9 @@
     Randomness only ever comes from the caller's {!Prng.t}, keeping
     simulations deterministic for a fixed seed. *)
 
-type t
-
-val make : ?rng:Prng.t -> ?cap:float -> base:float -> unit -> t
-(** [make ~base ()] starts a fresh schedule.  [base] is the delay
-    before the first retry (seconds); [cap] (default [30. *. base])
-    bounds growth.  Without [rng] the schedule is the plain
-    deterministic doubling sequence.
-    @raise Invalid_argument if [base <= 0.] or [cap < base]. *)
-
-val next : t -> float
-(** The delay to wait before the next retry; advances the attempt
-    counter. *)
-
-val attempt : t -> int
-(** Retries drawn so far (0 before the first {!next}). *)
-
-val reset : t -> unit
-(** Forget past attempts; the next {!next} returns [base] again
-    (modulo jitter). *)
-
 val delay_for : ?rng:Prng.t -> ?cap:float -> base:float -> int -> float
-(** One-shot: the delay for retry number [n] (0-based) without
-    tracking state.  Same clamping and jitter rules as {!next}. *)
+(** [delay_for ~base n] is the delay before retry number [n] (0-based,
+    seconds).  [base] is the delay before the first retry; [cap]
+    (default [30. *. base]) bounds growth.  Without [rng] the schedule
+    is the plain deterministic doubling sequence.
+    @raise Invalid_argument if [base <= 0.], [cap < base] or [n < 0]. *)

@@ -17,6 +17,4 @@ let violations c =
   Hashtbl.fold (fun _ v acc -> v :: acc) c.store []
   |> List.sort (fun a b -> String.compare a.code b.code)
 
-let total c = Hashtbl.fold (fun _ v acc -> acc + v.count) c.store 0
-
 let clear c = Hashtbl.reset c.store

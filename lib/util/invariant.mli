@@ -42,7 +42,4 @@ val record : t -> code:string -> string -> unit
 val violations : t -> violation list
 (** All violations recorded since the last [clear], sorted by code. *)
 
-val total : t -> int
-(** Sum of all violation counts. *)
-
 val clear : t -> unit

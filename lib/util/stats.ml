@@ -21,21 +21,7 @@ let add t x =
 
 let count t = t.size
 
-let total t = t.sum
-
 let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
-
-let variance t =
-  if t.size < 2 then nan
-  else begin
-    let m = mean t in
-    let acc = ref 0. in
-    for i = 0 to t.size - 1 do
-      let d = t.samples.(i) -. m in
-      acc := !acc +. (d *. d)
-    done;
-    !acc /. float_of_int (t.size - 1)
-  end
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -43,13 +29,6 @@ let ensure_sorted t =
     Array.sort compare view;
     Array.blit view 0 t.samples 0 t.size;
     t.sorted <- true
-  end
-
-let min_value t =
-  if t.size = 0 then nan
-  else begin
-    ensure_sorted t;
-    t.samples.(0)
   end
 
 let max_value t =
@@ -74,25 +53,3 @@ let percentile t p =
   end
 
 let median t = percentile t 50.
-
-let summary t =
-  if t.size = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.4g p50=%.4g p99=%.4g min=%.4g max=%.4g"
-      t.size (mean t) (median t) (percentile t 99.) (min_value t) (max_value t)
-
-module Welford = struct
-  type w = { mutable n : int; mutable m : float; mutable m2 : float }
-
-  let create () = { n = 0; m = 0.; m2 = 0. }
-
-  let add w x =
-    w.n <- w.n + 1;
-    let delta = x -. w.m in
-    w.m <- w.m +. (delta /. float_of_int w.n);
-    w.m2 <- w.m2 +. (delta *. (x -. w.m))
-
-  let count w = w.n
-  let mean w = if w.n = 0 then nan else w.m
-  let variance w = if w.n < 2 then nan else w.m2 /. float_of_int (w.n - 1)
-end

@@ -66,7 +66,6 @@ let create ?(series_bucket = 0.5) () =
     s_dropped = 0;
   }
 
-let series_bucket t = t.bucket
 let set_latency_ppm t ppm = t.lat_ppm <- ppm
 let latency_ppm t = t.lat_ppm
 let tally t = t.tally

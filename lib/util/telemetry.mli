@@ -42,8 +42,6 @@ val create : ?series_bucket:float -> unit -> t
     width of every time series in this registry; registries merge only
     when their widths agree. *)
 
-val series_bucket : t -> float
-
 val install : t -> Flight.recorder -> unit
 (** Hook this registry into a flight recorder: the tally for exact
     counts of every event, {!observe} as the tap for the kept ones.

@@ -230,13 +230,12 @@ let test_straddling_links_on_line () =
 module Par = Rina_exp.Par
 module Fault = Rina_sim.Fault
 
-(* One self-contained chaos trial, the same shape the hotpath bench
-   sweeps: seed-derived topology, two random faults armed, CBR traffic
-   relayed over a 3-node line, summarised as a JSON line whose fields
-   include metrics merged across the whole network.  Each invocation
-   builds a private engine/PRNG/metrics, so it is safe to run from any
-   domain. *)
-let par_trial ~seed =
+(* One self-contained chaos trial: seed-derived topology, two random
+   faults armed, CBR traffic relayed over a 3-node line, summarised as
+   a JSON line whose fields include metrics merged across the whole
+   network.  Each invocation builds a private engine/PRNG/metrics, so
+   it is safe to run from any domain. *)
+let par_trial seed =
   let net = Topo.line ~seed ~n:3 () in
   let engine = net.Topo.engine in
   let sink = Workload.sink () in
@@ -259,13 +258,13 @@ let par_trial ~seed =
       (List.length (Fault.events plan))
 
 let test_par_identical_to_sequential () =
-  let seeds = [ 300; 301; 302 ] in
-  let seq = Par.run_trials ~domains:1 ~seeds par_trial in
-  let par = Par.run_trials ~domains:4 ~seeds par_trial in
-  check Alcotest.(list string) "parallel byte-identical to sequential" seq par;
+  let seeds = [| 300; 301; 302 |] in
+  let seq = Par.map ~domains:1 par_trial seeds in
+  let par = Par.map ~domains:4 par_trial seeds in
+  check Alcotest.(array string) "parallel byte-identical to sequential" seq par;
   (* The trials actually exercised the stack: traffic was delivered and
      every summary line carries the armed fault count. *)
-  List.iter
+  Array.iter
     (fun line ->
       Alcotest.(check bool)
         (Printf.sprintf "trial ran to completion: %s" line)
@@ -279,7 +278,7 @@ let test_par_identical_to_sequential () =
     scan 0
   in
   Alcotest.(check bool) "no flow-allocation failures" false
-    (List.exists contains_error seq)
+    (Array.exists contains_error seq)
 
 (* One observability trial: a relayed CBR run with a 5%-sampled trace
    attached and the trial's telemetry shard tapping every event.
