@@ -92,12 +92,9 @@ let rina_attacks () =
   let attacker_enrolled = Ipcp.is_enrolled attacker in
   (* (b) forged hello claiming member A's address. *)
   let forged_hello =
-    let w = Rina_util.Codec.Writer.create () in
-    Rina_util.Codec.Writer.string w "A/1";
-    Rina_util.Codec.Writer.u32 w (Ipcp.address a);
-    Rina_util.Codec.Writer.u32 w 0xDEAD;
     Pdu.make ~pdu_type:Pdu.Hello ~dst_addr:0 ~src_addr:(Ipcp.address a)
-      (Rina_util.Codec.Writer.contents w)
+      (Rina_core.Enrollment.encode_hello ~name:"A/1" ~addr:(Ipcp.address a)
+         ~token:0xDEAD)
   in
   att_chan.Rina_sim.Chan.send (Pdu.encode_frame forged_hello);
   Engine.run ~until:(Engine.now engine +. 2.) engine;

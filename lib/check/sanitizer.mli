@@ -3,7 +3,7 @@
     The low-cost check sites live inside the components themselves
     ({!Rina_sim.Engine} clock monotonicity and event-heap order,
     {!Rina_sim.Link} PDU conservation counters, {!Rina_core.Efcp}
-    window invariants, {!Rina_core.Ipcp}'s RIB object-name
+    window invariants, {!Rina_core.Member}'s RIB object-name
     well-formedness), all guarded by the engine's
     [Rina_util.Invariant] context ({!Rina_sim.Engine.checks}) — one
     branch each when disabled.  This module is the front end: switch

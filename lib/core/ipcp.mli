@@ -6,8 +6,14 @@
     - {e IPC data transfer} — the {!Rmt} (relaying/multiplexing) and
       per-flow DTP;
     - {e IPC transfer control} — {!Efcp} retransmission/flow control;
-    - {e IPC management} — RIEP over the {!Rib}: enrollment,
-      directory, link-state routing, flow allocation, access control.
+    - {e IPC management} — RIEP over the {!Rib}: {!Enrollment},
+      {!Routing_dir} (link-state routing and the directory),
+      {!Liveness} and the flow allocator {!Flow_alloc}, each a module
+      over the state that {!Member} holds.
+
+    This module creates a process and wires its RMT, dispatches each
+    management PDU to its task, and runs the lifecycle and the
+    application interface.
 
     Applications interact only through {!register_app} and
     {!allocate_flow}, naming peers by {!Types.apn}.  Addresses exist
@@ -132,7 +138,6 @@ val chan_of_flow : t -> flow -> Rina_sim.Chan.t
 
 val name : t -> Types.apn
 val engine : t -> Rina_sim.Engine.t
-val dif_name : t -> Types.dif_name
 
 val is_enrolled : t -> bool
 
@@ -151,8 +156,7 @@ val routing_table : t -> (Types.address * Types.address * float) list
 
 val path_health : t -> string list
 (** One line per monitored path (port, Up/Suspect/Down, consecutive
-    misses), sorted — empty until the multipath monitor has probed.
-    What [rina_stats] prints for multihomed processes. *)
+    misses), sorted — empty until the multipath monitor has probed. *)
 
 val rib : t -> Rib.t
 

@@ -1,6 +1,6 @@
 (* Unit and property tests for rina_core's passive modules: naming,
-   PDU/RIEP codecs, SDU protection, RIB, QoS, policies, delimiting,
-   routing computation, shim framing. *)
+   PDU/RIEP and management payload codecs, SDU protection, RIB, QoS,
+   policies, delimiting, routing computation, shim framing. *)
 
 module Types = Rina_core.Types
 module Pdu = Rina_core.Pdu
@@ -13,6 +13,8 @@ module Delimiting = Rina_core.Delimiting
 module Routing = Rina_core.Routing
 module Shim = Rina_core.Shim
 module Sdu = Rina_core.Sdu_protection
+module Enrollment = Rina_core.Enrollment
+module Flow_alloc = Rina_core.Flow_alloc
 
 let check = Alcotest.check
 
@@ -888,6 +890,62 @@ let test_shim_tag_filtering () =
   Alcotest.(check bool) "tags differ" true
     (Shim.tag_of_dif "net-1" <> Shim.tag_of_dif "net-2")
 
+(* ---------- management payload codecs ---------- *)
+
+let u32_gen = QCheck.Gen.int_bound 0xFFFFFFFF
+
+let hello_gen = QCheck.Gen.(triple small_string u32_gen u32_gen)
+
+let flow_req_gen =
+  let open QCheck.Gen in
+  let apn_gen =
+    map2
+      (fun name instance -> Types.apn ~instance name)
+      (string_size ~gen:(char_range 'a' 'z') (int_range 1 8))
+      (string_size ~gen:(char_range '0' '9') (int_range 1 3))
+  in
+  map
+    (fun ((fr_src_app, fr_dst_app), fr_qos_id, (fr_src_addr, fr_src_cep)) ->
+      { Flow_alloc.fr_src_app; fr_dst_app; fr_qos_id; fr_src_addr; fr_src_cep })
+    (triple (pair apn_gen apn_gen) (int_bound 0xFFFF) (pair u32_gen u32_gen))
+
+let snapshot_gen =
+  let open QCheck.Gen in
+  triple (int_range 1 0xFFFFFFFF)
+    (list_size (int_bound 5) (pair small_string rib_value_gen))
+    (list_size (int_bound 4)
+       (map
+          (fun (origin, seq, neighbors) -> lsa origin seq neighbors)
+          (triple u32_gen u32_gen
+             (list_size (int_bound 4) (pair u32_gen (float_bound_inclusive 100.))))))
+
+let prop_hello_roundtrip =
+  QCheck.Test.make ~name:"hello encode/decode roundtrip" ~count:300
+    (QCheck.make hello_gen)
+    (fun (name, addr, token) ->
+      Enrollment.decode_hello (Enrollment.encode_hello ~name ~addr ~token)
+      = Ok (name, addr, token))
+
+let prop_flow_req_roundtrip =
+  QCheck.Test.make ~name:"flow request encode/decode roundtrip" ~count:300
+    (QCheck.make flow_req_gen)
+    (fun fr -> Flow_alloc.decode_flow_req (Flow_alloc.encode_flow_req fr) = Ok fr)
+
+(* A joiner must never take address 0, [Types.no_address]. *)
+let prop_snapshot_roundtrip =
+  QCheck.Test.make ~name:"snapshot encode/decode roundtrip, grant 0 refused" ~count:300
+    (QCheck.make snapshot_gen)
+    (fun (granted, entries, lsas) ->
+      let same_entries =
+        List.equal (fun (p, v) (p', v') -> String.equal p p' && Rib.value_equal v v')
+      in
+      Result.is_error
+        (Enrollment.decode_snapshot (Enrollment.encode_snapshot ~granted:0 ~entries ~lsas))
+      &&
+      match Enrollment.decode_snapshot (Enrollment.encode_snapshot ~granted ~entries ~lsas) with
+      | Ok (g, e, l) -> g = granted && same_entries e entries && l = lsas
+      | Error _ -> false)
+
 (* ---------- wire decoders ---------- *)
 
 (* Frames arrive off (N-1) channels that may corrupt, cut short or
@@ -926,6 +984,11 @@ let prop_wire_decoders_total =
         pdu_gen >>= (fun p -> mangle (Pdu.encode p));
         riep_gen >>= (fun m -> mangle (Riep.encode m));
         lsa_gen >>= (fun l -> mangle (Routing.Lsa.encode l));
+        (hello_gen >>= fun (name, addr, token) ->
+         mangle (Enrollment.encode_hello ~name ~addr ~token));
+        flow_req_gen >>= (fun fr -> mangle (Flow_alloc.encode_flow_req fr));
+        (snapshot_gen >>= fun (granted, entries, lsas) ->
+         mangle (Enrollment.encode_snapshot ~granted ~entries ~lsas));
       ]
   in
   let total decode b =
@@ -952,6 +1015,9 @@ let prop_wire_decoders_total =
       && total_at_every_len (fun ~len b -> Pdu.decode_header b ~len) b
       && total Riep.decode b
       && total Routing.Lsa.decode b
+      && total Enrollment.decode_hello b
+      && total Flow_alloc.decode_flow_req b
+      && total Enrollment.decode_snapshot b
       && reassembler_total b)
 
 let () =
@@ -1024,5 +1090,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_spf_matches_oracle;
         ] );
       ("shim", [ Alcotest.test_case "tag filtering" `Quick test_shim_tag_filtering ]);
-      ("decoders", [ QCheck_alcotest.to_alcotest prop_wire_decoders_total ]);
+      ( "decoders",
+        [
+          QCheck_alcotest.to_alcotest prop_wire_decoders_total;
+          QCheck_alcotest.to_alcotest prop_hello_roundtrip;
+          QCheck_alcotest.to_alcotest prop_flow_req_roundtrip;
+          QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+        ] );
     ]

@@ -791,20 +791,25 @@ let test_policy_language_drives_dif () =
 
 (* ---------- management-plane robustness ---------- *)
 
+(* A new process wired to [via], which admits it. *)
+let add_joiner net via =
+  let joiner = Dif.add_member net.Topo.dif ~name:"joiner" () in
+  let l =
+    Link.create net.Topo.engine (Rina_util.Prng.create 9) ~bit_rate:10_000_000.
+      ~delay:0.002 ()
+  in
+  Dif.connect net.Topo.dif via joiner (Link.endpoint_a l, Link.endpoint_b l);
+  joiner
+
 (* Two members whose namespace manager (node 0) has crashed while node
    1 admits a joiner: node 1's address request (invoke id 1) is still
    pending, and node 0's end of the old wire is free to inject on. *)
 let pending_grant_net () =
   let net = Topo.line ~seed:3 ~n:2 () in
-  let engine = net.Topo.engine in
-  wait engine 10.;
+  wait net.Topo.engine 10.;
   Ipcp.crash net.Topo.nodes.(0);
-  let joiner = Dif.add_member net.Topo.dif ~name:"joiner" () in
-  let l =
-    Link.create engine (Rina_util.Prng.create 9) ~bit_rate:10_000_000. ~delay:0.002 ()
-  in
-  Dif.connect net.Topo.dif net.Topo.nodes.(1) joiner (Link.endpoint_a l, Link.endpoint_b l);
-  wait engine 1.2;
+  let joiner = add_joiner net net.Topo.nodes.(1) in
+  wait net.Topo.engine 1.2;
   (net, joiner)
 
 (* A management frame: neighbour-scope unless [dst] routes it. *)
@@ -845,6 +850,83 @@ let test_unrouted_grant_dropped () =
   Alcotest.(check bool) "joiner not enrolled" false (Ipcp.is_enrolled joiner);
   check Alcotest.int "forgery counted" 1
     (Metrics.get (Ipcp.metrics member) "unrouted_alloc_dropped")
+
+(* A successful flow response: the responder's cep. *)
+let cep_reply cep =
+  let w = Rina_util.Codec.Writer.create () in
+  Rina_util.Codec.Writer.u32 w cep;
+  Rib.V_bytes (Rina_util.Codec.Writer.contents w)
+
+let test_reply_class_must_match () =
+  (* Address grants and flow set-ups wait in one table, keyed by one
+     invoke-id counter.  A routed reply of the other class under a
+     pending request's invoke id must leave that request pending. *)
+  let net, joiner = pending_grant_net () in
+  let member = net.Topo.nodes.(1) in
+  inject net ~dst:(Ipcp.address member)
+    (Riep.make ~opcode:Riep.M_create_r ~obj_class:"flow" ~invoke_id:1
+       ~obj_value:(cep_reply 5) ());
+  wait net.Topo.engine 0.01;
+  check Alcotest.int "flow reply ignored" 0
+    (Metrics.get (Ipcp.metrics member) "enroll_denied");
+  inject net ~dst:(Ipcp.address member)
+    (Riep.make ~opcode:Riep.M_read_r ~obj_class:"addr-alloc" ~invoke_id:1
+       ~obj_value:(Rib.V_int 7) ());
+  wait net.Topo.engine 0.5;
+  check Alcotest.int "grant still pending" 7 (Ipcp.address joiner);
+  (* The manager's first request is the flow set-up; its destination
+     has crashed, so the request waits for a reply. *)
+  let net = Topo.line ~seed:3 ~n:2 () in
+  let engine = net.Topo.engine and requester = net.Topo.nodes.(0) in
+  Ipcp.register_app net.Topo.nodes.(1) (Types.apn "svc") ~on_flow:ignore;
+  wait engine 10.;
+  Ipcp.crash net.Topo.nodes.(1);
+  let result = ref None in
+  Ipcp.allocate_flow requester ~src:(Types.apn "client") ~dst:(Types.apn "svc") ~qos_id:1
+    ~on_result:(fun r -> result := Some r);
+  let reply msg =
+    (Link.endpoint_b net.Topo.links.(0)).Chan.send
+      (mgmt_frame ~dst:(Ipcp.address requester) msg);
+    wait engine 0.1
+  in
+  reply
+    (Riep.make ~opcode:Riep.M_read_r ~obj_class:"addr-alloc" ~invoke_id:1
+       ~obj_value:(Rib.V_int 7) ());
+  Alcotest.(check bool) "grant reply ignored" true (Option.is_none !result);
+  reply
+    (Riep.make ~opcode:Riep.M_create_r ~obj_class:"flow" ~invoke_id:1
+       ~obj_value:(cep_reply 5) ());
+  match !result with
+  | Some (Ok flow) ->
+    check Alcotest.string "flow still pending" "svc/1"
+      (Types.apn_to_string flow.Ipcp.remote_app)
+  | Some (Error e) -> Alcotest.fail e
+  | None -> Alcotest.fail "flow reply ignored"
+
+(* The namespace manager keeps its next free address at
+   /dif/next_free.  One forged neighbour-scope write or delete of it,
+   on a fresh wire into the manager, must not change the address the
+   next joiner gets: node 1 holds 2, so the joiner gets 3. *)
+let test_forged_next_free msg () =
+  let net = Topo.line ~seed:3 ~n:2 () in
+  let engine = net.Topo.engine and manager = net.Topo.nodes.(0) in
+  wait engine 10.;
+  let l =
+    Link.create engine (Rina_util.Prng.create 13) ~bit_rate:1_000_000. ~delay:0.001 ()
+  in
+  ignore (Ipcp.bind_port manager (Link.endpoint_b l));
+  (Link.endpoint_a l).Chan.send (mgmt_frame msg);
+  wait engine 1.;
+  let joiner = add_joiner net manager in
+  wait engine 5.;
+  Alcotest.(check bool) "joiner enrolled" true (Ipcp.is_enrolled joiner);
+  check Alcotest.int "fresh address" 3 (Ipcp.address joiner);
+  check Alcotest.int "forgery refused" 1
+    (Metrics.get (Ipcp.metrics manager) "mgmt_unhandled")
+
+let write_next_free n =
+  Riep.make ~opcode:Riep.M_write ~obj_class:"rib" ~obj_name:"/dif/next_free"
+    ~obj_value:(Rib.V_int n) ()
 
 let test_stranger_cannot_close_flow () =
   (* A fresh wire to node 1 whose far end never says hello: its
@@ -935,7 +1017,7 @@ let gen_mgmt_msg =
       ]
   in
   let* opcode, obj_class = oneofl dispatched in
-  let* obj_name = oneofl [ "/dir/svc/1"; "7"; "joiner/1" ] in
+  let* obj_name = oneofl [ "/dir/svc/1"; "7"; "joiner/1"; "/dif/next_free" ] in
   let* invoke_id = int_range 0 3 in
   let* result = int_range 0 4 in
   let* version = int_range 0 2 in
@@ -961,16 +1043,28 @@ let prop_mgmt_never_raises =
   QCheck.Test.make ~name:"no management message raises" ~count:300
     (QCheck.make ~print (QCheck.Gen.list_repeat 80 gen_mgmt_msg))
     (fun msgs ->
+      let barrage net ~from member =
+        List.iter
+          (fun (routed, msg) ->
+            from.Chan.send
+              (mgmt_frame ?dst:(if routed then Some (Ipcp.address member) else None) msg);
+            wait net.Topo.engine 0.01)
+          msgs
+      in
+      (* A member with a pending address grant and a pending flow. *)
       let net, _ = pending_grant_net () in
       let member = net.Topo.nodes.(1) in
       Ipcp.allocate_flow member ~src:(Types.apn "client") ~dst:(Types.apn "svc")
         ~qos_id:1 ~on_result:ignore;
-      List.iter
-        (fun (routed, msg) ->
-          inject net ?dst:(if routed then Some (Ipcp.address member) else None) msg;
-          wait net.Topo.engine 0.01)
-        msgs;
+      barrage net ~from:(Link.endpoint_a net.Topo.links.(0)) member;
       wait net.Topo.engine 2.;
+      (* A live namespace manager, which then admits a joiner. *)
+      let net = Topo.line ~seed:3 ~n:2 () in
+      wait net.Topo.engine 10.;
+      let manager = net.Topo.nodes.(0) in
+      barrage net ~from:(Link.endpoint_b net.Topo.links.(0)) manager;
+      ignore (add_joiner net manager : Ipcp.t);
+      wait net.Topo.engine 3.;
       true)
 
 (* The management plane's counters, summed over every member after a
@@ -1288,6 +1382,15 @@ let () =
           Alcotest.test_case "custom qos cubes" `Quick test_custom_qos_cubes;
           Alcotest.test_case "out-of-range grant denied" `Quick test_out_of_range_grant_denied;
           Alcotest.test_case "unrouted grant dropped" `Quick test_unrouted_grant_dropped;
+          Alcotest.test_case "reply class must match" `Quick test_reply_class_must_match;
+          Alcotest.test_case "forged next_free 2^32" `Quick
+            (test_forged_next_free (write_next_free (1 lsl 32)));
+          Alcotest.test_case "forged next_free 0" `Quick
+            (test_forged_next_free (write_next_free 0));
+          Alcotest.test_case "forged next_free delete" `Quick
+            (test_forged_next_free
+               (Riep.make ~opcode:Riep.M_delete ~obj_class:"rib"
+                  ~obj_name:"/dif/next_free" ()));
           Alcotest.test_case "stranger cannot close a flow" `Quick
             test_stranger_cannot_close_flow;
           QCheck_alcotest.to_alcotest prop_mgmt_never_raises;
